@@ -142,13 +142,16 @@ class ExecutionModel:
         line = self.config.llc.line_bytes
         bw = self.config.memory.bandwidth_bytes_per_s
         max_accesses_per_s = bw / line
+        # (dram, spi) of the threads that touch DRAM, read once: the
+        # bisection below evaluates achieved() some 40 times
+        traffic = [
+            (r.dram_per_instr, r.seconds_per_instr)
+            for r in rates
+            if r.dram_per_instr > 0.0
+        ]
 
         def achieved(extra_delay: float) -> float:
-            return sum(
-                r.dram_per_instr / (r.seconds_per_instr + r.dram_per_instr * extra_delay)
-                for r in rates
-                if r.dram_per_instr > 0.0
-            )
+            return sum([d / (spi + d * extra_delay) for d, spi in traffic])
 
         if achieved(0.0) <= max_accesses_per_s:
             return rates

@@ -17,7 +17,23 @@ change — a quantum expiring, a phase completing, a thread blocking or waking
 1. ``_accrue``  — fold the elapsed interval into counters and energy,
 2. the mutation itself,
 3. ``_refresh`` — dispatch idle cores, recompute everyone's rates (the
-   co-running set changed), and reschedule each core's next event.
+   co-running set changed), compute each busy core's deadline (phase done
+   or quantum end, whichever is first) and re-arm the kernel's single
+   pending core event at the earliest one, the lowest core index winning
+   ties.
+
+One event stands in for one per busy core without changing the order in
+which anything fires.  Every refresh re-arms it, so it always carries a
+sequence number from the latest refresh — as per-core events re-pushed in
+core order on every refresh would.  Among those, the earliest deadline
+with the lowest core index is the one that would pop first, and it pops in
+the same place relative to every other queued event (spawns, governor
+ticks, callbacks).  Whichever core event fires, its handler refreshes, so
+the later deadlines are recomputed before they could matter.
+
+The hot path is bit-exact with the straightforward per-core code kept in
+``tests/sim/test_kernel_equivalence.py``: the same float operations in the
+same order, so every simulated output is unchanged to the last bit.
 
 Threads that have not provided progress-period information never touch the
 extension and are scheduled directly by the default policy, exactly as the
@@ -32,10 +48,11 @@ from typing import Dict, Optional, Sequence
 
 from ..config import MachineConfig, default_machine_config
 from ..errors import SchedulerError, SimulationError
-from ..mem.contention import LlcDemand
+from ..mem.contention import ContentionPoint, LlcDemand
 from ..perf.counters import HwCounter
 from ..workloads.base import Phase, PhaseKind, ProcessSpec, Workload
 from .cfs import CfsScheduler
+from .cpu import ExecRate
 from .engine import Engine, EventHandle
 from .machine import Machine
 from .process import Process, Thread, ThreadState
@@ -47,6 +64,12 @@ __all__ = ["AdmissionDecision", "SchedulingExtension", "Kernel"]
 #: slack for floating-point time/instruction comparisons
 _EPS_INSTR = 1e-6
 _EPS_TIME = 1e-12
+
+# counters _accrue folds in once per event rather than once per busy core
+_INSTRUCTIONS = HwCounter.INSTRUCTIONS
+_FP_OPS = HwCounter.FP_OPS
+_LLC_REFERENCES = HwCounter.LLC_REFERENCES
+_CYCLES = HwCounter.CYCLES
 
 
 class AdmissionDecision(enum.Enum):
@@ -78,13 +101,12 @@ class SchedulingExtension(ABC):
 class _CoreState:
     """Book-keeping for one CPU core."""
 
-    __slots__ = ("idx", "thread", "quantum_end", "event", "last_tid")
+    __slots__ = ("idx", "thread", "quantum_end", "last_tid")
 
     def __init__(self, idx: int) -> None:
         self.idx = idx
         self.thread: Optional[Thread] = None
         self.quantum_end = 0.0
-        self.event: Optional[EventHandle] = None
         self.last_tid: Optional[int] = None
 
 
@@ -113,6 +135,8 @@ class Kernel:
         if extension is not None:
             extension.attach(self)
         self.cores = [_CoreState(i) for i in range(self.config.cpu.n_cores)]
+        #: the one pending core event (see the module docstring)
+        self._core_event_handle: Optional[EventHandle] = None
         self.processes: list[Process] = []
         self._barriers: Dict[tuple[int, int], WaitQueue] = {}
         self._last_accrual = self.engine.now
@@ -126,6 +150,15 @@ class Kernel:
         # kernel's processes, so ids are stable for the kernel's lifetime.
         self._rate_cache: Dict[tuple, tuple] = {}
         self._RATE_CACHE_MAX = 4096
+        # Behind it, on a miss: each thread's uncapped rate, keyed on
+        # (id(phase), hot fraction, freq_scale) — the only inputs
+        # ExecutionModel.rate reads.  Ordered many-core sets rarely repeat,
+        # but one phase sees few distinct hot fractions.  The contention
+        # model and the bandwidth cap still run on every miss, since both
+        # depend on the whole set.
+        self._phase_rate_cache: Dict[tuple, ExecRate] = {}
+        #: each (id(phase), pid)'s LLC demand, built once
+        self._demands: Dict[tuple, LlcDemand] = {}
         self._exited_threads = 0
         self._total_threads = 0
         #: optional KernelTracer recording scheduling events
@@ -215,7 +248,7 @@ class Kernel:
             for t in proc.threads:
                 if t.state is ThreadState.EXITED:
                     continue
-                phase = t.current_phase
+                phase = t.phase
                 lines.append(
                     f"  tid={t.tid} {proc.name} state={t.state.value} "
                     f"phase={phase.name if phase else '<done>'} "
@@ -283,7 +316,7 @@ class Kernel:
             if thread.done:
                 self._exit_thread(thread)
                 return "exited"
-            phase = thread.current_phase
+            phase = thread.phase
             assert phase is not None
             if phase.kind is PhaseKind.BARRIER:
                 if thread.process.barrier_arrive(thread):
@@ -338,7 +371,7 @@ class Kernel:
         """The running thread finished its compute phase on this core."""
         thread = core.thread
         assert thread is not None
-        phase = thread.current_phase
+        phase = thread.phase
         assert phase is not None
         self._emit(TraceKind.PHASE_DONE, thread, detail=phase.name)
         if phase.pp is not None and self.extension is not None:
@@ -363,9 +396,17 @@ class Kernel:
             raise SimulationError("accrual went backwards in time")
         total_dram = 0.0
         active = 0
-        counters = self.machine.counters
-        freq = self.config.cpu.frequency_hz
         if dt > 0:
+            # Each machine-wide counter is read once, takes every busy core's
+            # amount in core order — the same float additions as one
+            # CounterSet.add per core — and is stored once.
+            values = self.machine.counters._values
+            instructions = values[_INSTRUCTIONS]
+            fp_ops = values[_FP_OPS]
+            llc_refs = values[_LLC_REFERENCES]
+            cycles = values[_CYCLES]
+            core_cycles = dt * self.config.cpu.frequency_hz * self.freq_scale
+            busy = self._busy_core_seconds
             for core in self.cores:
                 thread = core.thread
                 if thread is None:
@@ -388,25 +429,41 @@ class Kernel:
                     thread.stats.reload_time_s += s
                     total_dram += d
                     remaining -= s
-                self._busy_core_seconds += dt
-                if remaining > 0.0 and thread.seconds_per_instr > 0.0:
-                    n = remaining / thread.seconds_per_instr
-                    n = min(n, thread.instr_remaining())
-                    phase = thread.current_phase
-                    assert phase is not None
+                busy += dt
+                spi = thread.seconds_per_instr
+                if remaining > 0.0 and spi > 0.0:
+                    phase = thread.phase
+                    n = remaining / spi
+                    # n = min(n, thread.instr_remaining()) for a compute
+                    # phase, with min/max spelled as the comparisons they make
+                    left = phase.instructions - thread.instr_done
+                    left = left if left > 0.0 else 0.0
+                    n = left if left < n else n
                     thread.instr_done += n
                     flops = n * phase.flops_per_instr
                     llc = n * thread.llc_refs_per_instr
                     dram = n * thread.dram_per_instr
-                    thread.stats.instructions += n
-                    thread.stats.flops += flops
-                    thread.stats.llc_refs += llc
-                    thread.stats.dram_accesses += dram
+                    stats = thread.stats
+                    stats.instructions += n
+                    stats.flops += flops
+                    stats.llc_refs += llc
+                    stats.dram_accesses += dram
                     total_dram += dram
-                    counters.add(HwCounter.INSTRUCTIONS, n)
-                    counters.add(HwCounter.FP_OPS, flops)
-                    counters.add(HwCounter.LLC_REFERENCES, llc)
-                counters.add(HwCounter.CYCLES, dt * freq * self.freq_scale)
+                    if n < 0 or flops < 0 or llc < 0:
+                        raise _decremented(
+                            (_INSTRUCTIONS, n), (_FP_OPS, flops), (_LLC_REFERENCES, llc)
+                        )
+                    instructions += n
+                    fp_ops += flops
+                    llc_refs += llc
+                if core_cycles < 0:
+                    raise _decremented((_CYCLES, core_cycles))
+                cycles += core_cycles
+            values[_INSTRUCTIONS] = instructions
+            values[_FP_OPS] = fp_ops
+            values[_LLC_REFERENCES] = llc_refs
+            values[_CYCLES] = cycles
+            self._busy_core_seconds = busy
         self.machine.accrue_interval(
             now,
             active,
@@ -432,13 +489,12 @@ class Kernel:
         is True when the core last ran a *different* thread, in which case
         the incoming thread must re-warm its cache share.
         """
+        idle = [c for c in self.cores if c.thread is None]
+        if not idle:
+            return []
         placed: list[tuple[_CoreState, Thread, bool]] = []
-        n_runnable = self.cfs.n_queued + sum(
-            1 for c in self.cores if c.thread is not None
-        )
-        for core in self.cores:
-            if core.thread is not None:
-                continue
+        n_runnable = self.cfs.n_queued + len(self.cores) - len(idle)
+        for core in idle:
             thread = self.cfs.pick_next()
             if thread is None:
                 break
@@ -460,19 +516,16 @@ class Kernel:
             placed.append((core, thread, switched))
         return placed
 
-    def _running_threads(self) -> list[Thread]:
-        return [c.thread for c in self.cores if c.thread is not None]
-
     def _recompute_rates(
         self, placed: Sequence[tuple[_CoreState, Thread, bool]] = ()
     ) -> None:
         """Re-derive every running thread's rate from the co-running set."""
-        running = self._running_threads()
+        running = [c.thread for c in self.cores if c.thread is not None]
         if not running:
             return
         key = (
             self.freq_scale,
-            tuple((id(t.current_phase), t.process.pid) for t in running),
+            tuple([(id(t.phase), t.process.pid) for t in running]),
         )
         cached = self._rate_cache.get(key)
         if cached is None:
@@ -490,15 +543,14 @@ class Kernel:
         # Charge switch + cold-reload cost to threads that just landed on a
         # core previously running someone else (figure 1's reload effect).
         exec_model = self.machine.exec_model
-        point_of = {t.tid: p for t, p in zip(running, points)}
         for core, thread, switched in placed:
             if not switched:
                 continue
             thread.stall_remaining_s += self.config.scheduler.context_switch_s
             if self.config.scheduler.model_cache_reload:
-                phase = thread.current_phase
+                phase = thread.phase
                 assert phase is not None
-                reload = exec_model.reload_cost(phase, point_of[thread.tid])
+                reload = exec_model.reload_cost(phase, points[running.index(thread)])
                 thread.stall_remaining_s += reload.seconds
                 thread.stall_dram_total += reload.dram_accesses
 
@@ -506,67 +558,92 @@ class Kernel:
         """Slow path: derive (rate triples, cache points) for a co-running set."""
         demands = []
         phases: list[Phase] = []
+        known = self._demands
         for t in running:
-            phase = t.current_phase
+            phase = t.phase
             assert phase is not None and phase.kind is PhaseKind.COMPUTE
             phases.append(phase)
-            demands.append(
-                LlcDemand(
+            pid = t.process.pid
+            demand = known.get((id(phase), pid))
+            if demand is None:
+                demand = known[id(phase), pid] = LlcDemand(
                     wss_bytes=phase.wss_bytes,
                     reuse=phase.reuse,
-                    sharing_key=phase.sharing_scope(t.process.pid),
+                    sharing_key=phase.sharing_scope(pid),
                 )
-            )
+            demands.append(demand)
         points = self.machine.llc_model.resolve(demands)
-        exec_model = self.machine.exec_model
+        memo = self._phase_rate_cache
+        freq_scale = self.freq_scale
         rates = []
         for phase, point in zip(phases, points):
-            base = exec_model.rate(phase, point, freq_scale=self.freq_scale)
-            overhead = 0.0
-            if self.extension is not None and phase.pp is not None:
-                overhead = exec_model.pp_overhead_fraction(
-                    phase, base.seconds_per_instr
-                )
-            rates.append(
-                exec_model.rate(phase, point, overhead, freq_scale=self.freq_scale)
-            )
-        rates = exec_model.apply_bandwidth_cap(rates)
+            memo_key = (id(phase), point.hot_fraction, freq_scale)
+            rate = memo.get(memo_key)
+            if rate is None:
+                if len(memo) >= self._RATE_CACHE_MAX:
+                    memo.clear()
+                rate = memo[memo_key] = self._uncapped_rate(phase, point)
+            rates.append(rate)
+        rates = self.machine.exec_model.apply_bandwidth_cap(rates)
         return (
-            tuple(
+            tuple([
                 (r.seconds_per_instr, r.dram_per_instr, r.llc_refs_per_instr)
                 for r in rates
-            ),
+            ]),
             tuple(points),
         )
 
+    def _uncapped_rate(self, phase: Phase, point: ContentionPoint) -> ExecRate:
+        """One thread's rate at a contention point, before the bandwidth cap."""
+        exec_model = self.machine.exec_model
+        base = exec_model.rate(phase, point, freq_scale=self.freq_scale)
+        overhead = 0.0
+        if self.extension is not None and phase.pp is not None:
+            overhead = exec_model.pp_overhead_fraction(phase, base.seconds_per_instr)
+        return exec_model.rate(phase, point, overhead, freq_scale=self.freq_scale)
+
     def _reschedule_all(self) -> None:
+        """Re-arm the single pending core event at the earliest deadline."""
         engine = self.engine
         now = engine.now
-        schedule_at = engine.schedule_at
-        core_event = self._core_event
+        if self._core_event_handle is not None:
+            engine.cancel(self._core_event_handle)
+            self._core_event_handle = None
+        first: Optional[_CoreState] = None
+        first_time = now
         for core in self.cores:
-            if core.event is not None:
-                core.event.cancel()
-                core.event = None
             thread = core.thread
             if thread is None:
                 continue
-            if thread.seconds_per_instr <= 0.0:
+            spi = thread.seconds_per_instr
+            if spi <= 0.0:
                 raise SimulationError(
                     f"thread {thread.tid} has no execution rate"
                 )
-            t_done = (
-                now
-                + thread.stall_remaining_s
-                + thread.instr_remaining() * thread.seconds_per_instr
+            # instr_remaining() and min/max inlined, as in _accrue
+            left = thread.phase.instructions - thread.instr_done
+            left = left if left > 0.0 else 0.0
+            t_done = now + thread.stall_remaining_s + left * spi
+            quantum_end = core.quantum_end
+            if now > quantum_end:
+                quantum_end = now
+            t_event = quantum_end if quantum_end < t_done else t_done
+            if now > t_event:
+                t_event = now
+            # strict <: the lowest core index wins ties
+            if first is None or t_event < first_time:
+                first = core
+                first_time = t_event
+        if first is not None:
+            self._core_event_handle = engine.schedule_at(
+                first_time, self._core_event, first
             )
-            t_event = min(t_done, max(core.quantum_end, now))
-            core.event = schedule_at(max(t_event, now), core_event, core)
 
     # ==================================================================
     # event handler
     # ==================================================================
     def _core_event(self, core: _CoreState) -> None:
+        self._core_event_handle = None  # consumed by the engine
         now = self.engine.now
         self._accrue(now)
         thread = core.thread
@@ -591,3 +668,9 @@ class Kernel:
                 # Nothing else to run; extend the quantum.
                 core.quantum_end = now + self.cfs.timeslice(1)
         self._refresh()
+
+
+def _decremented(*amounts: tuple[HwCounter, float]) -> SimulationError:
+    """The error ``CounterSet.add`` raises, for the first negative amount."""
+    counter, amount = next((c, a) for c, a in amounts if a < 0)
+    return SimulationError(f"counter {counter} decremented by {amount}")

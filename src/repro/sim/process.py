@@ -65,6 +65,14 @@ class ThreadStats:
 
 _tids = itertools.count(1)
 
+#: the ThreadStats field that time spent in each state accrues to
+_STATE_TIME_BUCKET = {
+    ThreadState.RUNNING: "run_time_s",
+    ThreadState.READY: "ready_time_s",
+    ThreadState.PP_WAIT: "pp_wait_time_s",
+    ThreadState.BLOCKED: "blocked_time_s",
+}
+
 
 class Thread:
     """One simulated kernel thread executing a phase program."""
@@ -74,6 +82,9 @@ class Thread:
         self.process = process
         self.program = list(program)
         self.phase_idx = 0
+        #: the phase at ``phase_idx`` (``None`` past the end of the program);
+        #: a plain attribute because the kernel reads it on every event
+        self.phase: Optional[Phase] = self.program[0] if self.program else None
         #: instructions already retired within the current phase
         self.instr_done = 0.0
         self.state = ThreadState.NEW
@@ -105,9 +116,8 @@ class Thread:
     # ------------------------------------------------------------------
     @property
     def current_phase(self) -> Optional[Phase]:
-        if self.phase_idx < len(self.program):
-            return self.program[self.phase_idx]
-        return None
+        """Read-only alias of :attr:`phase`."""
+        return self.phase
 
     @property
     def done(self) -> bool:
@@ -118,7 +128,7 @@ class Thread:
         return self.state in (ThreadState.READY, ThreadState.RUNNING)
 
     def instr_remaining(self) -> float:
-        phase = self.current_phase
+        phase = self.phase
         if phase is None or phase.kind is not PhaseKind.COMPUTE:
             return 0.0
         return max(0.0, phase.instructions - self.instr_done)
@@ -129,25 +139,22 @@ class Thread:
             raise SchedulerError(f"thread {self.tid}: advance past end of program")
         self.phase_idx += 1
         self.instr_done = 0.0
+        idx = self.phase_idx
+        self.phase = self.program[idx] if idx < len(self.program) else None
 
     def set_state(self, state: ThreadState, now: float) -> None:
         """Transition states, folding elapsed time into the right counter."""
         elapsed = now - self.state_since
         if elapsed < 0:  # pragma: no cover - defensive
             raise SchedulerError("thread state change went backwards in time")
-        bucket = {
-            ThreadState.RUNNING: "run_time_s",
-            ThreadState.READY: "ready_time_s",
-            ThreadState.PP_WAIT: "pp_wait_time_s",
-            ThreadState.BLOCKED: "blocked_time_s",
-        }.get(self.state)
+        bucket = _STATE_TIME_BUCKET.get(self.state)
         if bucket is not None:
             setattr(self.stats, bucket, getattr(self.stats, bucket) + elapsed)
         self.state = state
         self.state_since = now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        phase = self.current_phase
+        phase = self.phase
         where = phase.name if phase else "<done>"
         return (
             f"<Thread {self.tid} ({self.process.name}) {self.state.value} "

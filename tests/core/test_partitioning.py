@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.config import default_machine_config
 from repro.core.partitioning import PartitioningRdaScheduler, partitioned_kernel
 from repro.core.policy import StrictPolicy
 from repro.core.progress_period import ReuseLevel
 from repro.mem.partition import PartitionedLlcModel
+from repro.sim.kernel import Kernel
+from repro.sim.machine import Machine
 from repro.workloads.base import Phase, PpSpec, ProcessSpec, Workload
 
 from ..conftest import make_phase, make_workload
@@ -79,3 +82,39 @@ class TestScheduler:
         kernel = partitioned_kernel(streaming_partition_bytes=4 * MB)
         assert kernel.machine.llc_model.streaming_partition_bytes == 4 * MB
         assert kernel.extension.streaming_partition_bytes == 4 * MB
+
+
+class TestContentionModel:
+    """The machine's LLC model, not a stand-in, sets the kernel's rates.
+
+    The streaming + two 6 MB mix runs with no scheduling extension, so only
+    the contention model differs between the two runs.  Partitioning pens
+    the stream and shields the two cache-friendly phases from it; each
+    thread's DRAM traffic is pinned to the model's own numbers.
+    """
+
+    @staticmethod
+    def dram_accesses(llc_model):
+        config = default_machine_config()
+        kernel = Kernel(config=config, machine=Machine(config, llc_model=llc_model))
+        kernel.launch(
+            Workload(
+                name="mix",
+                processes=[
+                    ProcessSpec(name="s", program=[streaming_phase()]),
+                    ProcessSpec(name="h", program=[make_phase(wss_mb=6.0)]),
+                    ProcessSpec(name="h2", program=[make_phase(wss_mb=6.0)]),
+                ],
+            )
+        )
+        kernel.run(max_events=500_000)
+        return [
+            round(t.stats.dram_accesses) for p in kernel.processes for t in p.threads
+        ]
+
+    def test_partitioned_model_pins_dram_traffic(self):
+        model = PartitionedLlcModel(default_machine_config().llc_capacity)
+        assert self.dram_accesses(model) == [20_277, 88_375, 88_375]
+
+    def test_shared_model_pins_dram_traffic(self):
+        assert self.dram_accesses(None) == [30_812, 66_261, 57_357]

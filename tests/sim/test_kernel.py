@@ -151,6 +151,23 @@ class TestDiagnostics:
         kernel.run()
         assert kernel.all_exited
 
+    def test_engine_counts_the_kernels_cancellations(self):
+        # the kernel cancels its core event through Engine.cancel(), so the
+        # engine's count of cancelled heap entries, which drives compaction,
+        # stays exact on an oversubscribed 12-core run
+        kernel = Kernel()
+        workload = make_workload(
+            n_processes=30, phases=[make_phase(instructions=3_000_000)]
+        )
+        for i, spec in enumerate(workload.processes):
+            kernel.spawn(spec, at=i * 1e-4)  # each arrival re-arms mid-quantum
+        kernel.run(until=0.00155)
+        engine = kernel.engine
+        assert not kernel.all_exited
+        cancelled = sum(1 for entry in engine._queue if entry[2].cancelled)
+        assert cancelled > 0
+        assert engine._cancelled_in_queue == cancelled
+
 
 class TestEnergyAccrual:
     def test_energy_accumulates_with_time(self):
