@@ -1,7 +1,8 @@
 """``repro bench`` — the repository's performance benchmark harness.
 
-Three pinned, seeded workloads (simulator kernel, admission service,
-experiment fleet) reduced to flat JSON records with a stable schema; see
+One pinned, seeded workload per area (simulator, admission service,
+cluster, fleet, overload control, demand prediction, cache simulator)
+reduced to flat JSON records with a stable schema; see
 ``docs/BENCHMARKS.md`` and :mod:`repro.bench.schema`.
 """
 

@@ -1,12 +1,16 @@
-"""The benchmark areas: simulator kernel, admission service, cluster, fleet.
+"""The benchmark areas: simulator kernel, admission service, cluster, fleet,
+cache simulator.
 
 Each area runs a pinned, seeded workload and reduces it to a handful of
 :class:`~repro.bench.schema.BenchRecord` rows.  Workloads are sized so a
 ``--quick`` pass finishes in a few seconds on a laptop while still hitting
 the hot paths the records are meant to guard: the event-loop inner loop
 and rate memoization (sim), frame codec + parking + the metrics registry
-(serve), the placer front-end's redirect/forward paths (cluster), and the
-content-addressed result cache (fleet).
+(serve), the placer front-end's redirect/forward paths (cluster), the
+content-addressed result cache (fleet), and the trace-driven cache
+simulator plus the analytical contention model (mem).  Each timed rep of
+the sim and mem areas runs for at least ~0.5 s, so one scheduler hiccup
+cannot swing a record.
 
 Repetitions time the *same* deterministic workload several times and keep
 the best result (classic min-of-N to shed scheduler noise) — best wall
@@ -24,6 +28,8 @@ import time
 from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 from ..config import CacheConfig, CpuConfig, MachineConfig, default_machine_config
 from ..core.policy import CompromisePolicy, StrictPolicy
 from ..core.rda import RdaScheduler
@@ -32,6 +38,9 @@ from ..core.rda import RdaScheduler
 from ..experiments.parallel import (
     ResultCache, RunRequest, RunSuccess, _canonical, run_grid, run_key,
 )
+from ..mem.cache import Cache
+from ..mem.contention import LlcDemand, SharedLlcModel
+from ..mem.hierarchy import CacheHierarchy
 from ..sim.engine import Engine
 from ..sim.kernel import Kernel
 from ..units import kib
@@ -46,6 +55,7 @@ __all__ = [
     "bench_serve_predict",
     "bench_cluster",
     "bench_fleet",
+    "bench_mem",
 ]
 
 
@@ -84,7 +94,10 @@ def _merge_best(rep_records: List[List[BenchRecord]]) -> List[BenchRecord]:
 # ----------------------------------------------------------------------
 # sim: raw engine throughput + full kernel events/sec
 # ----------------------------------------------------------------------
-_ENGINE_EVENTS = 60_000
+_ENGINE_EVENTS = 160_000
+#: fresh kernels per timed rep, each running the whole mix (one run alone
+#: is ~1.5k events, well under the 0.5 s rep floor)
+_KERNEL_RUNS = 16
 
 
 def _bench_phase(
@@ -143,6 +156,7 @@ def bench_sim(seed: int, reps: int) -> List[BenchRecord]:
     digest = config_digest({
         "area": "sim",
         "engine_events": _ENGINE_EVENTS,
+        "kernel_runs": _KERNEL_RUNS,
         "machine": _canonical(machine),
         "workload": _canonical(workload),
         "seed": seed,
@@ -171,12 +185,17 @@ def bench_sim(seed: int, reps: int) -> List[BenchRecord]:
         return time.perf_counter() - t0, eng.events_processed
 
     def kernel_rep() -> Tuple[float, object]:
-        sched = RdaScheduler(policy=StrictPolicy(), config=machine)
-        kernel = Kernel(config=machine, extension=sched)
-        kernel.launch(workload)
-        t0 = time.perf_counter()
-        kernel.run(max_events=5_000_000)
-        return time.perf_counter() - t0, kernel.engine.events_processed
+        wall = 0.0
+        events = 0
+        for _ in range(_KERNEL_RUNS):
+            sched = RdaScheduler(policy=StrictPolicy(), config=machine)
+            kernel = Kernel(config=machine, extension=sched)
+            kernel.launch(workload)
+            t0 = time.perf_counter()
+            kernel.run(max_events=5_000_000)
+            wall += time.perf_counter() - t0
+            events += kernel.engine.events_processed
+        return wall, events
 
     engine_wall, engine_events = _best_of(reps, engine_rep)
     kernel_wall, kernel_events = _best_of(reps, kernel_rep)
@@ -603,4 +622,122 @@ def bench_fleet(
         rec("runs_total", float(len(outcomes)), "runs"),
         rec("failures", float(failures), "runs"),
         rec("gflops_total", round(gflops, 6), "GFLOPS"),
+    ]
+
+
+# ----------------------------------------------------------------------
+# mem: trace-driven cache simulator lines/sec + contention model evals/sec
+# ----------------------------------------------------------------------
+#: the cache under test in perfbench's trace_model: 64 KiB, 8-way
+_MEM_CACHE = CacheConfig("bench-L2", kib(64), associativity=8)
+_MEM_WC = 1.5  # working set over capacity of the two co-running loops
+_MEM_CACHE_PASSES = 640
+#: trace_model's 2-core hierarchy; each core loops over 0.75 x LLC
+_MEM_HIERARCHY = replace(
+    default_machine_config(),
+    l1d=CacheConfig("L1-Data", kib(4), associativity=8),
+    l2=CacheConfig("L2-Private", kib(16), associativity=8),
+    llc=CacheConfig("L3-Shared", kib(128), associativity=16, shared=True),
+)
+_MEM_HIERARCHY_PASSES = 64
+#: co-running sets resolved per rep, 12 demands each (the paper grid's shape)
+_MEM_DEMAND_SETS = 64
+_MEM_DEMANDS = 12
+_MEM_EVALS = 48_000
+
+
+def _mem_loop(base_line: int, lines: int, passes: int) -> np.ndarray:
+    return np.tile((base_line + np.arange(lines, dtype=np.int64)) * 64, passes)
+
+
+def _mem_two_loops(rng: random.Random, lines: int, passes: int) -> np.ndarray:
+    """Two cyclic loops sharing ``lines``, round-robin, the longer's tail last."""
+    a_lines = max(1, int(lines * rng.uniform(0.35, 0.65)))
+    a = _mem_loop(rng.randrange(1 << 20), a_lines, passes)
+    b = _mem_loop(rng.randrange(1 << 20) + (1 << 21), lines - a_lines, passes)
+    n = min(a.size, b.size)
+    mixed = np.empty(2 * n, dtype=np.int64)
+    mixed[0::2], mixed[1::2] = a[:n], b[:n]
+    return np.concatenate([mixed, a[n:], b[n:]])
+
+
+def _mem_demand_sets(rng: random.Random, llc_bytes: int) -> List[List[LlcDemand]]:
+    """Seeded co-running sets: private and shared working sets up to half the LLC."""
+    return [
+        [
+            LlcDemand(
+                wss_bytes=rng.randrange(llc_bytes // 2),
+                reuse=rng.random(),
+                sharing_key=rng.choice((None, None, 0, 1, 2)),
+            )
+            for _ in range(_MEM_DEMANDS)
+        ]
+        for _ in range(_MEM_DEMAND_SETS)
+    ]
+
+
+def bench_mem(seed: int, reps: int) -> List[BenchRecord]:
+    rng = random.Random(seed)
+    cache_lines = int(_MEM_WC * _MEM_CACHE.n_lines)
+    cache_trace = _mem_two_loops(rng, cache_lines, _MEM_CACHE_PASSES)
+    core_lines = int(0.75 * _MEM_HIERARCHY.llc.n_lines)
+    core_traces = [
+        _mem_loop(rng.randrange(1 << 20) + (core << 21), core_lines,
+                  _MEM_HIERARCHY_PASSES)
+        for core in range(2)
+    ]
+    llc_bytes = default_machine_config().llc.capacity_bytes
+    demand_sets = _mem_demand_sets(rng, llc_bytes)
+    digest = config_digest({
+        "area": "mem",
+        "cache": _canonical(_MEM_CACHE),
+        "wc": _MEM_WC,
+        "cache_passes": _MEM_CACHE_PASSES,
+        "hierarchy": _canonical(_MEM_HIERARCHY),
+        "hierarchy_passes": _MEM_HIERARCHY_PASSES,
+        "llc_bytes": llc_bytes,
+        "demand_sets": _MEM_DEMAND_SETS,
+        "demands": _MEM_DEMANDS,
+        "evals": _MEM_EVALS,
+        "seed": seed,
+    })
+
+    def cache_rep() -> Tuple[float, object]:
+        cache = Cache(_MEM_CACHE, replacement="lru")
+        t0 = time.perf_counter()
+        stats = cache.access_trace(cache_trace)
+        return time.perf_counter() - t0, (stats.accesses, stats.hits)
+
+    def hierarchy_rep() -> Tuple[float, object]:
+        hierarchy = CacheHierarchy(n_cores=2, config=_MEM_HIERARCHY)
+        t0 = time.perf_counter()
+        stats = hierarchy.interleave(core_traces)
+        return time.perf_counter() - t0, sum(s.accesses for s in stats)
+
+    def contention_rep() -> Tuple[float, object]:
+        model = SharedLlcModel(llc_bytes)
+        t0 = time.perf_counter()
+        for k in range(_MEM_EVALS):
+            model.resolve(demand_sets[k % _MEM_DEMAND_SETS])
+        return time.perf_counter() - t0, _MEM_EVALS
+
+    cache_wall, (cache_accesses, cache_hits) = _best_of(reps, cache_rep)
+    hierarchy_wall, hierarchy_accesses = _best_of(reps, hierarchy_rep)
+    contention_wall, evals = _best_of(reps, contention_rep)
+
+    def rec(metric: str, value: float, unit: str, wall: float) -> BenchRecord:
+        return BenchRecord(
+            area="mem", metric=metric, value=value, unit=unit,
+            seed=seed, config_digest=digest, wall_s=round(wall, 6),
+        )
+
+    return [
+        rec("cache_accesses_per_s", round(cache_accesses / cache_wall, 1),
+            "accesses/s", cache_wall),
+        rec("hierarchy_accesses_per_s",
+            round(hierarchy_accesses / hierarchy_wall, 1), "accesses/s",
+            hierarchy_wall),
+        rec("contention_evals_per_s", round(evals / contention_wall, 1),
+            "evals/s", contention_wall),
+        rec("cache_hits_total", float(cache_hits), "hits", cache_wall),
     ]

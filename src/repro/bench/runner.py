@@ -1,7 +1,6 @@
 """Orchestrate one ``repro bench`` pass: run areas, write files, compare.
 
-One benchmark pass produces three files (one per area) in the output
-directory::
+One benchmark pass produces one file per area in the output directory::
 
     BENCH_sim.json            kernel + engine events/sec
     BENCH_serve.json          admissions/sec and admission latency percentiles
@@ -9,6 +8,8 @@ directory::
     BENCH_fleet.json          sims/sec through run_grid and its result cache
     BENCH_serve_overload.json shed throughput and bounded sojourn under storm
     BENCH_serve_predict.json  admission throughput with demand prediction on
+    BENCH_mem.json            cache-simulator accesses/sec (one cache, a 2-core
+                              hierarchy) and contention-model evals/sec
 
 ``--quick`` times each workload once (the sub-second serve and cluster
 areas keep min-of-3 even in quick mode — their latency tails need it);
@@ -39,6 +40,7 @@ BENCH_FILES: Dict[str, str] = {
     "fleet": "BENCH_fleet.json",
     "serve_overload": "BENCH_serve_overload.json",
     "serve_predict": "BENCH_serve_predict.json",
+    "mem": "BENCH_mem.json",
 }
 AREA_NAMES = tuple(BENCH_FILES)
 
@@ -81,6 +83,8 @@ def _run_area(name: str, opts: BenchOptions) -> List[BenchRecord]:
         return areas.bench_serve_overload(opts.seed, reps)
     if name == "serve_predict":
         return areas.bench_serve_predict(opts.seed, reps)
+    if name == "mem":
+        return areas.bench_mem(opts.seed, reps)
     raise BenchError(f"unknown bench area {name!r}; choose from {AREA_NAMES}")
 
 

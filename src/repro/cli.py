@@ -475,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--areas", nargs="*",
         choices=(
             "sim", "serve", "fleet", "cluster", "serve_overload",
-            "serve_predict",
+            "serve_predict", "mem",
         ),
         default=(
             "sim", "serve", "fleet", "cluster", "serve_overload",
-            "serve_predict",
+            "serve_predict", "mem",
         ),
         help="benchmark areas to run (default: all)",
     )

@@ -75,8 +75,8 @@ def validate_hit_rates(
         split = len(merged) // 4
         cache.access_trace(merged[:split])
         hits = misses = 0
-        for i, addr in enumerate(merged[split:]):
-            hit = cache.access(int(addr))
+        for i, addr in enumerate(merged[split:].tolist()):
+            hit = cache.access(addr)
             if i % n_streams == 0:
                 if hit:
                     hits += 1

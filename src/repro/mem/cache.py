@@ -4,6 +4,11 @@ Used to validate the analytical contention model of
 :mod:`repro.mem.contention` and to drive the profiler experiments on
 synthetic address traces.  Single-level; :mod:`repro.mem.hierarchy` stacks
 several instances into an L1/L2/LLC hierarchy.
+
+The state is plain Python: one list of tags per set, plus the replacement
+policy's per-set lists (:mod:`repro.mem.replacement`), so one access costs
+a few list operations and no numpy call.  A numpy trace is turned into
+Python ints once per :meth:`Cache.access_trace`, not once per address.
 """
 
 from __future__ import annotations
@@ -20,6 +25,13 @@ __all__ = ["Cache", "CacheStats", "ReplacementPolicy"]
 
 #: accepted replacement policy names
 ReplacementPolicy = str
+
+
+def python_ints(addresses: Iterable[int]) -> Iterable[int]:
+    """The addresses as Python ints: one ``tolist()`` for an integer array."""
+    if isinstance(addresses, np.ndarray) and addresses.dtype.kind in "iu":
+        return addresses.tolist()
+    return map(int, addresses)
 
 
 @dataclass
@@ -65,60 +77,61 @@ class Cache:
         self.n_sets = config.n_sets
         self.n_ways = config.associativity
         self._line_shift = self.line_bytes.bit_length() - 1
-        # tags[set, way]; -1 marks an invalid (empty) way
-        self._tags = np.full((self.n_sets, self.n_ways), -1, dtype=np.int64)
+        # _sets[s] holds the tags of set s's valid ways, way 0 first.  A fill
+        # takes the first empty way and only invalidate_all() empties a way,
+        # so the valid ways are always 0..len-1: the first empty way is
+        # len(_sets[s]), and no marker value can alias a real tag.
+        self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
         self._repl: ReplacementState = make_replacement(
             replacement, self.n_sets, self.n_ways, seed=seed
         )
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
-    def _locate(self, address: int) -> tuple[int, int]:
-        """Map a byte address to (set index, tag)."""
-        line = address >> self._line_shift
-        return line % self.n_sets, line // self.n_sets
-
     def lookup(self, address: int) -> bool:
         """Check residency without updating any state."""
-        set_idx, tag = self._locate(address)
-        return bool((self._tags[set_idx] == tag).any())
+        line = address >> self._line_shift
+        return line // self.n_sets in self._sets[line % self.n_sets]
 
     def access(self, address: int) -> bool:
         """Access one byte address; fill on miss.  Returns hit (True)/miss."""
-        set_idx, tag = self._locate(address)
-        ways = self._tags[set_idx]
-        hits = np.nonzero(ways == tag)[0]
-        self.stats.accesses += 1
-        if hits.size:
-            way = int(hits[0])
-            self._repl.on_access(set_idx, way)
-            self.stats.hits += 1
+        line = address >> self._line_shift
+        set_idx = line % self.n_sets
+        tag = line // self.n_sets
+        ways = self._sets[set_idx]
+        stats = self.stats
+        stats.accesses += 1
+        if tag in ways:
+            self._repl.on_access(set_idx, ways.index(tag))
+            stats.hits += 1
             return True
-        self.stats.misses += 1
-        empty = np.nonzero(ways == -1)[0]
-        if empty.size:
-            way = int(empty[0])
+        stats.misses += 1
+        if len(ways) < self.n_ways:
+            way = len(ways)
+            ways.append(tag)
         else:
             way = self._repl.victim(set_idx)
-            self.stats.evictions += 1
-        ways[way] = tag
+            stats.evictions += 1
+            ways[way] = tag
         self._repl.on_access(set_idx, way)
         return False
 
     def access_trace(self, addresses: Iterable[int]) -> CacheStats:
         """Run a whole trace; returns the (cumulative) stats object."""
-        for a in addresses:
-            self.access(int(a))
+        access = self.access
+        for a in python_ints(addresses):
+            access(a)
         return self.stats
 
     # ------------------------------------------------------------------
     def invalidate_all(self) -> None:
         """Flush the cache (keeps statistics)."""
-        self._tags.fill(-1)
+        for ways in self._sets:
+            ways.clear()
 
     def resident_lines(self) -> int:
         """Number of valid lines currently held."""
-        return int((self._tags != -1).sum())
+        return sum(map(len, self._sets))
 
     def resident_bytes(self) -> int:
         """Bytes of data currently held."""

@@ -9,10 +9,11 @@ which is how the contention experiments of figure 13 are cross-validated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
 from ..config import MachineConfig, default_machine_config
-from .cache import Cache
+from .cache import Cache, python_ints
 
 __all__ = ["AccessResult", "CoreCaches", "CacheHierarchy"]
 
@@ -93,7 +94,9 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     def access(self, core: int, address: int) -> AccessResult:
         """Push one byte address through core-private levels into the LLC."""
-        caches = self.cores[core]
+        if core < 0:
+            raise IndexError(f"core index {core} out of range")
+        caches = self.cores[core]  # raises IndexError past the last core
         st = self.stats[core]
         if caches.l1.access(address):
             st.l1_hits += 1
@@ -109,8 +112,9 @@ class CacheHierarchy:
 
     def access_trace(self, core: int, addresses: Iterable[int]) -> HierarchyStats:
         """Run a trace on one core; returns that core's cumulative stats."""
-        for a in addresses:
-            self.access(core, int(a))
+        access = self.access
+        for a in python_ints(addresses):
+            access(core, a)
         return self.stats[core]
 
     def interleave(self, traces: Sequence[Sequence[int]]) -> list[HierarchyStats]:
@@ -122,11 +126,12 @@ class CacheHierarchy:
         """
         if len(traces) > len(self.cores):
             raise ValueError("more traces than cores")
-        longest = max((len(t) for t in traces), default=0)
-        for k in range(longest):
-            for core, trace in enumerate(traces):
-                if k < len(trace):
-                    self.access(core, int(trace[k]))
+        access = self.access
+        # zip_longest pads a finished trace with None, never an address
+        for round_ in zip_longest(*map(python_ints, traces)):
+            for core, address in enumerate(round_):
+                if address is not None:
+                    access(core, address)
         return [self.stats[i] for i in range(len(traces))]
 
     # ------------------------------------------------------------------

@@ -67,8 +67,12 @@ def window_stats(
     arr = np.asarray(addresses, dtype=np.int64)
     if arr.size == 0:
         return WindowStats(0, 0, 0, 0.0)
-    lines = arr // granularity_bytes
-    _, counts = np.unique(lines, return_counts=True)
+    lines = arr // granularity_bytes  # a fresh array: safe to sort in place
+    lines.sort()
+    # each run of equal sorted lines is one unique line; its length is
+    # that line's access count (the counts np.unique would return)
+    starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
+    counts = np.diff(starts, append=lines.size)
     footprint = int(counts.size) * granularity_bytes
     wss = int((counts >= min_accesses).sum()) * granularity_bytes
     reuse_ratio = float(counts.mean())

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ProfilerError
-from ..mem.address import AddressSpace
+from ..mem.address import AddressSpace, Region
 from ..mem.trace import MemoryTrace, concat_traces
 
 __all__ = [
@@ -39,10 +39,22 @@ _LINE = 64
 _DEFAULT_ACCESSES = 2_000_000
 
 
-def _interleave(*streams: np.ndarray) -> np.ndarray:
-    """Round-robin-interleave equal-length address streams."""
-    stacked = np.stack(streams, axis=1)
-    return stacked.reshape(-1)
+def _stencil(region: Region, center: np.ndarray, row_bytes: int) -> np.ndarray:
+    """5-point stencil reads of each 8-byte point, points in row order.
+
+    Per point: centre, north, south, west, east.  Each neighbour is written
+    straight into its column of the one output array, so only one
+    neighbour's addresses are alive at a time.
+    """
+    out = np.empty(center.shape + (5,), dtype=np.int64)
+    for k, delta in enumerate((0, -row_bytes, row_bytes, -8, 8)):
+        out[..., k] = region.addr(center + delta)
+    return out.reshape(-1)
+
+
+def _rows_needed(n_accesses: int, per_row: int) -> int:
+    """Rows of ``per_row`` accesses that cover ``n_accesses`` (the last one cut)."""
+    return max(0, -(-n_accesses // per_row))
 
 
 # ----------------------------------------------------------------------
@@ -126,15 +138,13 @@ def water_pp1_trace(
     # Per row: interleave the row molecule's record with its slab partners.
     pairs_per_row = slab
     rows = max(1, n_accesses // (4 * pairs_per_row))
-    chunks = []
-    j_base = np.arange(slab, dtype=np.int64)
-    for i in range(rows):
-        j_idx = (i + j_base) % n_molecules
-        j_addrs = mol.element_addr(j_idx, _MOL_BYTES)
-        i_addrs = mol.element_addr(np.full(slab, i, dtype=np.int64), _MOL_BYTES)
-        # position read, velocity read, force write per partner record
-        chunks.append(_interleave(j_addrs, j_addrs + 64, j_addrs + 128, i_addrs))
-    addrs = np.concatenate(chunks)[:n_accesses]
+    i = np.arange(rows, dtype=np.int64)[:, None]
+    j_idx = (i + np.arange(slab, dtype=np.int64)) % n_molecules
+    j_addrs = mol.element_addr(j_idx, _MOL_BYTES)
+    i_addrs = np.broadcast_to(mol.element_addr(i, _MOL_BYTES), j_addrs.shape)
+    # position read, velocity read, force write per partner record, row by row
+    per_pair = (j_addrs, j_addrs + 64, j_addrs + 128, i_addrs)
+    addrs = np.stack(per_pair, axis=-1).reshape(-1)[:n_accesses]
     return MemoryTrace(
         addrs,
         label=f"wnsq.pp1[{n_molecules}]",
@@ -158,19 +168,10 @@ def water_pp2_trace(
     deriv = space.alloc("derivatives", n_molecules * 288)
     block_mols = 16384
     passes = 8  # one pass per derivative order kept by the Gear predictor
-    per_block = block_mols * passes
-    chunks = []
-    produced = 0
-    b = 0
-    sweep = np.arange(block_mols, dtype=np.int64)
-    while produced < n_accesses:
-        base = (b * block_mols) % max(1, n_molecules)
-        idx = base + sweep
-        for _ in range(passes):
-            chunks.append(deriv.element_addr(idx, 288))
-        produced += per_block
-        b += 1
-    addrs = np.concatenate(chunks)[:n_accesses]
+    b = np.arange(_rows_needed(n_accesses, block_mols * passes), dtype=np.int64)
+    base = (b[:, None] * block_mols) % max(1, n_molecules)
+    block = deriv.element_addr(base + np.arange(block_mols, dtype=np.int64), 288)
+    addrs = np.repeat(block, passes, axis=0).reshape(-1)[:n_accesses]
     return MemoryTrace(
         addrs,
         label=f"wnsq.pp2[{n_molecules}]",
@@ -197,24 +198,10 @@ def ocean_pp1_trace(
     space = AddressSpace()
     grid = space.alloc("grid", dim * dim * 8)
     row = np.arange(dim, dtype=np.int64)
-    chunks = []
-    produced = 0
-    i = 1
-    while produced < n_accesses:
-        r = i % (dim - 2) + 1
-        center = (r * dim + row) * 8
-        chunks.append(
-            _interleave(
-                grid.addr(center),
-                grid.addr(center - dim * 8),  # north
-                grid.addr(center + dim * 8),  # south
-                grid.addr(center - 8),  # west
-                grid.addr(center + 8),  # east
-            )
-        )
-        produced += 5 * dim
-        i += 1
-    addrs = np.concatenate(chunks)[:n_accesses]
+    i = np.arange(1, _rows_needed(n_accesses, 5 * dim) + 1, dtype=np.int64)
+    r = i % (dim - 2) + 1
+    center = (r[:, None] * dim + row) * 8
+    addrs = _stencil(grid, center, dim * 8)[:n_accesses]
     return MemoryTrace(
         addrs,
         label=f"ocean.pp1[{dim}]",
@@ -237,25 +224,11 @@ def ocean_pp2_trace(
     side = max(16, int(dim * 0.6))
     field = space.alloc("field", side * side * 8)
     cols = np.arange(0, side - 2, 2, dtype=np.int64)
-    chunks = []
-    produced = 0
-    i = 1
-    while produced < n_accesses:
-        r = i % (side - 2) + 1
-        parity = (i // (side - 2)) % 2
-        center = (r * side + cols + parity) * 8
-        chunks.append(
-            _interleave(
-                field.addr(center),
-                field.addr(center - side * 8),
-                field.addr(center + side * 8),
-                field.addr(center - 8),
-                field.addr(center + 8),
-            )
-        )
-        produced += 5 * cols.size
-        i += 1
-    addrs = np.concatenate(chunks)[:n_accesses]
+    i = np.arange(1, _rows_needed(n_accesses, 5 * cols.size) + 1, dtype=np.int64)
+    r = i % (side - 2) + 1
+    parity = (i // (side - 2)) % 2
+    center = ((r * side)[:, None] + cols + parity[:, None]) * 8
+    addrs = _stencil(field, center, side * 8)[:n_accesses]
     return MemoryTrace(
         addrs,
         label=f"ocean.pp2[{dim}]",

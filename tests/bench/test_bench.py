@@ -125,7 +125,7 @@ class TestRunner:
     def test_area_names_match_files(self):
         assert AREA_NAMES == (
             "sim", "serve", "cluster", "fleet", "serve_overload",
-            "serve_predict",
+            "serve_predict", "mem",
         )
         assert set(BENCH_FILES) == set(AREA_NAMES)
 

@@ -53,6 +53,15 @@ class TestBasicBehaviour:
             c.access(i * 64)
         assert c.resident_bytes() == 5 * 64
 
+    def test_negative_addresses_do_not_hit_empty_ways(self):
+        """Line -1 maps to tag -1 in a 16-set cache: an empty way is no match."""
+        c = toy_cache(capacity=4096, ways=4)  # 16 sets
+        assert c.lookup(-128) is False
+        assert c.access(-64) is False
+        assert c.stats.hits == 0 and c.resident_lines() == 1
+        assert c.access(-64) is True
+        assert c.lookup(-128) is False  # same set and tag sign, other line
+
 
 class TestEviction:
     def test_set_overflow_evicts(self):

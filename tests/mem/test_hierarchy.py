@@ -90,6 +90,14 @@ class TestSharedLlc:
         with pytest.raises(IndexError):
             h.access(3, 0)
 
+    def test_negative_core_index_raises(self):
+        h = CacheHierarchy(n_cores=2)
+        with pytest.raises(IndexError):
+            h.access(-1, 0)
+        with pytest.raises(IndexError):
+            h.access_trace(-2, [0])
+        assert [s.accesses for s in h.stats] == [0, 0]
+
     def test_zero_cores_rejected(self):
         with pytest.raises(ValueError):
             CacheHierarchy(n_cores=0)
