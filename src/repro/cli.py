@@ -149,17 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
         "is cancelled with PARK_TIMEOUT and a retry hint (default: off)",
     )
     serve_p.add_argument(
-        "--retry-hint-floor", type=_positive_float, default=None,
+        "--retry-hint-floor", type=_positive_float, default=0.05,
         metavar="SECONDS",
-        help="with --retry-hint-cap, scale RETRY_AFTER hints from live "
-        "queue occupancy and admission latency, clamped to "
-        "[floor, cap] (default: the constant 0.5 s hint)",
+        help="lower clamp of RETRY_AFTER hints, which scale with live "
+        "queue occupancy and admission latency (default 0.05; floor == "
+        "cap is a constant hint)",
     )
     serve_p.add_argument(
-        "--retry-hint-cap", type=_positive_float, default=None,
+        "--retry-hint-cap", type=_positive_float, default=0.05,
         metavar="SECONDS",
-        help="upper clamp for adaptive RETRY_AFTER hints (needs "
-        "--retry-hint-floor)",
+        help="upper clamp of RETRY_AFTER hints (default 0.05; raised to "
+        "the floor if below it)",
     )
     serve_p.add_argument(
         "--max-pending-per-client", type=_positive_int, default=None,
@@ -852,13 +852,11 @@ def _cmd_loadgen(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
+    import asyncio
     import json as json_mod
     import tempfile
 
-    from .serve.chaos import (
-        ChaosConfig, run_chaos_sync, run_cluster_chaos_sync,
-        run_overload_chaos_sync, run_rolling_chaos_sync,
-    )
+    from .serve.chaos import ChaosConfig, run_chaos
 
     exclusive = [
         flag for flag in ("overload", "cluster", "rolling")
@@ -874,6 +872,13 @@ def _cmd_chaos(args) -> int:
         print("chaos: --supervise needs --cluster", file=sys.stderr)
         return 2
     cfg = ChaosConfig(
+        kind=(
+            "overload" if args.overload
+            else "rolling" if args.rolling
+            else "supervised" if args.supervise
+            else "cluster" if args.cluster
+            else "server"
+        ),
         seed=args.seed,
         duration_s=args.duration,
         clients=args.clients,
@@ -882,8 +887,7 @@ def _cmd_chaos(args) -> int:
         policy=args.policy,
         capacity_mb=args.capacity_mb,
         lease_ttl_s=args.lease_ttl,
-        shards=args.shards if (args.cluster or args.rolling) else 0,
-        supervise=args.supervise,
+        shards=args.shards,
         rolling_grace_s=args.rolling_grace,
         storm_rate=args.storm_rate,
         slowloris=args.slowloris,
@@ -894,20 +898,12 @@ def _cmd_chaos(args) -> int:
             args.breaker_reset if args.breaker_reset is not None else 0.2
         ),
     )
-    if args.overload:
-        campaign = run_overload_chaos_sync
-    elif args.rolling:
-        campaign = run_rolling_chaos_sync
-    elif args.cluster:
-        campaign = run_cluster_chaos_sync
-    else:
-        campaign = run_chaos_sync
     try:
         if args.workdir is not None:
-            report = campaign(cfg, args.workdir)
+            report = asyncio.run(run_chaos(cfg, args.workdir))
         else:
             with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
-                report = campaign(cfg, workdir)
+                report = asyncio.run(run_chaos(cfg, workdir))
     except (ReproError, OSError) as exc:
         print(f"chaos: {exc}", file=sys.stderr)
         return 1

@@ -19,17 +19,7 @@ Entry points: ``python -m repro serve``, ``python -m repro place``,
 ``python -m repro loadgen`` and ``python -m repro chaos``.
 """
 
-from .chaos import (
-    ChaosConfig,
-    ChaosProxy,
-    ChaosReport,
-    run_chaos,
-    run_chaos_sync,
-    run_cluster_chaos,
-    run_cluster_chaos_sync,
-    run_overload_chaos,
-    run_overload_chaos_sync,
-)
+from .chaos import ChaosConfig, ChaosProxy, ChaosReport, run_chaos
 from .client import ServeClient, ServeReplyError
 from .cluster import (
     ClusterConfig,
@@ -124,13 +114,8 @@ __all__ = [
     "quota_admits",
     "replay_journal",
     "run_chaos",
-    "run_chaos_sync",
-    "run_cluster_chaos",
-    "run_cluster_chaos_sync",
     "run_loadgen",
     "run_loadgen_sync",
-    "run_overload_chaos",
-    "run_overload_chaos_sync",
     "serve_until_drained",
     "start_local_cluster",
 ]

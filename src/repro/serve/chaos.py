@@ -1,23 +1,34 @@
 """Chaos harness for the admission service: prove the fault layer works.
 
 The fault-tolerance claims of :mod:`repro.serve` — crash-safe journal,
-client leases, idempotent re-issue — are only as good as their worst
-recovery path, so this module attacks all of them at once:
+client leases, idempotent re-issue, shard supervision, graceful
+degradation — are only as good as their worst recovery path, so this
+module attacks them with five campaigns (``ChaosConfig.kind``):
 
-* **Fault-injecting proxy.**  :class:`ChaosProxy` sits between clients and
-  the server and mangles the NDJSON stream line by line with a seeded RNG:
-  frames are dropped, delayed, duplicated, truncated mid-line (with the
-  connection severed, the classic torn write) or the connection is severed
-  outright.
-* **Kill-and-restart campaign.**  :func:`run_chaos` starts a real server
-  subprocess (``python -m repro serve --journal ... --sanitize``), drives
-  it with the resilient load generator *through* the proxy, SIGKILLs the
-  server on a timer, restarts it from the journal, and repeats.
-* **Verdict.**  After the load completes, the campaign waits for the
-  system to settle (the lease reaper reclaims what dead clients left
-  behind), then asserts the recovery contract: zero open periods, zero
-  admitted demand, a clean online sanitizer, and a zero exit code from the
-  drained server.  Any leaked byte of capacity fails the campaign.
+* ``server`` — one journaled server subprocess behind
+  :class:`ChaosProxy`, which mangles the NDJSON stream line by line with
+  a seeded RNG (frames dropped, delayed, duplicated, truncated mid-line,
+  connections severed); the server is SIGKILLed on a timer and restarted
+  from its journal.
+* ``cluster`` / ``supervised`` — N shard subprocesses behind a placer
+  front-end; shards are SIGKILLed round robin, which strands their
+  clients mid-protocol until the front-end re-places them on live
+  shards.  The harness restarts each killed shard from its journal, or
+  leaves that to the front-end's shard supervisor.
+* ``rolling`` — the front-end drains, restarts and rejoins every shard
+  once under live load.
+* ``overload`` — one server with its overload defenses armed, an
+  open-loop arrival storm that saturates its pending queue so every
+  shedding path fires, slow consumers that never read replies (the
+  write budget and lease reclaim), and SIGKILLs mid-storm.
+
+One function, :func:`run_chaos`, runs them all: boot the topology, start
+the load, inject the faults, wait for the system to settle (the lease
+reaper reclaims what dead clients left behind), tear down.  The verdict
+(:attr:`ChaosReport.ok`) is the recovery contract: zero open periods,
+zero admitted demand, a clean online sanitizer and a zero exit code from
+every drained server, plus each campaign's own terms.  Any leaked byte
+of capacity fails the campaign.
 
 Entry point: ``python -m repro chaos``.
 """
@@ -37,23 +48,22 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ReproError, ServeError
 from .client import ServeClient
+from .cluster import ClusterConfig, ClusterFrontend
 from .loadgen import LoadgenConfig, LoadgenReport, fig4_scripts, run_loadgen
+from .placer import ShardAddress
 
 __all__ = [
+    "CAMPAIGN_KINDS",
     "FAULT_KINDS",
     "ChaosConfig",
     "ChaosProxy",
     "ChaosReport",
     "ServerProcess",
     "run_chaos",
-    "run_chaos_sync",
-    "run_cluster_chaos",
-    "run_cluster_chaos_sync",
-    "run_overload_chaos",
-    "run_overload_chaos_sync",
-    "run_rolling_chaos",
-    "run_rolling_chaos_sync",
 ]
+
+#: campaign kinds, one per CI chaos job
+CAMPAIGN_KINDS = ("server", "cluster", "supervised", "rolling", "overload")
 
 #: fault kinds the proxy can inject, in threshold order
 FAULT_KINDS = ("drop", "delay", "duplicate", "truncate", "sever")
@@ -63,6 +73,8 @@ FAULT_KINDS = ("drop", "delay", "duplicate", "truncate", "sever")
 class ChaosConfig:
     """One chaos campaign."""
 
+    #: which campaign (see :data:`CAMPAIGN_KINDS` and the module doc)
+    kind: str = "server"
     #: RNG seed for the proxy's fault schedule and the load
     seed: int = 0
     #: wall-clock budget for the load phase
@@ -96,17 +108,14 @@ class ChaosConfig:
     settle_timeout_s: float = 15.0
     #: how long one server (re)start may take
     server_start_timeout_s: float = 15.0
-    #: cluster campaign: admission shards behind a placer front-end
-    #: (0 = classic single-server campaign)
-    shards: int = 0
-    #: cluster campaign: let the front-end's shard supervisor restart
-    #: killed shards (the campaign itself stops restarting them)
-    supervise: bool = False
+    #: cluster, supervised and rolling campaigns: admission shards
+    #: behind the placer front-end
+    shards: int = 3
     #: rolling campaign: per-shard grace for running periods
     rolling_grace_s: float = 3.0
     #: overload campaign: server-side overload knobs, passed to ``serve``
-    #: only when set — the classic campaigns add no extra flags, and
-    #: :func:`run_overload_chaos` fills in tight defaults for unset ones
+    #: only when set — the classic campaigns add no extra flags, and the
+    #: overload campaign fills in tight defaults for unset ones
     max_pending: Optional[int] = None
     retry_hint_floor_s: Optional[float] = None
     retry_hint_cap_s: Optional[float] = None
@@ -125,6 +134,13 @@ class ChaosConfig:
     #: overload campaign: storm clients' circuit-breaker threshold/reset
     breaker_threshold: Optional[int] = None
     breaker_reset_s: float = 0.2
+
+    def __post_init__(self) -> None:
+        if self.kind not in CAMPAIGN_KINDS:
+            raise ServeError(
+                f"unknown chaos campaign {self.kind!r} (expected one of "
+                f"{', '.join(CAMPAIGN_KINDS)})"
+            )
 
 
 class ChaosProxy:
@@ -583,144 +599,7 @@ class ChaosReport:
 
 
 # ----------------------------------------------------------------------
-async def run_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """One full campaign: serve, mangle, kill, restart, settle, judge."""
-    os.makedirs(workdir, exist_ok=True)
-    backend_path = os.path.join(workdir, "chaos-server.sock")
-    front_path = os.path.join(workdir, "chaos-proxy.sock")
-    journal_path = os.path.join(workdir, "chaos-journal.ndjson")
-
-    t_start = time.monotonic()
-    server = ServerProcess(backend_path, journal_path, cfg)
-    await server.start()
-    proxy = ChaosProxy(
-        front_path, backend_path, cfg, rng=random.Random(cfg.seed ^ 0x5EED)
-    )
-    await proxy.start()
-
-    load_cfg = LoadgenConfig(
-        mode="closed",
-        clients=cfg.clients,
-        sessions=cfg.sessions,
-        duration_s=cfg.duration_s,
-        time_scale=1.0,
-        max_hold_s=max(cfg.hold_s, 0.25),
-        max_retries=100_000,
-        resilient=True,
-        call_timeout_s=2.0,
-        # past the server's park timeout, silence on pp_begin means a
-        # dropped frame, not a parked period — reconnect and re-issue
-        begin_timeout_s=cfg.park_timeout_s + 2.0,
-        seed=cfg.seed,
-    )
-    scripts = fig4_scripts(
-        n=max(8, cfg.clients * 2), demand_mb=cfg.demand_mb, hold_s=cfg.hold_s
-    )
-    load_task = asyncio.ensure_future(
-        run_loadgen(scripts, load_cfg, unix_path=front_path)
-    )
-
-    kills = 0
-    try:
-        for _ in range(cfg.kills):
-            await asyncio.sleep(cfg.kill_interval_s)
-            if load_task.done():
-                break
-            server.kill()
-            await server.wait()
-            kills += 1
-            # Connections through the proxy are stranded on a dead
-            # backend; hard-drop them so clients reconnect promptly.
-            proxy.sever_all()
-            await server.start()
-        load = await load_task
-    except BaseException:
-        load_task.cancel()
-        with contextlib.suppress(BaseException):
-            await load_task
-        with contextlib.suppress(Exception):
-            await proxy.close()
-        raise
-
-    # ------------------------------------------------------------------
-    # settle: the lease reaper reclaims what dead clients left behind
-    # ------------------------------------------------------------------
-    settled = False
-    settle_t0 = time.monotonic()
-    final_open = final_usage = final_waiting = -1
-    sanitizer_ok: Optional[bool] = None
-    replayed = 0
-    probe = await ServeClient.connect(unix_path=backend_path, timeout=5.0)
-    try:
-        deadline = settle_t0 + cfg.settle_timeout_s
-        while time.monotonic() < deadline:
-            try:
-                q = await probe.query(timeout=10.0)
-            except asyncio.TimeoutError:
-                # a timed-out round trip leaves the connection
-                # desynchronized — reconnect and keep settling
-                await probe.close()
-                probe = await ServeClient.connect(
-                    unix_path=backend_path, timeout=5.0
-                )
-                continue
-            final_open = int(q.get("open_periods", -1))
-            final_waiting = int(q.get("waiting", -1))
-            final_usage = sum(
-                int(state.get("usage_bytes", 0))
-                for state in q.get("resources", {}).values()
-            )
-            replayed = int((q.get("journal") or {}).get("replayed_periods", 0))
-            if final_open == 0 and final_usage == 0 and final_waiting == 0:
-                settled = True
-                break
-            await asyncio.sleep(0.1)
-        with contextlib.suppress(asyncio.TimeoutError):
-            stats = await probe.stats(timeout=10.0)
-            sanitizer = stats.get("sanitizer")
-            if sanitizer is not None:
-                sanitizer_ok = bool(sanitizer.get("ok"))
-            await probe.drain(timeout=10.0)
-    finally:
-        await probe.close()
-    settle_s = time.monotonic() - settle_t0
-
-    exit_code: Optional[int] = None
-    with contextlib.suppress(asyncio.TimeoutError):
-        exit_code = await server.wait(timeout_s=10.0)
-    if exit_code is None:
-        server.kill()
-        with contextlib.suppress(asyncio.TimeoutError):
-            await server.wait(timeout_s=5.0)
-    await proxy.close()
-
-    return ChaosReport(
-        seed=cfg.seed,
-        wall_s=time.monotonic() - t_start,
-        kills=kills,
-        faults=dict(proxy.faults),
-        faults_total=proxy.faults_total,
-        proxy_connections=proxy.connections,
-        load=load,
-        replayed_periods_last_boot=replayed,
-        settled=settled,
-        settle_s=settle_s,
-        final_open_periods=final_open,
-        final_usage_bytes=final_usage,
-        final_waiting=final_waiting,
-        sanitizer_ok=sanitizer_ok,
-        server_exit_code=exit_code,
-        server_output=list(server.output),
-    )
-
-
-def run_chaos_sync(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Blocking wrapper around :func:`run_chaos` (CLI entry point)."""
-    return asyncio.run(run_chaos(cfg, workdir))
-
-
-# ----------------------------------------------------------------------
-# cluster campaign
+# the campaign runner
 # ----------------------------------------------------------------------
 def _subprocess_restarter(shard: ServerProcess):
     """Restart hook handed to the front-end's shard supervisor: reap the
@@ -741,471 +620,6 @@ def _subprocess_restarter(shard: ServerProcess):
     return restart
 
 
-async def run_cluster_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Kill individual shards behind a placer front-end, then judge.
-
-    The fault model differs from the single-server campaign: instead of a
-    frame-mangling proxy, the injected fault is *shard death* — each cycle
-    SIGKILLs one shard (round robin), which strands that shard's clients
-    mid-protocol.  The contract under test is the cluster fault path: the
-    front-end's health loop marks the shard dead, stranded clients fall
-    back to the front-end and are re-placed on live shards, and the killed
-    shard restarts from its own journal.  Settling requires *every* shard
-    to quiesce to zero open periods, zero charged bytes and zero waiters.
-    """
-    from .cluster import ClusterConfig, ClusterFrontend
-    from .placer import ShardAddress
-
-    n_shards = max(1, cfg.shards or 3)
-    os.makedirs(workdir, exist_ok=True)
-    placer_path = os.path.join(workdir, "placer.sock")
-
-    t_start = time.monotonic()
-    shards: List[ServerProcess] = []
-    addresses: List[ShardAddress] = []
-    for i in range(n_shards):
-        socket_path = os.path.join(workdir, f"shard{i}.sock")
-        journal_path = os.path.join(workdir, f"shard{i}-journal.ndjson")
-        shard = ServerProcess(socket_path, journal_path, cfg)
-        await shard.start()
-        shards.append(shard)
-        addresses.append(ShardAddress(name=f"shard{i}", unix_path=socket_path))
-
-    frontend = ClusterFrontend(ClusterConfig(
-        shards=tuple(addresses),
-        seed=cfg.seed,
-        health_interval_s=0.1,
-        probe_timeout_s=2.0,
-        # deliberate SIGKILLs are not crash loops: never quarantine a
-        # shard for dying on schedule
-        crash_loop_window_s=0.0,
-        restart_backoff_s=0.1,
-        restart_ready_timeout_s=cfg.server_start_timeout_s,
-    ))
-    await frontend.start(unix_path=placer_path)
-    if cfg.supervise:
-        for shard, address in zip(shards, addresses):
-            frontend.register_restarter(
-                address.name, _subprocess_restarter(shard)
-            )
-    frontend_task = asyncio.ensure_future(frontend.run_until_drained())
-
-    load_cfg = LoadgenConfig(
-        mode="closed",
-        clients=cfg.clients,
-        sessions=cfg.sessions,
-        duration_s=cfg.duration_s,
-        time_scale=1.0,
-        max_hold_s=max(cfg.hold_s, 0.25),
-        max_retries=100_000,
-        cluster=True,
-        call_timeout_s=2.0,
-        begin_timeout_s=cfg.park_timeout_s + 2.0,
-        seed=cfg.seed,
-    )
-    scripts = fig4_scripts(
-        n=max(8, cfg.clients * 2), demand_mb=cfg.demand_mb, hold_s=cfg.hold_s
-    )
-    load_task = asyncio.ensure_future(
-        run_loadgen(scripts, load_cfg, unix_path=placer_path)
-    )
-
-    kills = 0
-    try:
-        for cycle in range(cfg.kills):
-            await asyncio.sleep(cfg.kill_interval_s)
-            if load_task.done():
-                break
-            victim_idx = cycle % n_shards
-            if cfg.supervise:
-                # Pick a victim the supervisor has already healed — a
-                # still-dead shard yields no new kill to supervise.
-                for offset in range(n_shards):
-                    idx = (cycle + offset) % n_shards
-                    if frontend.placer.shards[f"shard{idx}"].alive:
-                        victim_idx = idx
-                        break
-                else:
-                    continue
-            victim = shards[victim_idx]
-            victim.kill()
-            await victim.wait()
-            kills += 1
-            if not cfg.supervise:
-                await victim.start()
-        load = await load_task
-    except BaseException:
-        load_task.cancel()
-        with contextlib.suppress(BaseException):
-            await load_task
-        frontend.request_drain()
-        with contextlib.suppress(BaseException):
-            await frontend_task
-        for shard in shards:
-            shard.kill()
-            with contextlib.suppress(Exception):
-                await shard.wait(timeout_s=5.0)
-        raise
-
-    # ------------------------------------------------------------------
-    # settle: every shard must quiesce once the load's leases expire
-    # ------------------------------------------------------------------
-    settled = False
-    settle_t0 = time.monotonic()
-    final_open = final_usage = final_waiting = -1
-    sanitizer_ok: Optional[bool] = None
-    replayed = 0
-    deadline = settle_t0 + cfg.settle_timeout_s
-
-    async def probe_shard(shard: ServerProcess) -> Dict[str, Any]:
-        probe = await ServeClient.connect(
-            unix_path=shard.socket_path, timeout=5.0
-        )
-        try:
-            return await probe.query(timeout=10.0)
-        finally:
-            await probe.close()
-
-    while time.monotonic() < deadline:
-        final_open = final_usage = final_waiting = 0
-        replayed = 0
-        try:
-            for shard in shards:
-                q = await probe_shard(shard)
-                final_open += int(q.get("open_periods", 0))
-                final_waiting += int(q.get("waiting", 0))
-                final_usage += sum(
-                    int(state.get("usage_bytes", 0))
-                    for state in q.get("resources", {}).values()
-                )
-                replayed += int(
-                    (q.get("journal") or {}).get("replayed_periods", 0)
-                )
-        except (ReproError, OSError, asyncio.TimeoutError):
-            await asyncio.sleep(0.1)
-            continue
-        if final_open == 0 and final_usage == 0 and final_waiting == 0:
-            settled = True
-            break
-        await asyncio.sleep(0.1)
-    settle_s = time.monotonic() - settle_t0
-
-    # capacity-recovery verdict inputs, read *before* the shutdown drain
-    # below tears the shards down
-    await frontend._health_sweep()
-    shards_alive_final = len(frontend.placer.alive_shards())
-    shards_quarantined = len(frontend.quarantined)
-
-    # from here on every shard death is deliberate: stop the supervisor
-    # before it resurrects what the teardown drains
-    await frontend.disarm_supervision()
-
-    # drain every shard, then the front-end, and collect verdicts
-    exit_worst: Optional[int] = 0
-    for shard in shards:
-        try:
-            probe = await ServeClient.connect(
-                unix_path=shard.socket_path, timeout=5.0
-            )
-            try:
-                stats = await probe.stats(timeout=10.0)
-                sanitizer = stats.get("sanitizer")
-                if sanitizer is not None:
-                    shard_ok = bool(sanitizer.get("ok"))
-                    sanitizer_ok = (
-                        shard_ok if sanitizer_ok is None
-                        else sanitizer_ok and shard_ok
-                    )
-                await probe.drain(timeout=10.0)
-            finally:
-                await probe.close()
-        except (ReproError, OSError, asyncio.TimeoutError):
-            exit_worst = 1
-    for shard in shards:
-        code: Optional[int] = None
-        with contextlib.suppress(asyncio.TimeoutError):
-            code = await shard.wait(timeout_s=10.0)
-        if code is None:
-            shard.kill()
-            with contextlib.suppress(asyncio.TimeoutError):
-                await shard.wait(timeout_s=5.0)
-        if code != 0 and exit_worst == 0:
-            exit_worst = code if code is not None else 1
-    cluster_counters = {
-        name: counter.value
-        for name, counter in (
-            ("placements", frontend.c_placements),
-            ("redirects", frontend.c_redirects),
-            ("forwards", frontend.c_forwards),
-            ("migrations", frontend.c_migrations),
-            ("migration_failures", frontend.c_migration_failures),
-            ("shard_restarts", frontend.c_shard_restarts),
-            ("rebalance_migrations", frontend.c_rebalances),
-        )
-    }
-    shard_restarts = frontend.c_shard_restarts.value
-    frontend.request_drain()
-    with contextlib.suppress(BaseException):
-        await frontend_task
-
-    output: List[str] = []
-    for i, shard in enumerate(shards):
-        output.extend(f"[shard{i}] {line}" for line in shard.output)
-
-    return ChaosReport(
-        seed=cfg.seed,
-        wall_s=time.monotonic() - t_start,
-        kills=kills,
-        faults={kind: 0 for kind in FAULT_KINDS},
-        faults_total=0,
-        proxy_connections=0,
-        load=load,
-        replayed_periods_last_boot=replayed,
-        settled=settled,
-        settle_s=settle_s,
-        final_open_periods=final_open,
-        final_usage_bytes=final_usage,
-        final_waiting=final_waiting,
-        sanitizer_ok=sanitizer_ok,
-        server_exit_code=exit_worst,
-        server_output=output,
-        shards=n_shards,
-        cluster_counters=cluster_counters,
-        supervised=cfg.supervise,
-        shard_restarts=shard_restarts,
-        shards_alive_final=shards_alive_final,
-        shards_quarantined=shards_quarantined,
-    )
-
-
-def run_cluster_chaos_sync(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Blocking wrapper around :func:`run_cluster_chaos` (CLI entry)."""
-    return asyncio.run(run_cluster_chaos(cfg, workdir))
-
-
-# ----------------------------------------------------------------------
-# rolling restart campaign
-# ----------------------------------------------------------------------
-async def run_rolling_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """A full rolling restart under live load, losing nothing.
-
-    N subprocess shards behind a placer front-end, resilient clients
-    driving load throughout; after a warm-up the front-end drains,
-    restarts and rejoins every shard one at a time.  The verdict demands
-    every shard completed its cycle, capacity recovered to N shards
-    alive, zero admitted periods were lost, and the settled cluster is
-    as quiescent as after any other campaign.
-    """
-    from .cluster import ClusterConfig, ClusterFrontend
-    from .placer import ShardAddress
-
-    n_shards = max(1, cfg.shards or 3)
-    os.makedirs(workdir, exist_ok=True)
-    placer_path = os.path.join(workdir, "placer.sock")
-
-    t_start = time.monotonic()
-    shards: List[ServerProcess] = []
-    addresses: List[ShardAddress] = []
-    for i in range(n_shards):
-        socket_path = os.path.join(workdir, f"shard{i}.sock")
-        journal_path = os.path.join(workdir, f"shard{i}-journal.ndjson")
-        shard = ServerProcess(socket_path, journal_path, cfg)
-        await shard.start()
-        shards.append(shard)
-        addresses.append(ShardAddress(name=f"shard{i}", unix_path=socket_path))
-
-    frontend = ClusterFrontend(ClusterConfig(
-        shards=tuple(addresses),
-        seed=cfg.seed,
-        health_interval_s=0.1,
-        probe_timeout_s=2.0,
-        crash_loop_window_s=0.0,
-        restart_backoff_s=0.1,
-        restart_ready_timeout_s=cfg.server_start_timeout_s,
-        shard_drain_grace_s=cfg.rolling_grace_s,
-    ))
-    await frontend.start(unix_path=placer_path)
-    for shard, address in zip(shards, addresses):
-        frontend.register_restarter(address.name, _subprocess_restarter(shard))
-    frontend_task = asyncio.ensure_future(frontend.run_until_drained())
-
-    load_cfg = LoadgenConfig(
-        mode="closed",
-        clients=cfg.clients,
-        sessions=cfg.sessions,
-        duration_s=cfg.duration_s,
-        time_scale=1.0,
-        max_hold_s=max(cfg.hold_s, 0.25),
-        max_retries=100_000,
-        cluster=True,
-        call_timeout_s=2.0,
-        begin_timeout_s=cfg.park_timeout_s + 2.0,
-        seed=cfg.seed,
-    )
-    scripts = fig4_scripts(
-        n=max(8, cfg.clients * 2), demand_mb=cfg.demand_mb, hold_s=cfg.hold_s
-    )
-    load_task = asyncio.ensure_future(
-        run_loadgen(scripts, load_cfg, unix_path=placer_path)
-    )
-
-    rolled = 0
-    try:
-        # warm up: let the load establish leases and admitted periods
-        await asyncio.sleep(min(cfg.kill_interval_s, cfg.duration_s / 4))
-        results = await frontend.rolling_restart(grace_s=cfg.rolling_grace_s)
-        rolled = sum(1 for ok in results.values() if ok)
-        load = await load_task
-    except BaseException:
-        load_task.cancel()
-        with contextlib.suppress(BaseException):
-            await load_task
-        frontend.request_drain()
-        with contextlib.suppress(BaseException):
-            await frontend_task
-        for shard in shards:
-            shard.kill()
-            with contextlib.suppress(Exception):
-                await shard.wait(timeout_s=5.0)
-        raise
-
-    # ------------------------------------------------------------------
-    # settle: every shard must quiesce once the load's leases expire
-    # ------------------------------------------------------------------
-    settled = False
-    settle_t0 = time.monotonic()
-    final_open = final_usage = final_waiting = -1
-    sanitizer_ok: Optional[bool] = None
-    replayed = 0
-    deadline = settle_t0 + cfg.settle_timeout_s
-
-    async def probe_shard(shard: ServerProcess) -> Dict[str, Any]:
-        probe = await ServeClient.connect(
-            unix_path=shard.socket_path, timeout=5.0
-        )
-        try:
-            return await probe.query(timeout=10.0)
-        finally:
-            await probe.close()
-
-    while time.monotonic() < deadline:
-        final_open = final_usage = final_waiting = 0
-        replayed = 0
-        try:
-            for shard in shards:
-                q = await probe_shard(shard)
-                final_open += int(q.get("open_periods", 0))
-                final_waiting += int(q.get("waiting", 0))
-                final_usage += sum(
-                    int(state.get("usage_bytes", 0))
-                    for state in q.get("resources", {}).values()
-                )
-                replayed += int(
-                    (q.get("journal") or {}).get("replayed_periods", 0)
-                )
-        except (ReproError, OSError, asyncio.TimeoutError):
-            await asyncio.sleep(0.1)
-            continue
-        if final_open == 0 and final_usage == 0 and final_waiting == 0:
-            settled = True
-            break
-        await asyncio.sleep(0.1)
-    settle_s = time.monotonic() - settle_t0
-
-    await frontend._health_sweep()
-    shards_alive_final = len(frontend.placer.alive_shards())
-    shards_quarantined = len(frontend.quarantined)
-
-    # planned teardown from here: the supervisor must not resurrect the
-    # shards the shutdown drain takes down
-    await frontend.disarm_supervision()
-
-    exit_worst: Optional[int] = 0
-    for shard in shards:
-        try:
-            probe = await ServeClient.connect(
-                unix_path=shard.socket_path, timeout=5.0
-            )
-            try:
-                stats = await probe.stats(timeout=10.0)
-                sanitizer = stats.get("sanitizer")
-                if sanitizer is not None:
-                    shard_ok = bool(sanitizer.get("ok"))
-                    sanitizer_ok = (
-                        shard_ok if sanitizer_ok is None
-                        else sanitizer_ok and shard_ok
-                    )
-                await probe.drain(timeout=10.0)
-            finally:
-                await probe.close()
-        except (ReproError, OSError, asyncio.TimeoutError):
-            exit_worst = 1
-    for shard in shards:
-        code: Optional[int] = None
-        with contextlib.suppress(asyncio.TimeoutError):
-            code = await shard.wait(timeout_s=10.0)
-        if code is None:
-            shard.kill()
-            with contextlib.suppress(asyncio.TimeoutError):
-                await shard.wait(timeout_s=5.0)
-        if code != 0 and exit_worst == 0:
-            exit_worst = code if code is not None else 1
-    cluster_counters = {
-        name: counter.value
-        for name, counter in (
-            ("placements", frontend.c_placements),
-            ("redirects", frontend.c_redirects),
-            ("forwards", frontend.c_forwards),
-            ("migrations", frontend.c_migrations),
-            ("migration_failures", frontend.c_migration_failures),
-            ("shard_restarts", frontend.c_shard_restarts),
-            ("shard_drains", frontend.c_shard_drains),
-        )
-    }
-    shard_restarts = frontend.c_shard_restarts.value
-    frontend.request_drain()
-    with contextlib.suppress(BaseException):
-        await frontend_task
-
-    output: List[str] = []
-    for i, shard in enumerate(shards):
-        output.extend(f"[shard{i}] {line}" for line in shard.output)
-
-    return ChaosReport(
-        seed=cfg.seed,
-        wall_s=time.monotonic() - t_start,
-        kills=0,
-        faults={kind: 0 for kind in FAULT_KINDS},
-        faults_total=0,
-        proxy_connections=0,
-        load=load,
-        replayed_periods_last_boot=replayed,
-        settled=settled,
-        settle_s=settle_s,
-        final_open_periods=final_open,
-        final_usage_bytes=final_usage,
-        final_waiting=final_waiting,
-        sanitizer_ok=sanitizer_ok,
-        server_exit_code=exit_worst,
-        server_output=output,
-        shards=n_shards,
-        cluster_counters=cluster_counters,
-        shard_restarts=shard_restarts,
-        shards_alive_final=shards_alive_final,
-        shards_quarantined=shards_quarantined,
-        rolling=True,
-        rolled_shards=rolled,
-    )
-
-
-def run_rolling_chaos_sync(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Blocking wrapper around :func:`run_rolling_chaos` (CLI entry)."""
-    return asyncio.run(run_rolling_chaos(cfg, workdir))
-
-
-# ----------------------------------------------------------------------
-# overload campaign
-# ----------------------------------------------------------------------
 async def _slowloris(
     socket_path: str, index: int, stop: asyncio.Event
 ) -> int:
@@ -1264,203 +678,434 @@ async def _slowloris(
     return disconnects
 
 
-async def run_overload_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Overload campaign: storm the server, starve it, kill it, judge it.
+#: tight defaults for the overload knobs an overload campaign's caller
+#: left unset, so a short storm trips every defense
+_OVERLOAD_KNOBS = {
+    "max_pending": 16,
+    "retry_hint_floor_s": 0.05,
+    "retry_hint_cap_s": 2.0,
+    "park_deadline_s": 1.0,
+    "max_pending_per_client": 2,
+    "write_timeout_s": 1.0,
+}
 
-    Three attacks run at once against one journal-backed server with the
-    overload defenses armed (any knob the caller left unset gets a tight
-    default):
+#: (report name, front-end attribute) of the counters a cluster reports
+_CLUSTER_COUNTERS = (
+    ("placements", "c_placements"),
+    ("redirects", "c_redirects"),
+    ("forwards", "c_forwards"),
+    ("migrations", "c_migrations"),
+    ("migration_failures", "c_migration_failures"),
+    ("shard_restarts", "c_shard_restarts"),
+    ("rebalance_migrations", "c_rebalances"),
+    ("shard_drains", "c_shard_drains"),
+)
 
-    * an **open-loop arrival storm** — Poisson arrivals at
-      ``storm_rate``/s that do not slow down when the server does, so the
-      pending queue saturates and the shedding paths (adaptive
-      RETRY_AFTER, per-client quotas, park deadlines) all fire;
-    * **slow consumers** — connections that write requests but never read
-      replies, exercising the bounded write budget and lease reclaim;
-    * the usual **SIGKILL/restart** cycles mid-storm.
 
-    The verdict extends the recovery contract: admitted calls must keep
-    p99 admission latency under ``p99_bound_s``, every shed reply must
-    carry a retry hint, and no client lease may survive the settle.
-    """
-    # Arm every unset overload knob with a deliberately tight default so
-    # the storm actually trips each defense within a short campaign.
-    cfg = replace(
-        cfg,
-        max_pending=16 if cfg.max_pending is None else cfg.max_pending,
-        retry_hint_floor_s=(
-            0.05 if cfg.retry_hint_floor_s is None else cfg.retry_hint_floor_s
-        ),
-        retry_hint_cap_s=(
-            2.0 if cfg.retry_hint_cap_s is None else cfg.retry_hint_cap_s
-        ),
-        park_deadline_s=(
-            1.0 if cfg.park_deadline_s is None else cfg.park_deadline_s
-        ),
-        max_pending_per_client=(
-            2 if cfg.max_pending_per_client is None
-            else cfg.max_pending_per_client
-        ),
-        write_timeout_s=(
-            1.0 if cfg.write_timeout_s is None else cfg.write_timeout_s
-        ),
-        # The storm must oversubscribe capacity or nothing sheds: at the
-        # classic campaign's 10 ms holds, 150 arrivals/s of 2 MB fits in
-        # an 8 MB machine with room to spare.  150 ms holds put offered
-        # load at ~5-6x capacity.
-        hold_s=max(cfg.hold_s, 0.15),
-    )
-    os.makedirs(workdir, exist_ok=True)
-    socket_path = os.path.join(workdir, "overload-server.sock")
-    journal_path = os.path.join(workdir, "overload-journal.ndjson")
-
-    t_start = time.monotonic()
-    server = ServerProcess(socket_path, journal_path, cfg)
-    await server.start()
-
-    slow_stop = asyncio.Event()
-    slow_tasks = [
-        asyncio.ensure_future(_slowloris(socket_path, i, slow_stop))
-        for i in range(cfg.slowloris)
-    ]
-
-    assert cfg.park_deadline_s is not None  # armed above
-    load_cfg = LoadgenConfig(
-        mode="open",
-        rate=cfg.storm_rate,
-        sessions=cfg.sessions,
-        duration_s=cfg.duration_s,
-        time_scale=1.0,
-        max_hold_s=max(cfg.hold_s, 0.05),
-        # A storm client that keeps being shed gives up quickly — the
-        # point is terminal shed accounting, not eventual admission.
-        max_retries=6,
-        resilient=True,
-        call_timeout_s=2.0,
-        begin_timeout_s=min(cfg.park_deadline_s, cfg.park_timeout_s) + 2.0,
-        client_backoff_cap_s=cfg.backoff_cap_s,
-        breaker_threshold=cfg.breaker_threshold,
-        breaker_reset_s=cfg.breaker_reset_s,
-        seed=cfg.seed,
-    )
-    scripts = fig4_scripts(
-        n=max(8, cfg.clients * 2), demand_mb=cfg.demand_mb, hold_s=cfg.hold_s
-    )
-    load_task = asyncio.ensure_future(
-        run_loadgen(scripts, load_cfg, unix_path=socket_path)
-    )
-
-    kills = 0
+async def _call(socket_path: str, op: str) -> Dict[str, Any]:
+    """One request on a fresh connection.  A timed-out round trip leaves
+    its connection desynchronized, so no probe ever reuses one."""
+    client = await ServeClient.connect(unix_path=socket_path, timeout=5.0)
     try:
-        for _ in range(cfg.kills):
-            await asyncio.sleep(cfg.kill_interval_s)
-            if load_task.done():
-                break
-            server.kill()
-            await server.wait()
-            kills += 1
-            await server.start()
-        load = await load_task
-    except BaseException:
-        load_task.cancel()
-        slow_stop.set()
-        for task in slow_tasks:
-            task.cancel()
-        with contextlib.suppress(BaseException):
-            await load_task
-        for task in slow_tasks:
-            with contextlib.suppress(BaseException):
-                await task
-        raise
-
-    # Storm is over: call off the slow consumers, then let the lease
-    # reaper reclaim everything they and the storm clients left behind.
-    slow_stop.set()
-    for task in slow_tasks:
-        task.cancel()
-    slow_results = await asyncio.gather(*slow_tasks, return_exceptions=True)
-    slow_disconnects = sum(r for r in slow_results if isinstance(r, int))
-
-    settled = False
-    settle_t0 = time.monotonic()
-    final_open = final_usage = final_waiting = final_clients = -1
-    sanitizer_ok: Optional[bool] = None
-    replayed = 0
-    probe = await ServeClient.connect(unix_path=socket_path, timeout=5.0)
-    try:
-        deadline = settle_t0 + cfg.settle_timeout_s
-        while time.monotonic() < deadline:
-            try:
-                q = await probe.query(timeout=10.0)
-            except asyncio.TimeoutError:
-                # a timed-out round trip leaves the connection
-                # desynchronized — reconnect and keep settling
-                await probe.close()
-                probe = await ServeClient.connect(
-                    unix_path=socket_path, timeout=5.0
-                )
-                continue
-            final_open = int(q.get("open_periods", -1))
-            final_waiting = int(q.get("waiting", -1))
-            final_clients = int(q.get("clients", -1))
-            final_usage = sum(
-                int(state.get("usage_bytes", 0))
-                for state in q.get("resources", {}).values()
-            )
-            replayed = int((q.get("journal") or {}).get("replayed_periods", 0))
-            if (
-                final_open == 0
-                and final_usage == 0
-                and final_waiting == 0
-                and final_clients == 0
-            ):
-                settled = True
-                break
-            await asyncio.sleep(0.1)
-        with contextlib.suppress(asyncio.TimeoutError):
-            stats = await probe.stats(timeout=10.0)
-            sanitizer = stats.get("sanitizer")
-            if sanitizer is not None:
-                sanitizer_ok = bool(sanitizer.get("ok"))
-            await probe.drain(timeout=10.0)
+        return await client.call(op, timeout=10.0)
     finally:
-        await probe.close()
-    settle_s = time.monotonic() - settle_t0
+        await client.close()
 
-    exit_code: Optional[int] = None
-    with contextlib.suppress(asyncio.TimeoutError):
-        exit_code = await server.wait(timeout_s=10.0)
-    if exit_code is None:
+
+def _totals(replies: List[Dict[str, Any]]) -> Dict[str, int]:
+    """Sum the settle inputs over one ``query`` reply per server."""
+    totals = dict.fromkeys(
+        ("open_periods", "waiting", "clients", "usage_bytes", "replayed"), 0
+    )
+    for q in replies:
+        for key in ("open_periods", "waiting", "clients"):
+            totals[key] += int(q.get(key, -1))
+        totals["usage_bytes"] += sum(
+            int(state.get("usage_bytes", 0))
+            for state in q.get("resources", {}).values()
+        )
+        totals["replayed"] += int(
+            (q.get("journal") or {}).get("replayed_periods", 0)
+        )
+    return totals
+
+
+async def _reap(server: ServerProcess, drained: bool) -> Optional[int]:
+    """Exit code of a retired server: wait for a drained one, kill one
+    that was not drained or does not exit.  None when no process was
+    spawned or a drained one had to be killed."""
+    if server.proc is None:
+        return None
+    if not drained:
+        server.kill()
+    try:
+        return await server.wait(timeout_s=10.0)
+    except asyncio.TimeoutError:
         server.kill()
         with contextlib.suppress(asyncio.TimeoutError):
             await server.wait(timeout_s=5.0)
-
-    return ChaosReport(
-        seed=cfg.seed,
-        wall_s=time.monotonic() - t_start,
-        kills=kills,
-        faults={kind: 0 for kind in FAULT_KINDS},
-        faults_total=0,
-        proxy_connections=0,
-        load=load,
-        replayed_periods_last_boot=replayed,
-        settled=settled,
-        settle_s=settle_s,
-        final_open_periods=final_open,
-        final_usage_bytes=final_usage,
-        final_waiting=final_waiting,
-        sanitizer_ok=sanitizer_ok,
-        server_exit_code=exit_code,
-        server_output=list(server.output),
-        overload=True,
-        p99_bound_s=cfg.p99_bound_s,
-        p99_observed_s=load.admission_latency.p99,
-        slowloris_clients=cfg.slowloris,
-        slowloris_disconnects=slow_disconnects,
-        final_clients=final_clients,
-    )
+        return None
 
 
-def run_overload_chaos_sync(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Blocking wrapper around :func:`run_overload_chaos` (CLI entry)."""
-    return asyncio.run(run_overload_chaos(cfg, workdir))
+class _Campaign:
+    """One campaign's parts and state, decided once from ``cfg.kind``.
+
+    After construction every step branches on the parts the campaign has
+    — a frame-mangling proxy, a placer front-end with or without a shard
+    supervisor, an open-loop storm with slow consumers — never on the
+    campaign's name.
+    """
+
+    def __init__(self, cfg: ChaosConfig, workdir: str) -> None:
+        kind = cfg.kind
+        self.storm = kind == "overload"
+        if self.storm:
+            # The storm must oversubscribe capacity or nothing sheds: at
+            # the classic campaign's 10 ms holds, 150 arrivals/s of 2 MB
+            # fits in an 8 MB machine with room to spare.  150 ms holds
+            # put offered load at ~5-6x capacity.
+            cfg = replace(cfg, hold_s=max(cfg.hold_s, 0.15), **{
+                knob: value for knob, value in _OVERLOAD_KNOBS.items()
+                if getattr(cfg, knob) is None
+            })
+        self.cfg = cfg
+        self.rolling = kind == "rolling"
+        #: the front-end's supervisor restarts killed shards, not the harness
+        self.supervised = kind in ("supervised", "rolling")
+        self.proxy: Optional[ChaosProxy] = None
+        self.frontend: Optional[ClusterFrontend] = None
+        if kind in ("cluster", "supervised", "rolling"):
+            self.servers = [
+                ServerProcess(
+                    os.path.join(workdir, f"shard{i}.sock"),
+                    os.path.join(workdir, f"shard{i}-journal.ndjson"),
+                    cfg,
+                )
+                for i in range(max(1, cfg.shards))
+            ]
+            self.entry = os.path.join(workdir, "placer.sock")
+            self.frontend = ClusterFrontend(ClusterConfig(
+                shards=tuple(
+                    ShardAddress(name=f"shard{i}", unix_path=s.socket_path)
+                    for i, s in enumerate(self.servers)
+                ),
+                seed=cfg.seed,
+                health_interval_s=0.1,
+                probe_timeout_s=2.0,
+                # deliberate SIGKILLs are not crash loops: never
+                # quarantine a shard for dying on schedule
+                crash_loop_window_s=0.0,
+                restart_backoff_s=0.1,
+                restart_ready_timeout_s=cfg.server_start_timeout_s,
+            ))
+        else:
+            name = "overload" if self.storm else "chaos"
+            server = ServerProcess(
+                os.path.join(workdir, f"{name}-server.sock"),
+                os.path.join(workdir, f"{name}-journal.ndjson"),
+                cfg,
+            )
+            self.servers = [server]
+            self.entry = server.socket_path
+            if not self.storm:
+                self.entry = os.path.join(workdir, "chaos-proxy.sock")
+                self.proxy = ChaosProxy(
+                    self.entry, server.socket_path, cfg,
+                    rng=random.Random(cfg.seed ^ 0x5EED),
+                )
+        #: quiescence: the storm's slow consumers must be gone too
+        self.quiet = ("open_periods", "usage_bytes", "waiting") + (
+            ("clients",) if self.storm else ()
+        )
+        self.frontend_task: Optional[asyncio.Task] = None
+        self.load_task: Optional[asyncio.Task] = None
+        self.slow_stop = asyncio.Event()
+        self.slow_tasks: List[asyncio.Task] = []
+        self.slow_disconnects = 0
+        self.kills = 0
+        self.rolled = 0
+        self.settled = False
+        self.settle_s = 0.0
+        self.final = {
+            "open_periods": -1, "usage_bytes": -1, "waiting": -1,
+            "clients": -1, "replayed": 0,
+        }
+        self.sanitizer_ok: Optional[bool] = None
+        self.exit_codes: List[Optional[int]] = []
+        self.shards_alive = 0
+        self.shards_quarantined = 0
+
+    async def start(self) -> None:
+        """Boot the servers, then whatever sits in front of them."""
+        for server in self.servers:
+            await server.start()
+        if self.proxy is not None:
+            await self.proxy.start()
+        if self.frontend is not None:
+            await self.frontend.start(unix_path=self.entry)
+            if self.supervised:
+                for i, shard in enumerate(self.servers):
+                    self.frontend.register_restarter(
+                        f"shard{i}", _subprocess_restarter(shard)
+                    )
+            self.frontend_task = asyncio.ensure_future(
+                self.frontend.run_until_drained()
+            )
+        if self.storm:
+            self.slow_tasks = [
+                asyncio.ensure_future(_slowloris(self.entry, i, self.slow_stop))
+                for i in range(self.cfg.slowloris)
+            ]
+
+    def start_load(self) -> None:
+        """Start the figure-4 load: an open-loop storm, or closed-loop
+        clients that are resilient through the proxy and follow
+        redirects behind a front-end."""
+        cfg = self.cfg
+        common = dict(
+            sessions=cfg.sessions, duration_s=cfg.duration_s,
+            time_scale=1.0, call_timeout_s=2.0, seed=cfg.seed,
+        )
+        if self.storm:
+            assert cfg.park_deadline_s is not None  # armed in __init__
+            load_cfg = LoadgenConfig(
+                mode="open",
+                rate=cfg.storm_rate,
+                max_hold_s=max(cfg.hold_s, 0.05),
+                # A storm client that keeps being shed gives up quickly —
+                # the point is terminal shed accounting, not eventual
+                # admission.
+                max_retries=6,
+                resilient=True,
+                begin_timeout_s=(
+                    min(cfg.park_deadline_s, cfg.park_timeout_s) + 2.0
+                ),
+                client_backoff_cap_s=cfg.backoff_cap_s,
+                breaker_threshold=cfg.breaker_threshold,
+                breaker_reset_s=cfg.breaker_reset_s,
+                **common,
+            )
+        else:
+            load_cfg = LoadgenConfig(
+                mode="closed",
+                clients=cfg.clients,
+                max_hold_s=max(cfg.hold_s, 0.25),
+                max_retries=100_000,
+                resilient=self.frontend is None,
+                cluster=self.frontend is not None,
+                # past the server's park timeout, silence on pp_begin
+                # means a dropped frame, not a parked period — reconnect
+                # and re-issue
+                begin_timeout_s=cfg.park_timeout_s + 2.0,
+                **common,
+            )
+        scripts = fig4_scripts(
+            n=max(8, cfg.clients * 2), demand_mb=cfg.demand_mb,
+            hold_s=cfg.hold_s,
+        )
+        self.load_task = asyncio.ensure_future(
+            run_loadgen(scripts, load_cfg, unix_path=self.entry)
+        )
+
+    async def inject_faults(self) -> None:
+        """One rolling restart after a warm-up, or SIGKILL cycles."""
+        cfg = self.cfg
+        if self.rolling:
+            # warm up: let the load establish leases and admitted periods
+            await asyncio.sleep(min(cfg.kill_interval_s, cfg.duration_s / 4))
+            results = await self.frontend.rolling_restart(
+                grace_s=cfg.rolling_grace_s
+            )
+            self.rolled = sum(1 for ok in results.values() if ok)
+            return
+        for cycle in range(cfg.kills):
+            await asyncio.sleep(cfg.kill_interval_s)
+            if self.load_task.done():
+                break
+            victim = self._victim(cycle)
+            if victim is None:
+                continue
+            victim.kill()
+            await victim.wait()
+            self.kills += 1
+            if self.proxy is not None:
+                # Connections through the proxy are stranded on a dead
+                # backend; hard-drop them so clients reconnect promptly.
+                self.proxy.sever_all()
+            if not self.supervised:
+                await victim.start()
+
+    def _victim(self, cycle: int) -> Optional[ServerProcess]:
+        """Round robin.  Under a supervisor, the first shard from there it
+        has already healed — a still-dead shard yields no new kill to
+        supervise."""
+        n = len(self.servers)
+        if not self.supervised:
+            return self.servers[cycle % n]
+        shards = self.frontend.placer.shards
+        for offset in range(n):
+            idx = (cycle + offset) % n
+            if shards[f"shard{idx}"].alive:
+                return self.servers[idx]
+        return None
+
+    async def stop_slowloris(self) -> None:
+        """Call off the slow consumers and count their disconnects."""
+        self.slow_stop.set()
+        for task in self.slow_tasks:
+            task.cancel()
+        results = await asyncio.gather(*self.slow_tasks, return_exceptions=True)
+        self.slow_disconnects += sum(r for r in results if isinstance(r, int))
+        self.slow_tasks = []
+
+    async def settle(self) -> None:
+        """Probe every server until the lease reaper has reclaimed what
+        dead clients left behind, or the settle budget runs out."""
+        t0 = time.monotonic()
+        deadline = t0 + self.cfg.settle_timeout_s
+        while time.monotonic() < deadline:
+            try:
+                replies = [
+                    await _call(server.socket_path, "query")
+                    for server in self.servers
+                ]
+            except (ReproError, OSError, asyncio.TimeoutError):
+                pass
+            else:
+                self.final = _totals(replies)
+                if all(self.final[key] == 0 for key in self.quiet):
+                    self.settled = True
+                    break
+            await asyncio.sleep(0.1)
+        self.settle_s = time.monotonic() - t0
+
+    async def _retire(self, server: ServerProcess) -> bool:
+        """Fold one server's sanitizer verdict, then drain it; False when
+        it could not be reached."""
+        if server.proc is None:
+            return False
+        try:
+            stats = (await _call(server.socket_path, "stats"))["stats"]
+            sanitizer = stats.get("sanitizer")
+            if sanitizer is not None:
+                ok = bool(sanitizer.get("ok"))
+                self.sanitizer_ok = (
+                    ok if self.sanitizer_ok is None
+                    else self.sanitizer_ok and ok
+                )
+            await _call(server.socket_path, "drain")
+        except (ReproError, OSError, asyncio.TimeoutError):
+            return False
+        return True
+
+    async def teardown(self) -> None:
+        """Read the last verdict inputs and stop everything.
+
+        Runs on every exit, exceptions included: no server process, load
+        or slow consumer outlives the campaign.
+        """
+        if self.load_task is not None and not self.load_task.done():
+            self.load_task.cancel()
+            await asyncio.gather(self.load_task, return_exceptions=True)
+        drained: Dict[int, bool] = {}
+        try:
+            if self.frontend_task is not None:
+                # capacity-recovery verdict inputs, read before the
+                # drains below take the shards down
+                await self.frontend._health_sweep()
+                self.shards_alive = len(self.frontend.placer.alive_shards())
+                self.shards_quarantined = len(self.frontend.quarantined)
+                # from here on every shard death is deliberate: stop the
+                # supervisor before it resurrects what the drains take down
+                await self.frontend.disarm_supervision()
+            for i, server in enumerate(self.servers):
+                drained[i] = await self._retire(server)
+        finally:
+            for i, server in enumerate(self.servers):
+                self.exit_codes.append(
+                    await _reap(server, drained.get(i, False))
+                )
+            if self.proxy is not None:
+                await self.proxy.close()
+            await self.stop_slowloris()
+            if self.frontend_task is not None:
+                self.frontend.request_drain()
+                await asyncio.gather(self.frontend_task, return_exceptions=True)
+
+    def report(self, load: LoadgenReport, wall_s: float) -> ChaosReport:
+        """What the campaign inflicted and observed, judged by kind."""
+        cfg, proxy, frontend = self.cfg, self.proxy, self.frontend
+        extra: Dict[str, Any] = {}
+        if frontend is not None:
+            extra.update(
+                shards=len(self.servers),
+                cluster_counters={
+                    name: getattr(frontend, attr).value
+                    for name, attr in _CLUSTER_COUNTERS
+                },
+                supervised=cfg.kind == "supervised",
+                shard_restarts=frontend.c_shard_restarts.value,
+                shards_alive_final=self.shards_alive,
+                shards_quarantined=self.shards_quarantined,
+                rolling=self.rolling,
+                rolled_shards=self.rolled,
+            )
+        if self.storm:
+            extra.update(
+                overload=True,
+                p99_bound_s=cfg.p99_bound_s,
+                p99_observed_s=load.admission_latency.p99,
+                slowloris_clients=cfg.slowloris,
+                slowloris_disconnects=self.slow_disconnects,
+                final_clients=self.final["clients"],
+            )
+        return ChaosReport(
+            seed=cfg.seed,
+            wall_s=wall_s,
+            kills=self.kills,
+            faults=(
+                dict(proxy.faults) if proxy else dict.fromkeys(FAULT_KINDS, 0)
+            ),
+            faults_total=proxy.faults_total if proxy else 0,
+            proxy_connections=proxy.connections if proxy else 0,
+            load=load,
+            replayed_periods_last_boot=self.final["replayed"],
+            settled=self.settled,
+            settle_s=self.settle_s,
+            final_open_periods=self.final["open_periods"],
+            final_usage_bytes=self.final["usage_bytes"],
+            final_waiting=self.final["waiting"],
+            sanitizer_ok=self.sanitizer_ok,
+            # 0 only when every server exited 0 after its drain
+            server_exit_code=next((c for c in self.exit_codes if c != 0), 0),
+            server_output=[
+                f"[shard{i}] {line}" if frontend else line
+                for i, server in enumerate(self.servers)
+                for line in server.output
+            ],
+            **extra,
+        )
+
+
+async def run_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
+    """Run one campaign of ``cfg.kind``: serve, load, hurt, settle, judge.
+
+    Every kind walks the same steps — boot the topology, start the load,
+    inject the faults, settle, tear down — and the teardown runs on every
+    exit, so a failed campaign leaves no server process behind.
+    """
+    os.makedirs(workdir, exist_ok=True)
+    t_start = time.monotonic()
+    run = _Campaign(cfg, workdir)
+    try:
+        await run.start()
+        run.start_load()
+        await run.inject_faults()
+        load = await run.load_task
+        # The load is over: call off the slow consumers, then let the
+        # lease reaper reclaim what they and the load left behind.
+        await run.stop_slowloris()
+        await run.settle()
+    finally:
+        await run.teardown()
+    return run.report(load, time.monotonic() - t_start)

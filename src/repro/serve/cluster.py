@@ -657,25 +657,38 @@ class ClusterFrontend:
     # ------------------------------------------------------------------
     # background loops
     # ------------------------------------------------------------------
-    async def _probe(self, shard: ShardState) -> Optional[Dict[str, Any]]:
-        """One connect+query round trip to a shard; None when unreachable."""
+    async def _shard_call(
+        self,
+        shard: ShardState,
+        op: str,
+        timeout: Optional[float] = None,
+        unreachable: Any = None,
+    ) -> Any:
+        """Connect to ``shard``, make one ``op`` call, close again.
+
+        Returns the reply; None when the call fails, and ``unreachable``
+        when the shard does not accept the connection.
+        """
         try:
             client = await ServeClient.connect(
                 timeout=self.cfg.probe_timeout_s,
                 **_connect_kwargs(shard.address),
             )
         except (ConnectionError, OSError, asyncio.TimeoutError):
-            return None
+            return unreachable
         try:
-            reply = await client.call(
-                "query", timeout=self.cfg.probe_timeout_s
-            )
+            return await client.call(op, timeout=timeout)
         except Exception:
             return None
         finally:
             with contextlib.suppress(Exception):
                 await client.close()
-        return reply
+
+    async def _probe(self, shard: ShardState) -> Optional[Dict[str, Any]]:
+        """One health probe: a ``query``; None when unreachable."""
+        return await self._shard_call(
+            shard, "query", timeout=self.cfg.probe_timeout_s
+        )
 
     async def _health_sweep(self) -> None:
         # Draining and mid-restart shards are skipped entirely: a planned
@@ -942,7 +955,6 @@ class ClusterFrontend:
         self.placer.mark_draining(name)
         self.c_shard_drains.inc()
         deadline = time.monotonic() + grace
-        acknowledged = False
         while time.monotonic() < deadline:
             await self._migrate_parked(0.0, only_shard=name)
             reply = await self._probe(shard)
@@ -957,22 +969,10 @@ class ClusterFrontend:
             ):
                 break
             await asyncio.sleep(0.05)
-        try:
-            client = await ServeClient.connect(
-                timeout=self.cfg.probe_timeout_s,
-                **_connect_kwargs(shard.address),
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError):
-            acknowledged = True  # nothing left to drain
-        else:
-            try:
-                await client.drain()
-                acknowledged = True
-            except Exception:
-                acknowledged = False
-            finally:
-                with contextlib.suppress(Exception):
-                    await client.close()
+        # an unreachable shard has nothing left to drain
+        acknowledged = (
+            await self._shard_call(shard, "drain", unreachable={})
+        ) is not None
         # the shard is going down now; ``draining`` stays set so the
         # health sweep keeps its hands off until the restart revives it
         self.placer.mark_dead(name)
@@ -1074,11 +1074,12 @@ class ClusterFrontend:
                     # Anonymous fast path: place under a synthetic id and
                     # forward — exactly what a bare server does for
                     # clients that skip hello.
-                    await self._forward(
-                        f"anon-{next(self._anon_ids)}", named=False,
-                        first_frame=frame, reader=reader, writer=writer,
-                        send=send,
-                    )
+                    client_id = f"anon-{next(self._anon_ids)}"
+                    shard = await self._place(client_id, request.id, send)
+                    if shard is not None:
+                        await self._forward(
+                            client_id, False, frame, reader, writer, shard
+                        )
                     return
                 elif request.op == "query":
                     await send(await self._op_query(request))
@@ -1111,24 +1112,9 @@ class ClusterFrontend:
         hint = frame.get("demand_bytes")
         if isinstance(hint, int) and not isinstance(hint, bool) and hint > 0:
             demand_hint["llc"] = hint
-        if self._shed_new_client(request.client):
-            self.c_brownout_shed.inc()
-            await send(protocol.error_reply(
-                request.id, ErrorCode.OVERLOAD,
-                "cluster is in brownout: shedding new clients",
-                retry_after_s=self.cfg.brownout_retry_s,
-            ))
+        shard = await self._place(request.client, request.id, send, demand_hint)
+        if shard is None:
             return False
-        try:
-            shard = self.placer.place(request.client, demand_hint)
-        except ClusterError:
-            await send(protocol.error_reply(
-                request.id, ErrorCode.RETRY_AFTER,
-                "no live admission shard; retry",
-                retry_after_s=self.cfg.retry_after_s,
-            ))
-            return False
-        self.c_placements.inc()
         if frame.get("redirect") is True:
             self.c_redirects.inc()
             await send(protocol.error_reply(
@@ -1137,11 +1123,37 @@ class ClusterFrontend:
                 shard=shard.address.to_fields(),
             ))
             return False  # the client hangs up and dials the shard
-        await self._forward(
-            request.client, named=True, first_frame=frame,
-            reader=reader, writer=writer, send=send, shard=shard,
-        )
+        await self._forward(request.client, True, frame, reader, writer, shard)
         return True
+
+    async def _place(
+        self,
+        client_id: str,
+        request_id: Optional[int],
+        send,
+        demand_hint: Optional[Dict[str, int]] = None,
+    ) -> Optional[ShardState]:
+        """Place a client on a shard, or shed it: reply ``OVERLOAD`` in a
+        brownout, ``RETRY_AFTER`` with no live shard, and return None."""
+        if self._shed_new_client(client_id):
+            self.c_brownout_shed.inc()
+            await send(protocol.error_reply(
+                request_id, ErrorCode.OVERLOAD,
+                "cluster is in brownout: shedding new clients",
+                retry_after_s=self.cfg.brownout_retry_s,
+            ))
+            return None
+        try:
+            shard = self.placer.place(client_id, demand_hint)
+        except ClusterError:
+            await send(protocol.error_reply(
+                request_id, ErrorCode.RETRY_AFTER,
+                "no live admission shard; retry",
+                retry_after_s=self.cfg.retry_after_s,
+            ))
+            return None
+        self.c_placements.inc()
+        return shard
 
     async def _forward(
         self,
@@ -1150,28 +1162,8 @@ class ClusterFrontend:
         first_frame: Dict[str, Any],
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        send,
-        shard: Optional[ShardState] = None,
+        shard: ShardState,
     ) -> None:
-        if shard is None:
-            if self._shed_new_client(client_id):
-                self.c_brownout_shed.inc()
-                await send(protocol.error_reply(
-                    first_frame.get("id"), ErrorCode.OVERLOAD,
-                    "cluster is in brownout: shedding new clients",
-                    retry_after_s=self.cfg.brownout_retry_s,
-                ))
-                return
-            try:
-                shard = self.placer.place(client_id)
-            except ClusterError:
-                await send(protocol.error_reply(
-                    first_frame.get("id"), ErrorCode.RETRY_AFTER,
-                    "no live admission shard; retry",
-                    retry_after_s=self.cfg.retry_after_s,
-                ))
-                return
-            self.c_placements.inc()
         self.c_forwards.inc()
         pump = _ForwardPump(self, client_id, named, reader, writer, shard)
         self._pumps.add(pump)
@@ -1240,28 +1232,14 @@ class ClusterFrontend:
 
     async def _op_stats(self) -> Dict[str, Any]:
         shards = list(self.placer.shards.values())
-
-        async def shard_stats(shard: ShardState) -> Optional[Dict[str, Any]]:
-            try:
-                client = await ServeClient.connect(
-                    timeout=self.cfg.probe_timeout_s,
-                    **_connect_kwargs(shard.address),
-                )
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                return None
-            try:
-                return await client.stats()
-            except Exception:
-                return None
-            finally:
-                with contextlib.suppress(Exception):
-                    await client.close()
-
         replies = await asyncio.gather(
-            *(shard_stats(s) for s in shards), return_exceptions=True
+            *(self._shard_call(s, "stats") for s in shards),
+            return_exceptions=True,
         )
         per_shard = {
-            shard.name: (reply if isinstance(reply, dict) else None)
+            shard.name: (
+                reply.get("stats") if isinstance(reply, dict) else None
+            )
             for shard, reply in zip(shards, replies)
         }
         counters: Dict[str, int] = {}
@@ -1311,29 +1289,12 @@ class ClusterFrontend:
                 rolled=sum(1 for ok in results.values() if ok),
             )
         shards = list(self.placer.shards.values())
-
-        async def drain_one(shard: ShardState) -> bool:
-            try:
-                client = await ServeClient.connect(
-                    timeout=self.cfg.probe_timeout_s,
-                    **_connect_kwargs(shard.address),
-                )
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                return False
-            try:
-                await client.drain()
-                return True
-            except Exception:
-                return False
-            finally:
-                with contextlib.suppress(Exception):
-                    await client.close()
-
         results = await asyncio.gather(
-            *(drain_one(s) for s in shards), return_exceptions=True
+            *(self._shard_call(s, "drain") for s in shards),
+            return_exceptions=True,
         )
         drained = {
-            shard.name: result is True
+            shard.name: isinstance(result, dict)
             for shard, result in zip(shards, results)
         }
         self.request_drain()

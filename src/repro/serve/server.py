@@ -141,14 +141,11 @@ class ServeConfig:
     strict_fifo: bool = False
     #: bound on parked admissions; beyond it pp_begin gets RETRY_AFTER
     max_pending: int = 1024
-    #: hint returned with RETRY_AFTER replies
-    retry_after_s: float = 0.05
-    #: floor of the adaptive retry hint; with ``retry_hint_cap_s`` set,
-    #: RETRY_AFTER hints scale with queue occupancy and observed admission
-    #: latency instead of the constant ``retry_after_s`` (None = constant)
-    retry_hint_floor_s: Optional[float] = None
-    #: cap of the adaptive retry hint (None = constant ``retry_after_s``)
-    retry_hint_cap_s: Optional[float] = None
+    #: bounds of the retry hint shed replies carry: it scales with queue
+    #: occupancy and observed admission latency within [floor, cap]
+    #: (:func:`adaptive_retry_hint_s`); floor == cap is a constant hint
+    retry_hint_floor_s: float = 0.05
+    retry_hint_cap_s: float = 0.05
     #: how long one client may stay parked before a TIMEOUT reply
     park_timeout_s: Optional[float] = 30.0
     #: CoDel-style sojourn bound on parked pp_begins: past it the period
@@ -1240,16 +1237,10 @@ class AdmissionServer:
         return await self._park(session, reader, request, period)
 
     def _retry_hint_s(self) -> float:
-        """The retry hint carried by shed replies.
-
-        With both adaptive bounds configured, the hint scales with live
-        queue occupancy and the observed median admission latency
-        (:func:`adaptive_retry_hint_s`); otherwise it is the constant
-        ``cfg.retry_after_s``, byte-identical to the legacy behavior.
-        """
+        """The retry hint carried by shed replies: live queue occupancy
+        and the observed median admission latency, clamped to the
+        configured bounds (:func:`adaptive_retry_hint_s`)."""
         cfg = self.cfg
-        if cfg.retry_hint_floor_s is None or cfg.retry_hint_cap_s is None:
-            return cfg.retry_after_s
         service = self.service
         occupancy = (
             len(service.waitlist) / cfg.max_pending if cfg.max_pending else 1.0

@@ -43,6 +43,7 @@ paper specifies.
 from __future__ import annotations
 
 import enum
+import math
 from abc import ABC, abstractmethod
 from typing import Dict, Optional, Sequence
 
@@ -624,6 +625,15 @@ class Kernel:
             left = thread.phase.instructions - thread.instr_done
             left = left if left > 0.0 else 0.0
             t_done = now + thread.stall_remaining_s + left * spi
+            if t_done <= now and (
+                left > _EPS_INSTR or thread.stall_remaining_s > _EPS_TIME
+            ):
+                # A remainder below the clock's resolution at ``now``: the
+                # deadline rounds to ``now``, accrual would see dt = 0 and
+                # the event would re-fire forever.  One ulp later, accrual
+                # retires the remainder; other cores' events at ``now``
+                # still go first.
+                t_done = math.nextafter(now, math.inf)
             quantum_end = core.quantum_end
             if now > quantum_end:
                 quantum_end = now

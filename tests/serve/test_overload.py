@@ -143,6 +143,16 @@ class TestAdaptiveHintFunction:
             hi, p50, floor, cap
         )
 
+    @given(
+        occupancy=st.floats(-1.0, 2.0, **_finite),
+        p50=st.floats(0.0, 100.0, **_finite),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_default_bounds_give_the_constant_hint(self, occupancy, p50):
+        # floor == cap == 0.05 is the server's default: every shed reply
+        # carries exactly the 0.05 s constant hint, whatever the load
+        assert adaptive_retry_hint_s(occupancy, p50, 0.05, 0.05) == 0.05
+
 
 class TestQuotaFunction:
     def test_global_bound_wins_even_for_a_new_client(self):
@@ -187,9 +197,7 @@ class TestAdaptiveHintServer:
             with pytest.raises(ServeReplyError) as info:
                 await c.pp_begin(MB(1))
             assert info.value.code == ErrorCode.RETRY_AFTER
-            assert info.value.retry_after_s == pytest.approx(
-                server.cfg.retry_after_s
-            )
+            assert info.value.retry_after_s == pytest.approx(0.05)
             await a.pp_end(reply_a["pp_id"])
             reply_b = await asyncio.wait_for(park_task, 5.0)
             await b.pp_end(reply_b["pp_id"])

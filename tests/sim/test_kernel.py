@@ -1,7 +1,12 @@
 """Kernel integration tests: execution, fairness, barriers, accounting."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.areas import _sim_machine, _sim_workload
+from repro.core.policy import StrictPolicy
+from repro.core.rda import RdaScheduler
 from repro.errors import SimulationError
 from repro.perf.counters import HwCounter
 from repro.sim.kernel import Kernel
@@ -188,3 +193,26 @@ class TestEnergyAccrual:
         p_light = light.machine.rapl.sample().package_j / light.now
         p_heavy = heavy.machine.rapl.sample().package_j / heavy.now
         assert p_heavy > p_light
+
+
+class TestClockResolution:
+    def test_sub_ulp_remainder_does_not_livelock(self):
+        # The sim bench mix with every program repeated 20x (not 4x)
+        # reaches t = 4.156772894736702 s with a thread 1.05e-6
+        # instructions short of its phase at 4.2e-10 s/instruction: its
+        # deadline rounds to ``now`` (the clock's ulp there is 8.9e-16 s),
+        # so the kernel must step past it rather than re-fire in place.
+        base = _sim_workload()
+        workload = replace(base, processes=[
+            replace(p, program=p.program[: len(p.program) // 4] * 20)
+            for p in base.processes
+        ])
+        machine = _sim_machine()
+        kernel = Kernel(
+            config=machine,
+            extension=RdaScheduler(policy=StrictPolicy(), config=machine),
+        )
+        kernel.launch(workload)
+        kernel.run(max_events=60_000)
+        assert kernel.all_exited
+        assert kernel.now > 4.156772894736702

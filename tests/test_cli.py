@@ -159,7 +159,7 @@ class TestOverloadFlags:
         parser = build_parser()
         args = parser.parse_args(["serve"])
         assert args.park_deadline is None
-        assert args.retry_hint_floor is None and args.retry_hint_cap is None
+        assert args.retry_hint_floor == 0.05 and args.retry_hint_cap == 0.05
         assert args.max_pending_per_client is None
         assert args.write_timeout is None
         args = parser.parse_args([
