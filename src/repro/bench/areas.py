@@ -6,7 +6,7 @@ Each area runs a pinned, seeded workload and reduces it to a handful of
 ``--quick`` pass finishes in a few seconds on a laptop while still hitting
 the hot paths the records are meant to guard: the event-loop inner loop
 and rate memoization (sim), frame codec + parking + the metrics registry
-(serve), the placer front-end's redirect/forward paths (cluster), the
+(serve), the placer front-end's redirect path (cluster), the
 content-addressed result cache (fleet), and the trace-driven cache
 simulator plus the analytical contention model (mem).  Each timed rep of
 the sim and mem areas runs for at least ~0.5 s, so one scheduler hiccup
@@ -533,7 +533,6 @@ def bench_cluster(seed: int, reps: int) -> List[BenchRecord]:
         counters = {
             "placements": frontend.c_placements.value,
             "redirects": frontend.c_redirects.value,
-            "forwards": frontend.c_forwards.value,
             "migrations": frontend.c_migrations.value,
             "fragmentation_peak": frontend._frag_peak,
         }

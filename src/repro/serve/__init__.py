@@ -12,8 +12,9 @@ transports without leaking a byte of capacity.
 
 Scaling out, :mod:`repro.serve.cluster` runs N admission shards (one per
 simulated socket) behind a demand-aware placer front-end that assigns
-each client a shard by dominant-remaining-resource scoring, redirects or
-forwards its frames, and migrates parked clients to shards with headroom.
+each client a shard by dominant-remaining-resource scoring, redirects it
+there, and migrates parked clients to shards with headroom by having
+their shard answer the parked begin with a REDIRECT.
 
 Entry points: ``python -m repro serve``, ``python -m repro place``,
 ``python -m repro loadgen`` and ``python -m repro chaos``.

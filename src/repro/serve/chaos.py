@@ -693,7 +693,6 @@ _OVERLOAD_KNOBS = {
 _CLUSTER_COUNTERS = (
     ("placements", "c_placements"),
     ("redirects", "c_redirects"),
-    ("forwards", "c_forwards"),
     ("migrations", "c_migrations"),
     ("migration_failures", "c_migration_failures"),
     ("shard_restarts", "c_shard_restarts"),

@@ -3,9 +3,11 @@
 A thin, explicit wrapper over the NDJSON protocol: one request per call,
 one reply per call (a ``pp_begin`` call blocks while the server parks the
 connection — the figure-4 contract, where the kernel blocks the calling
-thread).  Used by the load generator, the tests and
-``examples/serve_quickstart.py``; application code would embed the same
-dozen lines in any language.
+thread).  :meth:`ServeClient.call` follows a ``REDIRECT`` — from a
+cluster front-end, or from a shard that moved a parked begin — by
+re-dialling the named shard; :meth:`ServeClient.call_raw` never does.
+Used by the load generator, the tests and ``examples/serve_quickstart.py``;
+application code would embed the same dozen lines in any language.
 
 :class:`~repro.serve.resilient.ResilientServeClient` layers reconnects,
 retries and idempotent re-issue on top of this class — prefer it for any
@@ -21,7 +23,10 @@ from typing import Any, Dict, Optional
 from ..errors import ProtocolError, ServeError
 from . import protocol
 
-__all__ = ["ServeClient", "ServeReplyError"]
+__all__ = ["MAX_REDIRECT_HOPS", "ServeClient", "ServeReplyError"]
+
+#: most REDIRECT replies one :meth:`ServeClient.call` follows
+MAX_REDIRECT_HOPS = 8
 
 
 class ServeReplyError(ServeError):
@@ -50,8 +55,11 @@ class ServeClient:
         self._ids = itertools.count(1)
         self._closed = False
         #: length-prefixed binary framing; flips on after a successful
-        #: ``hello(binary=True)`` handshake (the switch is one-way)
+        #: ``hello(binary=True)`` handshake (one-way per connection)
         self.binary = False
+        #: fields of the last successful hello, replayed on the shard a
+        #: REDIRECT names
+        self._hello: Optional[Dict[str, Any]] = None
 
     @classmethod
     async def connect(
@@ -152,10 +160,34 @@ class ServeClient:
     async def call(
         self, op: str, timeout: Optional[float] = None, **fields: Any
     ) -> Dict[str, Any]:
-        """Like :meth:`call_raw`, raising :class:`ServeReplyError` on errors."""
+        """Like :meth:`call_raw`, raising :class:`ServeReplyError` on errors.
+
+        A ``REDIRECT`` naming an address is followed, at most
+        :data:`MAX_REDIRECT_HOPS` times: the client re-dials that address,
+        replays its last successful hello with ``"redirect": true``
+        (renegotiating binary framing), then re-sends the request.
+        """
         reply = await self.call_raw(op, timeout=timeout, **fields)
+        for _ in range(MAX_REDIRECT_HOPS):
+            address = protocol.redirect_address(reply)
+            if address is None:
+                break
+            shard = await ServeClient.connect(timeout=timeout, **address)
+            self.writer.close()
+            self.reader, self.writer = shard.reader, shard.writer
+            self.binary = False
+            if op == "hello":
+                fields = {**fields, "redirect": True}
+            elif self._hello is not None:
+                hello = {**self._hello, "redirect": True}
+                await self.call("hello", timeout=timeout, **hello)
+            reply = await self.call_raw(op, timeout=timeout, **fields)
         if not reply.get("ok"):
             raise ServeReplyError(reply)
+        if op == "hello":
+            self._hello = fields
+            if reply.get("binary"):
+                self.binary = True
         return reply
 
     # ------------------------------------------------------------------
@@ -167,10 +199,7 @@ class ServeClient:
         and every frame after the server's acknowledging reply switches.
         """
         if binary:
-            reply = await self.call("hello", client=client, binary=True)
-            if reply.get("binary"):
-                self.binary = True
-            return reply
+            return await self.call("hello", client=client, binary=True)
         return await self.call("hello", client=client)
 
     async def heartbeat(self) -> Dict[str, Any]:

@@ -7,36 +7,31 @@ shard each client charges, using the dominant-remaining-resource scoring
 of :mod:`repro.serve.placer`.
 
 The front-end speaks the same wire protocol as a shard, so every existing
-client works unchanged.  Placement is delivered two ways:
+client works unchanged, and it reaches a shard one way: **REDIRECT**.
+Every ``hello`` — and a ``pp_begin`` from a client that skipped hello —
+is answered with a typed ``REDIRECT`` error whose ``error.shard`` field
+names the assigned shard's address.  The client re-dials the shard
+directly (:class:`~repro.serve.client.ServeClient` and
+:class:`~repro.serve.resilient.ResilientServeClient` both follow), so the
+front-end is never on the data path.  When the shard later dies, a
+resilient client falls back to the front-end and is re-placed.
 
-* **Redirect.**  A ``hello`` carrying ``"redirect": true`` (sent by
-  :class:`~repro.serve.resilient.ResilientServeClient` by default) is
-  answered with a typed ``REDIRECT`` error whose ``error.shard`` field
-  names the assigned shard's address.  The client re-dials the shard
-  directly — after the handshake the front-end is out of the data path.
-  When the shard later dies, the client falls back to the front-end and
-  is re-placed.
-* **Forward.**  Any other first frame starts a frame-aware bidirectional
-  pump to the assigned shard: the front-end stays on the data path,
-  tracking binary-framing negotiation (the codec switch applies to both
-  legs), per-client demand, in-flight ``pp_begin`` requests and admitted
-  periods.  Forward mode is what makes **migration** possible: when a
-  forwarded client's only outstanding work is a *parked* ``pp_begin`` and
-  its shard is saturated while another shard has headroom, the balance
-  loop closes the old shard leg (the shard cancels the parked period on
-  EOF — it holds no capacity), re-binds the client identity on the target
-  shard with an injected ``hello`` (a negative request id the pump
-  swallows), and re-issues the parked begin verbatim — same request id,
-  same idempotency token — so the client simply sees its reply arrive
-  from a shard with room.
+**Migration** rides on the same reply.  A shard lists in its ``query``
+reply the clients whose only open period is a *parked* ``pp_begin`` and
+whose hello carried ``"redirect": true``.  When such a begin has waited
+``migrate_after_s`` and its shard is saturated while another shard has
+headroom, the balance loop sends the source shard ``migrate``: the shard
+cancels the parked period (it holds no capacity) and answers the begin
+with ``REDIRECT`` to the target, where the client re-issues it with the
+same idempotency token.
 
-``query`` and ``stats`` on a connection that has not picked a shard are
-aggregated across every live shard, so one probe sees cluster-wide
-utilization; ``drain`` fans out to all shards and then drains the
-front-end itself.  A health loop probes each shard and feeds the placer's
-liveness/usage model; per-shard gauges, ``placements_total``,
-``redirects_total``, ``migrations_total`` and the ``fragmentation`` gauge
-are exported through the standard metrics registry.
+``query`` and ``stats`` are aggregated across every live shard, so one
+probe sees cluster-wide utilization; ``drain`` fans out to all shards and
+then drains the front-end itself.  A health loop probes each shard and
+feeds the placer's liveness/usage model; per-shard gauges,
+``placements_total``, ``redirects_total``, ``migrations_total`` and the
+``fragmentation`` gauge are exported through the standard metrics
+registry.
 """
 
 from __future__ import annotations
@@ -130,329 +125,8 @@ class ClusterConfig:
     metrics_interval_s: float = 2.0
 
 
-class _ForwardPump:
-    """One forwarded client: a frame-aware relay to its assigned shard.
-
-    The pump re-encodes every frame rather than splicing bytes, because
-    the two legs can transiently disagree on encoding: after a migration
-    the new shard leg starts in NDJSON while the client leg may already
-    be binary, and during binary negotiation the acknowledging reply
-    itself still travels in the old encoding.  *Reads* sniff the
-    encoding per frame (``read_raw_frame(binary=None)``) — a leg's read
-    is usually already parked when the negotiating ack flips the
-    encoding, so a mode flag checked at read *start* would strand the
-    pump in ``readline()`` while binary frames arrive.  *Writes* carry
-    explicit flags: ``client_binary`` flips when the ack is forwarded,
-    and ``shard_write_binary`` must flip as soon as a ``hello {binary}``
-    is sent upstream of it (the shard switches the moment it *sends* the
-    ack, before the pump has read it).
-    """
-
-    def __init__(
-        self,
-        frontend: "ClusterFrontend",
-        client_id: str,
-        named: bool,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        shard: ShardState,
-    ) -> None:
-        self.frontend = frontend
-        self.client_id = client_id
-        #: True when the client introduced itself with hello (migratable)
-        self.named = named
-        self.client_reader = reader
-        self.client_writer = writer
-        self.shard = shard
-        self.client_binary = False
-        self.shard_write_binary = False
-        self.backend: Optional[ServeClient] = None
-        #: serializes client->shard writes against migration's leg swap
-        self._backend_lock = asyncio.Lock()
-        self._backend_changed = asyncio.Event()
-        self._closed = False
-        self._migrating = False
-        #: hello frame as the client sent it, replayed on migration
-        self._hello_frame: Optional[Dict[str, Any]] = None
-        #: request id -> (pp_begin frame, sent-at) awaiting a reply
-        self._inflight: Dict[int, Tuple[Dict[str, Any], float]] = {}
-        #: pp_end request id -> pp_id, to retire admitted periods
-        self._ending: Dict[int, int] = {}
-        #: periods admitted (and still open) on the current shard
-        self._admitted: set = set()
-        #: negative ids for frames this pump injects; replies are swallowed
-        self._inject_ids = itertools.count(-1, -1)
-        self._swallow: Dict[int, str] = {}
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def run(self, first_frame: Dict[str, Any]) -> None:
-        """Relay until either side closes; returns with both legs closed."""
-        cfg = self.frontend.cfg
-        try:
-            backend = await ServeClient.connect(
-                timeout=cfg.probe_timeout_s,
-                **_connect_kwargs(self.shard.address),
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError):
-            # The assigned shard just became unreachable.  Push the client
-            # back with RETRY_AFTER: its resilient layer re-dials the
-            # front-end, by which time the health loop has re-placed it.
-            self.frontend.shard_trouble(self.shard)
-            await self._send_client(protocol.error_reply(
-                first_frame.get("id"), ErrorCode.RETRY_AFTER,
-                f"shard {self.shard.name} is unreachable; retry",
-                retry_after_s=cfg.retry_after_s,
-            ))
-            return
-        self.backend = backend
-        self._track_outbound(first_frame)
-        backend.writer.write(protocol.encode_frame(first_frame))
-        await backend.writer.drain()
-        c2s = asyncio.ensure_future(self._client_to_shard())
-        s2c = asyncio.ensure_future(self._shard_to_client())
-        try:
-            await asyncio.wait(
-                {c2s, s2c}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            await self.close()
-            for task in (c2s, s2c):
-                task.cancel()
-            await asyncio.gather(c2s, s2c, return_exceptions=True)
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._backend_changed.set()
-        backend, self.backend = self.backend, None
-        if backend is not None:
-            with contextlib.suppress(Exception):
-                await backend.close()
-        with contextlib.suppress(Exception):
-            self.client_writer.close()
-
-    # ------------------------------------------------------------------
-    # relay legs
-    # ------------------------------------------------------------------
-    async def _client_to_shard(self) -> None:
-        cfg = self.frontend.cfg
-        while not self._closed:
-            try:
-                buf = await protocol.read_raw_frame(
-                    self.client_reader, None, cfg.max_frame_bytes
-                )
-            except (ProtocolError, ConnectionError, ValueError,
-                    asyncio.IncompleteReadError):
-                return
-            if not buf:
-                return  # client hung up
-            try:
-                frame = protocol.decode_any_frame(buf, cfg.max_frame_bytes)
-            except ProtocolError as exc:
-                # Undecodable but completely-read frame: answer in the
-                # shard's stead so the legs never disagree about it.
-                await self._send_client(
-                    protocol.error_reply(None, exc.code, exc.message)
-                )
-                continue
-            self._track_outbound(frame)
-            async with self._backend_lock:
-                backend = self.backend
-                if backend is None or backend.closed:
-                    return
-                try:
-                    backend.writer.write(self._encode_shard(frame))
-                    await backend.writer.drain()
-                except (ConnectionError, RuntimeError):
-                    return
-
-    async def _shard_to_client(self) -> None:
-        cfg = self.frontend.cfg
-        while not self._closed:
-            backend = self.backend
-            if backend is None:
-                # between legs during a migration
-                await self._backend_changed.wait()
-                self._backend_changed.clear()
-                continue
-            try:
-                buf = await protocol.read_raw_frame(
-                    backend.reader, None, cfg.max_frame_bytes
-                )
-            except (ProtocolError, ConnectionError, ValueError,
-                    asyncio.IncompleteReadError):
-                buf = b""
-            if not buf:
-                if self._closed:
-                    return
-                if self._migrating or self.backend is not backend:
-                    continue  # the old leg died as part of a migration
-                # The shard died under a live client: drop the client so
-                # its resilient layer re-dials the front-end and the
-                # placer re-places it on a live shard.
-                self.frontend.shard_trouble(self.shard)
-                return
-            try:
-                reply = protocol.decode_any_frame(buf, cfg.max_frame_bytes)
-            except ProtocolError:
-                continue
-            rid = reply.get("id")
-            if isinstance(rid, int) and rid < 0:
-                if not self._handle_injected(rid, reply):
-                    return
-                continue
-            self._track_reply(reply)
-            if not await self._send_client(reply):
-                return
-            if (
-                reply.get("ok") and reply.get("binary")
-                and not self.client_binary
-            ):
-                # hello ack forwarded: both legs switch to binary framing
-                self.client_binary = True
-                self.shard_write_binary = True
-
-    async def _send_client(self, frame: Dict[str, Any]) -> bool:
-        encode = (
-            protocol.encode_binary_frame if self.client_binary
-            else protocol.encode_frame
-        )
-        try:
-            self.client_writer.write(encode(frame))
-            await self.client_writer.drain()
-            return True
-        except (ConnectionError, RuntimeError):
-            return False
-
-    def _encode_shard(self, frame: Dict[str, Any]) -> bytes:
-        if self.shard_write_binary:
-            return protocol.encode_binary_frame(frame)
-        return protocol.encode_frame(frame)
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def _track_outbound(self, frame: Dict[str, Any]) -> None:
-        op = frame.get("op")
-        rid = frame.get("id")
-        if op == "hello":
-            self._hello_frame = dict(frame)
-        elif op == "pp_begin" and isinstance(rid, int):
-            self._inflight[rid] = (dict(frame), time.monotonic())
-            demand = frame.get("demand_bytes")
-            resource = frame.get("resource", "llc")
-            if isinstance(demand, int) and demand > 0:
-                self.frontend.note_demand(
-                    self.client_id, {str(resource): demand}
-                )
-        elif op == "pp_end" and isinstance(rid, int):
-            pp_id = frame.get("pp_id")
-            if isinstance(pp_id, int):
-                self._ending[rid] = pp_id
-
-    def _track_reply(self, reply: Dict[str, Any]) -> None:
-        rid = reply.get("id")
-        if rid in self._inflight:
-            del self._inflight[rid]
-            if reply.get("ok") and isinstance(reply.get("pp_id"), int):
-                self._admitted.add(reply["pp_id"])
-        elif rid in self._ending:
-            pp_id = self._ending.pop(rid)
-            error = (reply.get("error") or {}).get("code")
-            if reply.get("ok") or error == ErrorCode.UNKNOWN_PERIOD:
-                self._admitted.discard(pp_id)
-
-    def _handle_injected(self, rid: int, reply: Dict[str, Any]) -> bool:
-        """Process a reply to a pump-injected frame; False kills the pump."""
-        kind = self._swallow.pop(rid, None)
-        if kind != "hello":
-            return True  # stale/unknown injected reply: ignore
-        if not reply.get("ok"):
-            return False  # migration hello rejected: drop the client
-        return True
-
-    # ------------------------------------------------------------------
-    # migration
-    # ------------------------------------------------------------------
-    def parked_demand(self, min_age_s: float) -> Optional[Dict[str, int]]:
-        """The demand of this client's lone parked begin, if migratable.
-
-        Migration is only sound when the client's *entire* footprint on
-        its shard is one parked (uncharged) ``pp_begin``: admitted periods
-        hold capacity that cannot move, and anonymous clients have no
-        identity to re-bind on the target shard.
-        """
-        if (
-            self._closed or self._migrating or not self.named
-            or self._admitted or len(self._inflight) != 1
-        ):
-            return None
-        frame, since = next(iter(self._inflight.values()))
-        if time.monotonic() - since < min_age_s:
-            return None
-        demand = frame.get("demand_bytes")
-        if not isinstance(demand, int) or demand <= 0:
-            return None
-        return {str(frame.get("resource", "llc")): demand}
-
-    async def migrate_to(self, target: ShardState) -> bool:
-        """Move this client's parked begin to ``target``.
-
-        Closing the old leg makes the old shard cancel the parked period
-        (it holds no capacity); the injected hello re-binds the client's
-        identity on the target, and the parked begin is re-sent verbatim
-        — original request id, original idempotency token — so the reply
-        reaches the waiting client as if nothing happened.
-        """
-        if self._closed or self._migrating or self._hello_frame is None:
-            return False
-        self._migrating = True
-        try:
-            async with self._backend_lock:
-                cfg = self.frontend.cfg
-                old, self.backend = self.backend, None
-                if old is not None:
-                    with contextlib.suppress(Exception):
-                        await old.close()
-                try:
-                    backend = await ServeClient.connect(
-                        timeout=cfg.probe_timeout_s,
-                        **_connect_kwargs(target.address),
-                    )
-                except (ConnectionError, OSError, asyncio.TimeoutError):
-                    await self.close()  # backendless: client must re-place
-                    return False
-                inject_id = next(self._inject_ids)
-                self._swallow[inject_id] = "hello"
-                hello = dict(self._hello_frame)
-                hello["id"] = inject_id
-                # The hello travels in NDJSON (fresh connection), but the
-                # shard switches to binary the moment it sends the ack —
-                # so every frame *after* the hello must already be in the
-                # client's negotiated encoding.
-                self.shard_write_binary = self.client_binary
-                backend.writer.write(protocol.encode_frame(hello))
-                for rid in sorted(self._inflight):
-                    frame, _ = self._inflight[rid]
-                    backend.writer.write(self._encode_shard(frame))
-                    self._inflight[rid] = (frame, time.monotonic())
-                await backend.writer.drain()
-                self.shard = target
-                self.backend = backend
-                self._backend_changed.set()
-            return True
-        except (ConnectionError, RuntimeError):
-            await self.close()
-            return False
-        finally:
-            self._migrating = False
-
-
 class ClusterFrontend:
-    """The placer process: accepts clients, assigns shards, relays."""
+    """The placer process: accepts clients, assigns shards, redirects."""
 
     def __init__(self, cfg: ClusterConfig) -> None:
         if not cfg.shards:
@@ -466,16 +140,13 @@ class ClusterFrontend:
             "placements_total", "clients assigned to a shard"
         )
         self.c_redirects = self.metrics.counter(
-            "redirects_total", "hello replies answered with REDIRECT"
-        )
-        self.c_forwards = self.metrics.counter(
-            "forwards_total", "clients relayed through a forwarding pump"
+            "redirects_total", "hello/pp_begin replies answered with REDIRECT"
         )
         self.c_migrations = self.metrics.counter(
             "migrations_total", "parked clients moved to a shard with room"
         )
         self.c_migration_failures = self.metrics.counter(
-            "migration_failures_total", "migrations that lost the client"
+            "migration_failures_total", "migrate calls the source shard failed"
         )
         self.c_requests = self.metrics.counter(
             "requests_total", "frames handled by the front-end itself"
@@ -497,8 +168,16 @@ class ClusterFrontend:
         self._brownout = False
         self._brownout_streak = 0
         #: per-resource high-water mark of declared demand, the yardstick
-        #: for "could any shard even fit a typical new client?"
+        #: for "could any shard even fit a typical new client?"; folded
+        #: from the shards' ``demand_peak_bytes``
         self._peak_demand: Dict[str, int] = {}
+        #: shard name -> (client, demand, parked-since) of its movable
+        #: parked begins, from the last probe
+        self._parked: Dict[str, List[Tuple[str, Dict[str, int], float]]] = {}
+        #: shard name -> lease TTL it reported; client -> the time its
+        #: placement reservation is released
+        self._lease_ttl_s: Dict[str, float] = {}
+        self._release_at: Dict[str, float] = {}
         #: supervision state: shard name -> async restart hook
         self._restarters: Dict[str, Any] = {}
         self._restarting: set = set()
@@ -532,7 +211,6 @@ class ClusterFrontend:
         self.metrics.gauge(
             "shards_alive", fn=lambda: float(len(self.placer.alive_shards()))
         )
-        self.metrics.gauge("pumps", fn=lambda: float(len(self._pumps)))
         for address in cfg.shards:
             shard = self.placer.shards[address.name]
             self.metrics.gauge(
@@ -547,7 +225,6 @@ class ClusterFrontend:
                 f"shard_alive:{address.name}",
                 fn=lambda s=shard: float(s.alive),
             )
-        self._pumps: set = set()
         self._servers: List[asyncio.AbstractServer] = []
         self._unix_path: Optional[str] = None
         self._background: List[asyncio.Task] = []
@@ -617,8 +294,6 @@ class ClusterFrontend:
         self.draining = True
         for server in self._servers:
             server.close()
-        for pump in list(self._pumps):
-            await pump.close()
         for server in self._servers:
             await server.wait_closed()
         stopping = list(self._background) + list(self._restart_tasks)
@@ -631,53 +306,31 @@ class ClusterFrontend:
             self.metrics.dump_json(self.cfg.metrics_json)
 
     # ------------------------------------------------------------------
-    # placement hooks
-    # ------------------------------------------------------------------
-    def note_demand(self, client_id: str, demand: Dict[str, int]) -> None:
-        """Fold a declared pp_begin demand into the client's profile."""
-        for resource, amount in demand.items():
-            if amount > self._peak_demand.get(resource, 0):
-                self._peak_demand[resource] = amount
-        with contextlib.suppress(ClusterError):
-            self.placer.observe_demand(client_id, demand)
-
-    def shard_trouble(self, shard: ShardState) -> None:
-        """A data-path failure implicating ``shard``: mark it dead now.
-
-        Marking it dead immediately keeps the placer from routing new
-        clients at a socket that just failed; the supervisor (or the
-        next successful probe) resurrects it.  A *draining* shard is
-        exempt — its connections are expected to drop during a planned
-        restart, and only the drain/restart cycle decides its liveness.
-        """
-        if shard.draining:
-            return
-        self.placer.mark_dead(shard.name)
-
-    # ------------------------------------------------------------------
     # background loops
     # ------------------------------------------------------------------
     async def _shard_call(
         self,
-        shard: ShardState,
+        state: ShardState,
         op: str,
         timeout: Optional[float] = None,
         unreachable: Any = None,
+        **fields: Any,
     ) -> Any:
-        """Connect to ``shard``, make one ``op`` call, close again.
+        """Connect to shard ``state``, make one ``op`` call, close again.
 
         Returns the reply; None when the call fails, and ``unreachable``
-        when the shard does not accept the connection.
+        when the shard does not accept the connection.  (The shard is not
+        a ``shard`` parameter: ``migrate`` sends a ``shard`` field.)
         """
         try:
             client = await ServeClient.connect(
                 timeout=self.cfg.probe_timeout_s,
-                **_connect_kwargs(shard.address),
+                **_connect_kwargs(state.address),
             )
         except (ConnectionError, OSError, asyncio.TimeoutError):
             return unreachable
         try:
-            return await client.call(op, timeout=timeout)
+            return await client.call(op, timeout=timeout, **fields)
         except Exception:
             return None
         finally:
@@ -710,6 +363,7 @@ class ClusterFrontend:
             # a shard that answers probes is serving: a stale quarantine
             # (operator intervention, external restart) lifts itself
             self._quarantined.discard(shard.name)
+        self._release_expired()
         self._frag_peak = max(self._frag_peak, self.placer.fragmentation())
         self._update_brownout()
 
@@ -732,6 +386,38 @@ class ClusterFrontend:
             open_periods=reply.get("open_periods"),
             alive=True,
         )
+        peak = reply.get("demand_peak_bytes", 0)
+        if peak > self._peak_demand.get("llc", 0):
+            self._peak_demand["llc"] = peak
+        self._lease_ttl_s[shard.name] = reply.get("lease_ttl_s", 0.0)
+        self._note_parked(shard, reply)
+
+    def _note_parked(self, shard: ShardState, reply: Dict[str, Any]) -> None:
+        """Keep a probe's list of the shard's movable parked begins."""
+        now = time.monotonic()
+        self._parked[shard.name] = [
+            (
+                entry["client"],
+                {entry["resource"]: entry["demand_bytes"]},
+                now - entry["parked_s"],
+            )
+            for entry in reply.get("parked") or ()
+        ]
+
+    def _reserve(self, client_id: str, shard: ShardState) -> None:
+        """Hold the client's placement reservation on ``shard`` for one of
+        its lease TTLs: by then the shard's observed usage carries the
+        client's charge, or its lease has lapsed."""
+        self._release_at[client_id] = (
+            time.monotonic() + self._lease_ttl_s.get(shard.name, 0.0)
+        )
+
+    def _release_expired(self) -> None:
+        now = time.monotonic()
+        for client_id, at in list(self._release_at.items()):
+            if at <= now:
+                del self._release_at[client_id]
+                self.placer.release(client_id)
 
     def _update_brownout(self) -> None:
         """Hysteretic brownout decision, one call per health sweep.
@@ -797,25 +483,41 @@ class ClusterFrontend:
         only_shard: Optional[str] = None,
         rebalance: bool = False,
     ) -> int:
-        """One migration sweep over the forwarding pumps; returns moves."""
+        """One migration sweep over the probed parked lists; returns moves.
+
+        A parked begin at least ``min_age_s`` old whose shard is saturated
+        while another has headroom is moved with ``migrate``: its shard
+        answers the begin with REDIRECT to the target.
+        """
         moved = 0
-        for pump in list(self._pumps):
-            if only_shard is not None and pump.shard.name != only_shard:
+        for name, parked in list(self._parked.items()):
+            source = self.placer.shards[name]
+            if not source.alive or only_shard not in (None, name):
                 continue
-            demand = pump.parked_demand(min_age_s)
-            if demand is None:
-                continue
-            target = self.placer.migration_target(pump.client_id, demand)
-            if target is None:
-                continue
-            if await pump.migrate_to(target):
-                self.placer.migrate(pump.client_id, target)
+            for entry in list(parked):
+                client_id, demand, since = entry
+                if time.monotonic() - since < min_age_s:
+                    continue
+                target = self.placer.migration_target(client_id, demand)
+                if target is None or target is source:
+                    continue
+                # one attempt per probe: the next probe re-lists it if need be
+                parked.remove(entry)
+                reply = await self._shard_call(
+                    source, "migrate", timeout=self.cfg.probe_timeout_s,
+                    client=client_id, shard=target.address.to_fields(),
+                )
+                if reply is None:
+                    self.c_migration_failures.inc()
+                    continue
+                if not reply.get("moved"):
+                    continue  # admitted (or gone) in the meantime
+                self.placer.migrate(client_id, target)
+                self._reserve(client_id, target)
                 self.c_migrations.inc()
                 if rebalance:
                     self.c_rebalances.inc()
                 moved += 1
-            else:
-                self.c_migration_failures.inc()
         return moved
 
     async def _metrics_loop(self) -> None:
@@ -942,9 +644,9 @@ class ClusterFrontend:
         """Planned drain of one shard.
 
         The placer stops placing onto it immediately (sticky clients
-        re-place on their next hello), parked forwarded clients migrate
-        away via the normal ``migrate_to`` path, running periods get a
-        bounded grace window, and only then is the shard asked to drain.
+        re-place on their next hello), its movable parked begins migrate
+        away by REDIRECT, running periods get a bounded grace window, and
+        only then is the shard asked to drain.
         Returns True when the shard acknowledged the drain (or was
         already down).
         """
@@ -956,17 +658,14 @@ class ClusterFrontend:
         self.c_shard_drains.inc()
         deadline = time.monotonic() + grace
         while time.monotonic() < deadline:
-            await self._migrate_parked(0.0, only_shard=name)
             reply = await self._probe(shard)
             if reply is None:
                 break  # already down (crashed mid-drain)
-            if (
-                int(reply.get("open_periods") or 0) == 0
-                and not any(
-                    p.shard.name == name for p in self._pumps
-                    if not p._closed
-                )
-            ):
+            # the health sweep skips draining shards: refresh the parked
+            # list from this probe
+            self._note_parked(shard, reply)
+            await self._migrate_parked(0.0, only_shard=name)
+            if int(reply.get("open_periods") or 0) == 0:
                 break
             await asyncio.sleep(0.05)
         # an unreachable shard has nothing left to drain
@@ -1023,13 +722,11 @@ class ClusterFrontend:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Dispatch one front-end connection.
+        """Serve one front-end connection, always in NDJSON.
 
-        The front-end itself always speaks NDJSON: binary framing is a
-        per-shard negotiation that rides through the pump.  The first
-        shard-addressed frame (``hello``, ``pp_begin``, ``pp_end``)
-        flips the connection into forward mode and hands it to a pump;
-        ``query``/``stats``/``drain`` are answered here with aggregates.
+        ``hello`` and ``pp_begin`` are answered with a REDIRECT to the
+        client's shard; ``query``/``stats``/``drain`` are answered here
+        with aggregates.  The connection never binds to a shard.
         """
         async def send(frame: Dict[str, Any]) -> None:
             try:
@@ -1064,23 +761,8 @@ class ClusterFrontend:
                         None, exc.code, exc.message
                     ))
                     continue
-                if request.op == "hello":
-                    handed_off = await self._op_hello(
-                        request, frame, reader, writer, send
-                    )
-                    if handed_off:
-                        return
-                elif request.op in ("pp_begin", "pp_end"):
-                    # Anonymous fast path: place under a synthetic id and
-                    # forward — exactly what a bare server does for
-                    # clients that skip hello.
-                    client_id = f"anon-{next(self._anon_ids)}"
-                    shard = await self._place(client_id, request.id, send)
-                    if shard is not None:
-                        await self._forward(
-                            client_id, False, frame, reader, writer, shard
-                        )
-                    return
+                if request.op in ("hello", "pp_begin"):
+                    await self._op_redirect(request, send)
                 elif request.op == "query":
                     await send(await self._op_query(request))
                 elif request.op == "stats":
@@ -1089,42 +771,50 @@ class ClusterFrontend:
                     ))
                 elif request.op == "drain":
                     await send(await self._op_drain(request))
-                else:  # heartbeat before hello
+                else:
                     await send(protocol.error_reply(
-                        request.id, ErrorCode.NOT_BOUND,
-                        "say hello before heartbeat",
+                        request.id, *self._UNROUTED[request.op]
                     ))
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _op_hello(
-        self,
-        request: protocol.Request,
-        frame: Dict[str, Any],
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        send,
-    ) -> bool:
-        """Place the client; returns True when the connection was handed
-        to a pump (the caller must stop reading)."""
-        demand_hint: Dict[str, int] = {}
-        hint = frame.get("demand_bytes")
-        if isinstance(hint, int) and not isinstance(hint, bool) and hint > 0:
-            demand_hint["llc"] = hint
-        shard = await self._place(request.client, request.id, send, demand_hint)
+    #: verbs the front-end answers with an error and no placement
+    _UNROUTED = {
+        "pp_end": (ErrorCode.UNKNOWN_PERIOD, "end a period on its shard"),
+        "heartbeat": (ErrorCode.NOT_BOUND, "say hello before heartbeat"),
+        "migrate": (ErrorCode.BAD_REQUEST, "migrate is a shard verb"),
+    }
+
+    async def _op_redirect(self, request: protocol.Request, send) -> None:
+        """Place the client and answer with a REDIRECT to its shard.
+
+        A ``pp_begin`` from a client that skipped hello is placed on its
+        declared demand under a synthetic id, forgotten right after the
+        reply; a named client's reservation is held for one lease TTL.
+        """
+        if request.op == "hello":
+            client_id = request.client
+            demand: Dict[str, int] = {}
+            hint = request.raw.get("demand_bytes")
+            if type(hint) is int and hint > 0:
+                demand["llc"] = hint
+        else:
+            client_id = f"anon-{next(self._anon_ids)}"
+            demand = {request.resource.value: request.demand_bytes}
+        shard = await self._place(client_id, request.id, send, demand)
         if shard is None:
-            return False
-        if frame.get("redirect") is True:
-            self.c_redirects.inc()
-            await send(protocol.error_reply(
-                request.id, ErrorCode.REDIRECT,
-                f"assigned to shard {shard.name}",
-                shard=shard.address.to_fields(),
-            ))
-            return False  # the client hangs up and dials the shard
-        await self._forward(request.client, True, frame, reader, writer, shard)
-        return True
+            return
+        self.c_redirects.inc()
+        await send(protocol.error_reply(
+            request.id, ErrorCode.REDIRECT,
+            f"assigned to shard {shard.name}",
+            shard=shard.address.to_fields(),
+        ))
+        if request.op == "hello":
+            self._reserve(client_id, shard)
+        else:
+            self.placer.forget(client_id)  # a synthetic identity never returns
 
     async def _place(
         self,
@@ -1154,30 +844,6 @@ class ClusterFrontend:
             return None
         self.c_placements.inc()
         return shard
-
-    async def _forward(
-        self,
-        client_id: str,
-        named: bool,
-        first_frame: Dict[str, Any],
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        shard: ShardState,
-    ) -> None:
-        self.c_forwards.inc()
-        pump = _ForwardPump(self, client_id, named, reader, writer, shard)
-        self._pumps.add(pump)
-        try:
-            await pump.run(first_frame)
-        finally:
-            self._pumps.discard(pump)
-            if named:
-                # keep the (sticky) assignment but stop reserving scored
-                # capacity for a client that is no longer connected
-                self.placer.release(client_id)
-            else:
-                # a synthetic identity never comes back
-                self.placer.forget(client_id)
 
     # ------------------------------------------------------------------
     # aggregation verbs
@@ -1263,12 +929,28 @@ class ClusterFrontend:
           rejoin.  The cluster keeps serving throughout.
         * ``{"op": "drain", "rolling": true}`` — a full rolling restart
           over every shard, one at a time.
+
+        ``shard`` must be a string, ``rolling`` a bool and ``grace_s`` a
+        non-negative number; anything else is a ``BAD_REQUEST``.
         """
         raw = request.raw
-        grace = raw.get("grace_s")
-        grace_s = float(grace) if isinstance(grace, (int, float)) else None
+        grace_s = raw.get("grace_s")
         target = raw.get("shard")
-        if isinstance(target, str):
+        if (
+            (target is not None and not isinstance(target, str))
+            or not isinstance(raw.get("rolling", False), bool)
+            or (grace_s is not None and (
+                isinstance(grace_s, bool)
+                or not isinstance(grace_s, (int, float))
+                or not grace_s >= 0  # NaN too
+            ))
+        ):
+            return protocol.error_reply(
+                request.id, ErrorCode.BAD_REQUEST,
+                "drain takes a string 'shard', a boolean 'rolling' and a "
+                "non-negative number 'grace_s'",
+            )
+        if target is not None:
             if target not in self.placer.shards:
                 return protocol.error_reply(
                     request.id, ErrorCode.BAD_REQUEST,

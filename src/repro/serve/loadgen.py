@@ -356,7 +356,6 @@ class _Runner:
             # experiment); the resilient layer handles transport faults only
             retry_admission=False,
             binary=self.cfg.binary,
-            follow_redirects=self.cfg.cluster,
             breaker_threshold=self.cfg.breaker_threshold,
             breaker_reset_s=self.cfg.breaker_reset_s,
             rng=random.Random(self.rng.randrange(1 << 30)),

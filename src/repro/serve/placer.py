@@ -32,8 +32,9 @@ policy is unit-testable and deterministic:
   a dead shard's clients are re-placed on their next hello.
 * **Migration.**  When a shard saturates while another has headroom,
   :meth:`DemandAwarePlacer.migration_target` names the shard a parked
-  client should move to; the transport layer (``repro.serve.cluster``)
-  performs the move.
+  client should move to; the front-end (``repro.serve.cluster``) performs
+  the move by having the client's shard answer its parked begin with
+  ``REDIRECT``.
 * **Fragmentation.**  :meth:`fragmentation` gauges how scattered the
   cluster's free capacity is: ``1 - largest_free / total_free``.  0 means
   every free byte is one contiguous per-shard hole; values near 1 mean
@@ -93,7 +94,7 @@ class ShardState:
     address: ShardAddress
     #: capacity vector; updated from health observations when they arrive
     capacity: Dict[str, int] = field(default_factory=dict)
-    #: last *observed* usage vector (health probe / forwarded replies)
+    #: last *observed* usage vector (health probes)
     usage: Dict[str, int] = field(default_factory=dict)
     #: demand the placer has assigned here but may not be charged yet
     assigned: Dict[str, int] = field(default_factory=dict)
@@ -332,20 +333,6 @@ class DemandAwarePlacer:
             return
         if shard.clients.pop(client_id, None) is not None:
             self._recompute_assigned(shard)
-
-    def observe_demand(self, client_id: str, demand: Dict[str, int]) -> None:
-        """Fold a demand observation into the client's *current* shard.
-
-        Unlike :meth:`place` this never re-places: mid-flight demand from
-        an established forwarding pump must land on the shard the bytes
-        actually flow to, even if that shard is draining or newly dead.
-        Unknown clients fall through to a normal placement.
-        """
-        shard = self.shard_of(client_id)
-        if shard is not None:
-            self._note_demand(shard, client_id, dict(demand))
-        else:
-            self.place(client_id, demand)
 
     def shard_of(self, client_id: str) -> Optional[ShardState]:
         name = self.assignments.get(client_id)

@@ -9,7 +9,8 @@ a typed error instead of undefined behaviour.
 
 Request frames::
 
-    {"v": 1, "id": 6, "op": "hello", "client": "app-7f3e"}
+    {"v": 1, "id": 6, "op": "hello", "client": "app-7f3e",
+     "redirect": true}                          # optional: movable by REDIRECT
     {"v": 1, "id": 7, "op": "pp_begin", "resource": "llc",
      "demand_bytes": 6606028, "reuse": "high", "label": "DGEMM",
      "token": "b7c1..."}                        # optional idempotency token
@@ -18,6 +19,8 @@ Request frames::
     {"v": 1, "id": 10, "op": "stats"}
     {"v": 1, "id": 11, "op": "drain"}
     {"v": 1, "id": 12, "op": "heartbeat"}       # renews the client lease
+    {"v": 1, "id": 13, "op": "migrate", "client": "app-7f3e",
+     "shard": {"name": "shard1", "unix_path": "/tmp/rda.sock.shard1"}}
 
 Replies carry the request's ``id`` back and either ``"ok": true`` plus
 verb-specific fields, or ``"ok": false`` with a typed error::
@@ -26,6 +29,9 @@ verb-specific fields, or ``"ok": false`` with a typed error::
     {"v": 1, "id": 7, "ok": false,
      "error": {"code": "RETRY_AFTER", "message": "...",
                "retry_after_s": 0.05}}
+
+A ``REDIRECT`` error names the shard to speak to instead in
+``error.shard``; :func:`redirect_address` turns it into connect arguments.
 
 See ``docs/SERVE.md`` for the full specification.
 """
@@ -57,6 +63,8 @@ __all__ = [
     "decode_binary_frame",
     "decode_any_frame",
     "read_raw_frame",
+    "shard_address",
+    "redirect_address",
     "ok_reply",
     "error_reply",
 ]
@@ -68,7 +76,10 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024
 
 #: the verbs a client may send
-VERBS = ("hello", "heartbeat", "pp_begin", "pp_end", "query", "stats", "drain")
+VERBS = (
+    "hello", "heartbeat", "pp_begin", "pp_end", "query", "stats", "drain",
+    "migrate",
+)
 
 #: upper bound on client-supplied identity strings (client ids, tokens)
 MAX_IDENT_CHARS = 128
@@ -119,7 +130,7 @@ class Request:
     label: str = ""
     #: pp_begin idempotency token (dedupes re-issued begins, §journal)
     token: Optional[str] = None
-    #: hello field: durable client identity the lease is bound to
+    #: hello / migrate field: durable client identity the lease is bound to
     client: Optional[str] = None
     #: pp_end / query field
     pp_id: Optional[int] = None
@@ -231,32 +242,21 @@ def decode_any_frame(
 
 async def read_raw_frame(
     reader: asyncio.StreamReader,
-    binary: Optional[bool],
+    binary: bool,
     max_bytes: int = MAX_FRAME_BYTES,
 ) -> bytes:
     """Read one raw frame in the connection's current encoding.
 
-    ``binary=None`` sniffs the encoding per frame from the first byte
-    (the binary magic never opens a JSON text) — used by the cluster
-    forwarding pump, whose inbound leg may flip encodings between frames
-    while the read is already parked.  Returns the complete frame bytes
-    (header + payload for binary, the terminated line for NDJSON) or
-    ``b""`` on a clean EOF at a frame boundary.  EOF *inside* a binary
-    frame raises :class:`~repro.errors.ProtocolError` with ``BAD_FRAME``
-    — there is no newline to resynchronize on, so a torn binary frame is
-    fatal to the connection.  Shared by the server, the cluster
-    forwarding pump and the resilient client's reader loop so all three
-    agree on framing.
+    Returns the complete frame bytes (header + payload for binary, the
+    terminated line for NDJSON) or ``b""`` on a clean EOF at a frame
+    boundary.  EOF *inside* a binary frame raises
+    :class:`~repro.errors.ProtocolError` with ``BAD_FRAME`` — there is no
+    newline to resynchronize on, so a torn binary frame is fatal to the
+    connection.  Shared by the server and the resilient client's reader
+    loop so both agree on framing.
     """
-    sniffed = b""
-    if binary is None:
-        try:
-            sniffed = await reader.readexactly(1)
-        except asyncio.IncompleteReadError:
-            return b""  # clean EOF before any frame
-        binary = sniffed == bytes((BINARY_MAGIC,))
     if not binary:
-        line = sniffed + await reader.readline()
+        line = await reader.readline()
         if len(line) > max_bytes:
             raise ProtocolError(
                 ErrorCode.FRAME_TOO_LARGE,
@@ -264,17 +264,14 @@ async def read_raw_frame(
             )
         return line
     try:
-        header = sniffed + await reader.readexactly(
-            BINARY_HEADER_BYTES - len(sniffed)
-        )
+        header = await reader.readexactly(BINARY_HEADER_BYTES)
     except asyncio.IncompleteReadError as exc:
-        if not exc.partial and not sniffed:
+        if not exc.partial:
             return b""  # clean EOF between frames
         raise ProtocolError(
             ErrorCode.BAD_FRAME,
             f"connection closed inside a binary frame header "
-            f"({len(sniffed) + len(exc.partial)} of {BINARY_HEADER_BYTES} "
-            f"bytes)",
+            f"({len(exc.partial)} of {BINARY_HEADER_BYTES} bytes)",
         ) from None
     length = parse_binary_header(header, max_bytes)
     try:
@@ -286,6 +283,34 @@ async def read_raw_frame(
             f"({len(exc.partial)} of {length} bytes)",
         ) from None
     return header + payload
+
+
+# ----------------------------------------------------------------------
+# shard addresses (REDIRECT replies, the migrate verb)
+# ----------------------------------------------------------------------
+def shard_address(fields: Any) -> Optional[Dict[str, Any]]:
+    """Connect arguments for a shard address: a unix socket path, or a
+    host plus a port in 1..65535; None when unusable.  The result carries
+    all three keys, so addresses compare equal whatever their source."""
+    if not isinstance(fields, dict):
+        return None
+    path, host, port = (fields.get(k) for k in ("unix_path", "host", "port"))
+    if port is not None and (type(port) is not int or not 0 < port < 65536):
+        return None
+    if isinstance(path, str) and path:
+        return {"unix_path": path, "host": None, "port": None}
+    if isinstance(host, str) and host and port is not None:
+        return {"unix_path": None, "host": host, "port": port}
+    return None
+
+
+def redirect_address(reply: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """Where a ``REDIRECT`` reply sends the client; None for any other
+    reply, and for a REDIRECT whose address is unusable."""
+    error = reply.get("error") or {}
+    if error.get("code") != ErrorCode.REDIRECT:
+        return None
+    return shard_address(error.get("shard"))
 
 
 # ----------------------------------------------------------------------
@@ -384,11 +409,17 @@ def parse_request(frame: Dict[str, Any]) -> Request:
             raw=frame,
         )
 
-    if op == "hello":
+    if op in ("hello", "migrate"):
         client = _optional_ident(frame, "client")
         if client is None:
             raise ProtocolError(
-                ErrorCode.BAD_REQUEST, "'hello' requires a 'client' identity"
+                ErrorCode.BAD_REQUEST, f"{op!r} requires a 'client' identity"
+            )
+        if op == "migrate" and shard_address(frame.get("shard")) is None:
+            raise ProtocolError(
+                ErrorCode.BAD_REQUEST,
+                "'migrate' requires a 'shard' with a unix_path, or a host "
+                "and a port in 1..65535",
             )
         return Request(op=op, id=request_id, client=client, raw=frame)
 

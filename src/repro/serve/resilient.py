@@ -11,11 +11,14 @@ the client half of the service's fault-tolerance contract on top of it:
   length-prefixed binary framing, so the fast codec survives crashes and
   reconnects instead of silently degrading to NDJSON.
 * **Redirect following.**  A cluster front-end (``repro.serve.cluster``)
-  may answer ``hello`` with a typed ``REDIRECT`` carrying the address of
-  the admission shard this client was placed on.  The client transparently
+  answers ``hello`` with a typed ``REDIRECT`` carrying the address of the
+  admission shard this client was placed on.  The client transparently
   re-connects there (bounded hops, counted in :attr:`redirects`); when a
   redirected-to shard later becomes unreachable the client falls back to
-  the original front-end address so the placer can re-place it.
+  the original front-end address so the placer can re-place it.  Every
+  hello says ``"redirect": true``, so a shard may also answer a *parked*
+  ``pp_begin`` with ``REDIRECT`` when the front-end migrates it: the
+  client re-targets and re-issues the begin with the same token.
 * **Idempotent pp_begin.**  Each admission carries a client-generated
   idempotency token.  A reply lost to a dropped connection or a server
   crash is re-issued with the *same* token; the server (and its journal)
@@ -90,7 +93,6 @@ class ResilientServeClient:
         backoff_cap_s: float = 1.0,
         retry_admission: bool = True,
         binary: bool = False,
-        follow_redirects: bool = True,
         max_redirects: int = 8,
         breaker_threshold: Optional[int] = None,
         breaker_reset_s: float = 1.0,
@@ -108,7 +110,6 @@ class ResilientServeClient:
         #: where we currently connect — diverges from home after a REDIRECT
         self._target: Dict[str, Any] = dict(self._home)
         self.binary = binary
-        self.follow_redirects = follow_redirects
         self.max_redirects = max_redirects
         self.client_id = client_id or f"client-{uuid.uuid4().hex[:12]}"
         self.connect_timeout_s = connect_timeout_s
@@ -140,6 +141,7 @@ class ResilientServeClient:
         #: REDIRECT to completing the hello on the shard it named — the
         #: placement-quality number the loadgen report summarizes
         self.redirect_latency_s: List[float] = []
+        self._redirect_t0: Optional[float] = None
         #: learned peak-demand estimate from the last hello reply; echoed
         #: back as the `hello demand_bytes` cluster placement hint
         self.predicted_demand_bytes: Optional[int] = None
@@ -245,7 +247,6 @@ class ResilientServeClient:
                 return self._conn
             last_exc: Optional[BaseException] = None
             redirects_left = self.max_redirects
-            redirect_t0: Optional[float] = None
             attempt = 0
             while attempt < self.max_attempts:
                 self._breaker_check()
@@ -263,7 +264,7 @@ class ResilientServeClient:
                         # re-place us on a live shard.
                         self._target = dict(self._home)
                         redirects_left = self.max_redirects
-                        redirect_t0 = None
+                        self._redirect_t0 = None
                     await asyncio.sleep(self._backoff(attempt))
                     continue
                 if self._connected_once:
@@ -279,11 +280,11 @@ class ResilientServeClient:
                 # codec choice is per-connection, so every re-hello must
                 # re-request it or a reconnect would silently fall back to
                 # NDJSON.
-                hello_fields: Dict[str, Any] = {"client": self.client_id}
+                hello_fields: Dict[str, Any] = {
+                    "client": self.client_id, "redirect": True,
+                }
                 if self.binary:
                     hello_fields["binary"] = True
-                if self.follow_redirects:
-                    hello_fields["redirect"] = True
                 if self.predicted_demand_bytes is not None:
                     # placement hint: a demand-aware frontend scores shards
                     # against the learned footprint, not the declared one
@@ -294,8 +295,7 @@ class ResilientServeClient:
                         **hello_fields,
                     )
                 except (ConnectionError, asyncio.TimeoutError) as exc:
-                    await conn.close()
-                    self._conn = None
+                    await self._drop(conn)
                     self._breaker_failure()
                     last_exc = exc
                     attempt += 1
@@ -308,15 +308,15 @@ class ResilientServeClient:
                         # max_redirects and give up on a healthy cluster.
                         self._target = dict(self._home)
                         redirects_left = self.max_redirects
-                        redirect_t0 = None
+                        self._redirect_t0 = None
                     await asyncio.sleep(self._backoff(attempt))
                     continue
                 if hello.get("ok"):
-                    if redirect_t0 is not None:
+                    if self._redirect_t0 is not None:
                         self.redirect_latency_s.append(
-                            time.monotonic() - redirect_t0
+                            time.monotonic() - self._redirect_t0
                         )
-                        redirect_t0 = None
+                        self._redirect_t0 = None
                     self._breaker_success()
                     self.lease_ttl_s = hello.get("lease_ttl_s")
                     hint = hello.get("predicted_demand_bytes")
@@ -333,35 +333,37 @@ class ResilientServeClient:
                             self._heartbeat_loop()
                         )
                     return conn
-                error = hello.get("error") or {}
-                await conn.close()
-                self._conn = None
-                if (
-                    error.get("code") == ErrorCode.REDIRECT
-                    and self.follow_redirects
-                    and redirects_left > 0
-                ):
-                    shard = error.get("shard") or {}
-                    target = {
-                        "unix_path": shard.get("unix_path"),
-                        "host": shard.get("host"),
-                        "port": shard.get("port"),
-                    }
-                    if target["unix_path"] is None and (
-                        target["host"] is None or target["port"] is None
-                    ):
-                        raise ServeReplyError(hello)  # unusable redirect
+                await self._drop(conn)
+                address = protocol.redirect_address(hello)
+                if address is not None and redirects_left > 0:
                     redirects_left -= 1
-                    self.redirects += 1
-                    self._target = target
-                    if redirect_t0 is None:
-                        redirect_t0 = time.monotonic()
+                    self._retarget(address)
                     continue  # a redirect is progress, not a failed attempt
                 raise ServeReplyError(hello)
             raise ServeError(
                 f"could not reach the admission server after "
                 f"{self.max_attempts} attempts: {last_exc}"
             ) from last_exc
+
+    def _retarget(self, address: Dict[str, Any]) -> None:
+        """Point the next connection at the shard a REDIRECT named."""
+        self.redirects += 1
+        self._target = address
+        if self._redirect_t0 is None:
+            self._redirect_t0 = time.monotonic()
+
+    async def _drop(self, conn: ServeClient) -> None:
+        """Close ``conn``.  When it is the live connection, also wait out
+        its reader loop, whose teardown fails every pending request — it
+        must not fail the ones sent on the next connection."""
+        reader_task = None
+        if self._conn is conn:
+            self._conn = None
+            reader_task = self._reader_task
+        with contextlib.suppress(Exception):
+            await conn.close()
+        if reader_task is not None:
+            await asyncio.wait({reader_task})
 
     async def _reader_loop(self, conn: ServeClient) -> None:
         """Dispatch reply frames to their callers by request id.
@@ -468,8 +470,10 @@ class ResilientServeClient:
         verb this client issues.  Silence past the timeout on a live socket
         means the request or its reply was lost (a dropped frame, a
         half-open peer): the connection is desynchronized either way, so it
-        is dropped and the call re-issued on a fresh one.  Typed error
-        replies raise :class:`~repro.serve.client.ServeReplyError`
+        is dropped and the call re-issued on a fresh one.  A ``REDIRECT``
+        (a shard moving a parked begin) re-targets the client and re-sends
+        the frame there, at most ``max_redirects`` times.  Other typed
+        error replies raise :class:`~repro.serve.client.ServeReplyError`
         unchanged.
         """
         if timeout is None:
@@ -480,7 +484,7 @@ class ResilientServeClient:
                 self.begin_timeout_s if op == "pp_begin"
                 else self.call_timeout_s
             )
-        attempt = 0
+        attempt = hops = 0
         while True:
             conn: Optional[ServeClient] = None
             try:
@@ -491,10 +495,7 @@ class ResilientServeClient:
                 asyncio.TimeoutError,
             ) as exc:
                 if isinstance(exc, asyncio.TimeoutError) and conn is not None:
-                    if self._conn is conn:
-                        self._conn = None
-                    with contextlib.suppress(Exception):
-                        await conn.close()
+                    await self._drop(conn)
                 attempt += 1
                 self.retries += 1
                 if attempt >= self.max_attempts:
@@ -502,6 +503,12 @@ class ResilientServeClient:
                         f"{op} failed after {attempt} transport retries"
                     ) from exc
                 await asyncio.sleep(self._backoff(attempt))
+                continue
+            address = protocol.redirect_address(reply)
+            if address is not None and hops < self.max_redirects:
+                hops += 1
+                self._retarget(address)
+                await self._drop(conn)
                 continue
             if not reply.get("ok"):
                 raise ServeReplyError(reply)

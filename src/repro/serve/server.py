@@ -37,6 +37,11 @@ Design points:
   to a crash-safe NDJSON log (:mod:`repro.serve.journal`) and replayed on
   startup, so a SIGKILLed server restarts with its charge ledger, lease
   table and idempotency-token index intact.
+* **Movable parked begins.**  A client whose ``hello`` carried
+  ``"redirect": true`` follows ``REDIRECT`` replies.  ``query`` lists
+  such clients whose only open period is a parked begin, and the
+  ``migrate`` verb (sent by a cluster front-end) cancels that begin and
+  answers it with ``REDIRECT`` to a shard with room.
 """
 
 from __future__ import annotations
@@ -81,6 +86,10 @@ __all__ = [
     "quota_admits",
     "serve_until_drained",
 ]
+
+#: most movable parked clients one ``query`` reply lists, so a probe
+#: reply stays far below MAX_FRAME_BYTES
+MAX_PARKED_LISTED = 64
 
 
 def adaptive_retry_hint_s(
@@ -302,6 +311,9 @@ class AdmissionService:
             waitlist=self.waitlist,
         )
         self.forced_admissions = 0
+        #: largest demand a pp_begin declared since boot (the cluster
+        #: front-end's brownout yardstick)
+        self.demand_peak_bytes = 0
         self.sanitizer: Optional[ServiceSanitizer] = None
         if cfg.sanitize:
             self.sanitizer = ServiceSanitizer(self)
@@ -740,6 +752,7 @@ class AdmissionService:
             "forced_admissions": self.forced_admissions,
             "clients": len(self.leases),
             "lease_ttl_s": self.leases.ttl_s,
+            "demand_peak_bytes": self.demand_peak_bytes,
             "resources": resources,
         }
         if self.journal is not None:
@@ -783,6 +796,9 @@ class _Session:
         #: in the encoding the request arrived in)
         self.binary = False
         self.binary_pending = False
+        #: the hello carried "redirect": true — the client follows
+        #: REDIRECT, so a front-end may move its parked begin
+        self.movable = False
 
     async def send(self, frame: Dict[str, Any]) -> None:
         if self.closed:
@@ -820,7 +836,8 @@ class AdmissionServer:
         self.cfg = cfg
         self.service = AdmissionService(cfg)
         self.sessions: set[_Session] = set()
-        #: pp_id -> future resolved with "admitted" | "drained"
+        #: pp_id -> future resolved with "admitted" | "drained", or with
+        #: the shard address a migrated begin is redirected to
         self._parked: Dict[int, asyncio.Future] = {}
         self._servers: List[asyncio.AbstractServer] = []
         self._unix_path: Optional[str] = None
@@ -1126,6 +1143,8 @@ class AdmissionServer:
                 return self._op_stats(request)
             if request.op == "drain":
                 return self._op_drain(request)
+            if request.op == "migrate":
+                return self._op_migrate(request)
             raise ServeError(f"unroutable op {request.op!r}")  # pragma: no cover
         except Exception as exc:  # noqa: BLE001 — a reply beats a dead server
             return protocol.error_reply(
@@ -1174,6 +1193,9 @@ class AdmissionServer:
                 request.id, ErrorCode.BAD_REQUEST,
                 f"resource {request.resource} is not managed by this server",
             )
+        service.demand_peak_bytes = max(
+            service.demand_peak_bytes, request.demand_bytes
+        )
         # Overload backpressure: the pending-admission queue is bounded.
         if len(service.waitlist) >= self.cfg.max_pending:
             service.c_retry_after.inc()
@@ -1377,11 +1399,19 @@ class AdmissionServer:
                     ProtocolError,
                 ):
                     await read_task
-        if future.result() == "drained":
+        outcome = future.result()
+        if outcome == "drained":
             self._wake(self._cancel_period(session.record, period.pp_id))
             return protocol.error_reply(
                 request.id, ErrorCode.DRAINING,
                 "server drained while the period was parked; period cancelled",
+            )
+        if isinstance(outcome, dict):
+            # migrated: _op_migrate already cancelled the period
+            return protocol.error_reply(
+                request.id, ErrorCode.REDIRECT,
+                f"moved to shard {outcome.get('name')}; re-issue the begin",
+                shard=outcome,
             )
         service.c_after_park.inc()
         service.h_park.observe(period.waited_s)
@@ -1415,15 +1445,17 @@ class AdmissionServer:
         """Bind this connection to a durable, lease-holding client identity."""
         service = self.service
         record = session.record
+        for flag in ("binary", "redirect"):
+            if not isinstance(request.raw.get(flag, False), bool):
+                return protocol.error_reply(
+                    request.id, ErrorCode.BAD_REQUEST,
+                    f"{flag!r} must be a boolean when present",
+                )
         binary = request.raw.get("binary", False)
-        if not isinstance(binary, bool):
-            return protocol.error_reply(
-                request.id, ErrorCode.BAD_REQUEST,
-                "'binary' must be a boolean when present",
-            )
         if not record.anonymous:
             if record.client_id == request.client:
                 service.leases.renew(record)  # re-hello: plain renewal
+                session.movable = request.raw.get("redirect", False)
                 if binary and not session.binary:
                     session.binary_pending = True
                 return self._hello_reply(
@@ -1453,6 +1485,7 @@ class AdmissionServer:
                 old.writer.close()
         named.session = session
         session.record = named
+        session.movable = request.raw.get("redirect", False)
         service.leases.renew(named)
         service.c_hello.inc()
         if binary and not session.binary:
@@ -1552,6 +1585,7 @@ class AdmissionServer:
     ) -> Dict[str, Any]:
         snapshot = self.service.snapshot()
         snapshot["draining"] = self.draining
+        snapshot["parked"] = self._movable_parked()
         if request.pp_id is not None:
             try:
                 period = session.record.api.period(request.pp_id)
@@ -1574,6 +1608,51 @@ class AdmissionServer:
                 "forced": period.forced,
             }
         return protocol.ok_reply(request.id, **snapshot)
+
+    def _movable(self, period: Optional[ProgressPeriod]) -> bool:
+        """Is ``period`` a parked begin a front-end may move?  Its client
+        follows REDIRECT and has no other open period."""
+        if period is None or period.owner.session is None:
+            return False
+        future, session = self._parked.get(period.pp_id), period.owner.session
+        return (
+            future is not None and not future.done()
+            and session.movable and not session.closed
+            and period.owner.api.open_count == 1
+        )
+
+    def _movable_parked(self) -> List[Dict[str, Any]]:
+        """Movable parked begins, longest-parked first, at most
+        :data:`MAX_PARKED_LISTED`."""
+        now = time.monotonic()
+        find = self.service.monitor.registry.find
+        parked = sorted(
+            filter(self._movable, map(find, self._parked)),
+            key=lambda p: p.begin_time,
+        )
+        return [
+            {
+                "client": p.owner.client_id,
+                "resource": p.resource.value,
+                "demand_bytes": p.demand_bytes,
+                "parked_s": now - p.begin_time,
+            }
+            for p in parked[:MAX_PARKED_LISTED]
+        ]
+
+    def _op_migrate(self, request: protocol.Request) -> Dict[str, Any]:
+        """Move a client's parked begin to the shard the request names:
+        ``moved`` is 1 when the begin will be answered with REDIRECT."""
+        record = self.service.leases.get(request.client)
+        open_ids = record.api.open_ids() if record is not None else []
+        period = record.api.period(open_ids[0]) if len(open_ids) == 1 else None
+        if not self._movable(period):
+            return protocol.ok_reply(request.id, moved=0)
+        # Cancel now, before this handler returns, so no admission can
+        # land on the period before the parked handler sends the REDIRECT.
+        self._wake(self._cancel_period(record, period.pp_id))
+        self._parked[period.pp_id].set_result(request.raw["shard"])
+        return protocol.ok_reply(request.id, moved=1)
 
     def _op_stats(self, request: protocol.Request) -> Dict[str, Any]:
         stats = self.service.metrics.snapshot()

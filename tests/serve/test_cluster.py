@@ -26,7 +26,7 @@ def tiny_machine(capacity_mb: float = CAPACITY_MB):
 
 
 async def start_cluster(tmp_path, n=2, capacity_mb=CAPACITY_MB, seed=0,
-                        supervise=False, journal=False,
+                        supervise=False, journal=False, serve_overrides=None,
                         **frontend_overrides):
     """A local cluster with test-speed health/balance loops.
 
@@ -40,6 +40,7 @@ async def start_cluster(tmp_path, n=2, capacity_mb=CAPACITY_MB, seed=0,
     )
     if journal:
         cfg = replace(cfg, journal_path=str(tmp_path / "shard.journal"))
+    cfg = replace(cfg, **(serve_overrides or {}))
     cluster = await start_local_cluster(
         cfg, n, sock, seed=seed, supervise=supervise
     )
@@ -77,6 +78,75 @@ class TestRedirect:
 
         asyncio.run(scenario())
 
+    def test_call_raw_returns_the_redirect_unchanged(self, tmp_path):
+        async def scenario():
+            cluster, sock = await start_cluster(tmp_path)
+            client = await ServeClient.connect(unix_path=sock)
+            reply = await client.call_raw(
+                "hello", client="raw", redirect=True, timeout=5.0
+            )
+            name = cluster.frontend.placer.assignments["raw"]
+            assert reply == {
+                "v": 1, "id": 1, "ok": False,
+                "error": {
+                    "code": ErrorCode.REDIRECT,
+                    "message": f"assigned to shard {name}",
+                    "shard": {"name": name, "unix_path": f"{sock}.{name}"},
+                },
+            }
+            # call_raw did not follow: the connection still reaches the
+            # front-end
+            assert (await client.query(timeout=5.0))["cluster"] is True
+            await client.close()
+            assert await drain(cluster) == 0
+
+        asyncio.run(scenario())
+
+    def test_frontend_rejects_the_shard_migrate_verb(self, tmp_path):
+        async def scenario():
+            cluster, sock = await start_cluster(tmp_path)
+            client = await ServeClient.connect(unix_path=sock)
+            reply = await client.call_raw(
+                "migrate", client="c1",
+                shard={"name": "shard1", "unix_path": f"{sock}.shard1"},
+                timeout=5.0,
+            )
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == ErrorCode.BAD_REQUEST
+            assert cluster.frontend.c_migrations.value == 0
+            await client.close()
+            assert await drain(cluster) == 0
+
+        asyncio.run(scenario())
+
+    def test_redirected_reservations_expire_after_a_lease_ttl(self, tmp_path):
+        """A redirected client's placement reservation is released one
+        shard lease TTL after the REDIRECT, so clients that hang up
+        without a begin do not hold the shards' scored capacity."""
+        async def scenario():
+            cluster, sock = await start_cluster(
+                tmp_path, serve_overrides=dict(lease_ttl_s=0.2)
+            )
+            fe = cluster.frontend
+            for i in range(6):
+                client = await ServeClient.connect(unix_path=sock)
+                reply = await client.call_raw(
+                    "hello", client=f"ghost-{i}", redirect=True,
+                    demand_bytes=MB(1), timeout=5.0,
+                )
+                assert reply["error"]["code"] == ErrorCode.REDIRECT
+                await client.close()
+            shards = list(fe.placer.shards.values())
+            assert sum(len(s.clients) for s in shards) == 6
+            await asyncio.sleep(0.5)
+            for shard in shards:
+                assert shard.assigned == {}
+                assert shard.clients == {}
+                assert shard.fits({"llc": MB(3)})
+            assert await drain(cluster) == 0
+
+        asyncio.run(scenario())
+
     def test_resilient_client_follows_the_redirect(self, tmp_path):
         async def scenario():
             cluster, sock = await start_cluster(tmp_path)
@@ -88,7 +158,7 @@ class TestRedirect:
             assert begun["admitted"] is True
             assert client.redirects == 1
             # after the redirect the client speaks to the shard directly
-            assert cluster.frontend.c_forwards.value == 0
+            assert cluster.frontend.c_redirects.value == 1
             await client.pp_end(begun["pp_id"])
             await client.close()
             assert await drain(cluster) == 0
@@ -135,7 +205,7 @@ class TestForward:
             assert begun["admitted"] is True
             done = await client.pp_end(begun["pp_id"], timeout=5.0)
             assert done["released"] is True
-            assert cluster.frontend.c_forwards.value == 1
+            assert cluster.frontend.c_redirects.value == 1
             await client.close()
             assert await drain(cluster) == 0
 
@@ -165,7 +235,7 @@ class TestForward:
             assert begun["admitted"] is True
             await client.pp_end(begun["pp_id"], timeout=5.0)
             await client.close()
-            assert cluster.frontend.c_forwards.value == 1
+            assert cluster.frontend.c_redirects.value == 1
             assert await drain(cluster) == 0
 
         asyncio.run(scenario())
@@ -192,7 +262,7 @@ class TestAggregation:
             assert set(q["shards"]) == {"shard0", "shard1", "shard2"}
             assert q["placer"]["placements_total"] >= 3
             stats = await probe.stats()
-            assert stats["counters"]["forwards_total"] == 3
+            assert stats["counters"]["redirects_total"] == 3
             assert stats["shard_counters"]["requests_total"] > 0
             await probe.close()
             for c, pp_id in holders:
@@ -337,9 +407,6 @@ class TestSupervision:
                 await fe._health_sweep()
             assert fe.placer.shards["shard0"].alive is True
             assert len(fe.placer.alive_shards()) == 2
-            # data-path trouble reports are ignored for draining shards too
-            fe.shard_trouble(fe.placer.shards["shard0"])
-            assert fe.placer.shards["shard0"].alive is True
             # but the placer won't put anyone new on it
             client = await ServeClient.connect(unix_path=sock)
             await client.hello("newcomer")
@@ -460,6 +527,77 @@ class TestRollingRestart:
 
         asyncio.run(scenario())
 
+    def test_drain_verb_rejects_malformed_fields(self, tmp_path):
+        async def scenario():
+            cluster, sock = await start_cluster(
+                tmp_path, n=2, supervise=True, journal=True, **self.OVERRIDES
+            )
+            fe = cluster.frontend
+            probe = await ServeClient.connect(unix_path=sock)
+            for fields in (
+                {"shard": 1},
+                {"rolling": "false"},
+                {"grace_s": True},
+                {"grace_s": -3},
+                {"grace_s": "5"},
+            ):
+                reply = await probe.call_raw("drain", timeout=20.0, **fields)
+                assert reply["ok"] is False, fields
+                assert reply["error"]["code"] == ErrorCode.BAD_REQUEST
+            assert fe.c_shard_drains.value == 0
+            assert fe.c_shard_restarts.value == 0
+            assert len(fe.placer.placeable_shards()) == 2
+            assert all(not s.draining for s in cluster.servers)
+            # the cluster still places and admits
+            client = await ServeClient.connect(unix_path=sock)
+            await client.hello("after-bad-drains")
+            begun = await client.pp_begin(MB(1), timeout=5.0)
+            assert begun["admitted"] is True
+            await client.pp_end(begun["pp_id"], timeout=5.0)
+            await client.close()
+            await probe.close()
+            assert await drain(cluster) == 0
+
+        asyncio.run(scenario())
+
+    def test_drain_shard_moves_a_parked_resilient_client(self, tmp_path):
+        async def scenario():
+            # the balance loop stays off: only drain_shard may move it
+            cluster, sock = await start_cluster(
+                tmp_path, n=2, supervise=True, journal=True,
+                migration=False, **self.OVERRIDES
+            )
+            fe = cluster.frontend
+            filler = await ServeClient.connect(unix_path=sock)
+            await filler.hello("filler")
+            held = await filler.pp_begin(MB(3), timeout=5.0)
+            home = fe.placer.assignments["filler"]
+            await asyncio.sleep(0.2)  # the health loop sees the usage
+            parker = ResilientServeClient(
+                unix_path=sock, client_id="parker",
+                backoff_base_s=0.01, max_attempts=10,
+            )
+            begin = asyncio.ensure_future(parker.pp_begin(MB(2.5)))
+            assert await _wait_for(lambda: fe.placer.shards[home].waiting)
+            assert fe.placer.assignments["parker"] == home
+            drained = asyncio.ensure_future(
+                fe.drain_shard(home, grace_s=5.0)
+            )
+            reply = await asyncio.wait_for(begin, 10.0)
+            assert reply["admitted"] is True
+            assert fe.placer.assignments["parker"] != home
+            assert fe.c_migrations.value == 1
+            assert parker.redirects == 2
+            await filler.pp_end(held["pp_id"], timeout=5.0)
+            assert await asyncio.wait_for(drained, 10.0) is True
+            assert await fe.restart_shard(home) is True
+            await parker.pp_end(reply["pp_id"])
+            await parker.close()
+            await filler.close()
+            assert await drain(cluster) == 0
+
+        asyncio.run(scenario())
+
     def test_rolling_verb_cycles_the_cluster(self, tmp_path):
         async def scenario():
             cluster, sock = await start_cluster(
@@ -482,6 +620,49 @@ class TestRollingRestart:
 
 
 class TestMigration:
+    def test_parked_resilient_client_moves_by_redirect(self, tmp_path):
+        async def scenario():
+            cluster, sock = await start_cluster(tmp_path, n=2)
+            fe = cluster.frontend
+            fillers = []
+            for i in range(2):
+                c = await ServeClient.connect(unix_path=sock)
+                await c.hello(f"filler-{i}")
+                begun = await c.pp_begin(MB(3), timeout=5.0)
+                fillers.append((c, begun["pp_id"]))
+                await asyncio.sleep(0.2)
+
+            parker = ResilientServeClient(
+                unix_path=sock, client_id="parker",
+                backoff_base_s=0.01, max_attempts=10,
+            )
+            begin = asyncio.ensure_future(parker.pp_begin(MB(2.5)))
+            await asyncio.sleep(0.4)
+            assert not begin.done()
+            home = fe.placer.assignments["parker"]
+            other = next(
+                i for i in range(2)
+                if fe.placer.assignments[f"filler-{i}"] != home
+            )
+            c, pp_id = fillers[other]
+            await c.pp_end(pp_id, timeout=5.0)
+
+            reply = await asyncio.wait_for(begin, 15.0)
+            assert reply["admitted"] is True
+            assert fe.c_migrations.value >= 1
+            assert fe.placer.assignments["parker"] != home
+            # one REDIRECT from the front-end, one from the moving shard
+            assert parker.redirects == 2
+            await parker.pp_end(reply["pp_id"])
+            keep = fillers[1 - other]
+            await keep[0].pp_end(keep[1], timeout=5.0)
+            for c, _ in fillers:
+                await c.close()
+            await parker.close()
+            assert await drain(cluster) == 0
+
+        asyncio.run(scenario())
+
     def test_parked_begin_moves_to_the_shard_with_headroom(self, tmp_path):
         async def scenario():
             cluster, sock = await start_cluster(tmp_path, n=2)

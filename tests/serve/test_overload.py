@@ -419,11 +419,11 @@ class TestBrownout:
             # Two THIN clients (forwarded through the pump, so the
             # front-end observes their demand) saturate both shards.
             a = await ServeClient.connect(unix_path=sock)
-            assert (await a.call_raw(
+            assert (await a.call(
                 "hello", client="a", demand_bytes=MB(3), timeout=5.0
             ))["ok"] is True
             b = await ServeClient.connect(unix_path=sock)
-            assert (await b.call_raw(
+            assert (await b.call(
                 "hello", client="b", demand_bytes=MB(3), timeout=5.0
             ))["ok"] is True
             # the demand hints make placement deterministic: one per shard
@@ -459,7 +459,7 @@ class TestBrownout:
             await b.pp_end(reply_b["pp_id"], timeout=5.0)
             await wait_until(lambda: not frontend._brownout, timeout=5.0)
             late2 = await ServeClient.connect(unix_path=sock)
-            assert (await late2.call_raw(
+            assert (await late2.call(
                 "hello", client="late", timeout=5.0
             ))["ok"] is True
             begun = await late2.pp_begin(MB(1), timeout=5.0)
@@ -467,6 +467,46 @@ class TestBrownout:
             await late2.pp_end(begun["pp_id"], timeout=5.0)
             for client in (a, b, late2):
                 await client.close()
+            assert await drain(cluster) == 0
+
+        asyncio.run(scenario())
+
+
+    def test_brownout_engages_on_begins_without_demand_hints(self, tmp_path):
+        """The brownout yardstick comes from the shards' declared-demand
+        peaks, so it engages for resilient clients that send no hint."""
+        async def scenario():
+            cluster, sock = await start_cluster(
+                tmp_path,
+                n=2,
+                brownout_fragmentation=0.05,
+                brownout_sweeps=2,
+                brownout_retry_s=0.42,
+            )
+            frontend = cluster.frontend
+            clients, periods = [], []
+            for name in ("a", "b"):
+                client = ResilientServeClient(
+                    unix_path=sock, client_id=name,
+                    backoff_base_s=0.01, max_attempts=10,
+                )
+                # "b" parks behind "a" and migrates to the free shard
+                periods.append(await asyncio.wait_for(
+                    client.pp_begin(MB(3)), 10.0
+                ))
+                clients.append(client)
+            assignments = frontend.placer.assignments
+            assert assignments["a"] != assignments["b"]
+            await wait_until(lambda: frontend._brownout, timeout=5.0)
+            assert frontend._peak_demand == {"llc": MB(3)}
+            late = await ServeClient.connect(unix_path=sock)
+            reply = await late.call_raw("hello", client="late", timeout=5.0)
+            assert reply["error"]["code"] == ErrorCode.OVERLOAD
+            await late.close()
+            for client, begun in zip(clients, periods):
+                await client.pp_end(begun["pp_id"])
+                await client.close()
+            await wait_until(lambda: not frontend._brownout, timeout=5.0)
             assert await drain(cluster) == 0
 
         asyncio.run(scenario())

@@ -150,15 +150,6 @@ class TestLifecycle:
         assert "c1" not in placer.assignments
         assert home.assigned.get("llc", 0) == 0
 
-    def test_observe_demand_folds_into_the_current_shard(self):
-        placer = make_placer(shard("a"), shard("b"))
-        home = placer.place("c1", {"llc": MB})
-        placer.observe_demand("c1", {"llc": 3 * MB})
-        # no re-placement happened, the reservation just grew in place
-        assert placer.assignments["c1"] == home.name
-        assert placer.placements_total == 1
-        assert home.assigned["llc"] == 3 * MB
-
     def test_snapshot_reports_lifecycle_state(self):
         placer = make_placer(shard("a"), shard("b"))
         placer.mark_draining("a")

@@ -112,6 +112,55 @@ class TestParseRequest:
         )
         assert request.id is None
 
+    def test_migrate_parses_client_and_shard(self):
+        for shard in (
+            {"name": "shard1", "unix_path": "/tmp/rda.sock.shard1"},
+            {"name": "shard1", "host": "10.0.0.2", "port": 7001},
+        ):
+            request = protocol.parse_request(
+                frame(op="migrate", client="c1", shard=shard)
+            )
+            assert request.client == "c1"
+            assert request.raw["shard"] == shard
+
+    @pytest.mark.parametrize("fields", [
+        {"shard": {"unix_path": "/tmp/s1.sock"}},
+        {"client": "c" * (protocol.MAX_IDENT_CHARS + 1),
+         "shard": {"unix_path": "/tmp/s1.sock"}},
+        {"client": "c1"},
+        {"client": "c1", "shard": {"name": "shard1"}},
+        {"client": "c1", "shard": {"host": "10.0.0.2"}},
+        {"client": "c1", "shard": {"host": "10.0.0.2", "port": True}},
+        {"client": "c1", "shard": {"host": "10.0.0.2", "port": 0}},
+        {"client": "c1", "shard": {"host": "10.0.0.2", "port": 65536}},
+        {"client": "c1", "shard": "/tmp/s1.sock"},
+    ], ids=[
+        "no-client", "long-client", "no-shard", "no-address", "no-port",
+        "bool-port", "port-zero", "port-too-big", "shard-not-object",
+    ])
+    def test_migrate_field_validation(self, fields):
+        with pytest.raises(ProtocolError) as err:
+            protocol.parse_request(frame(op="migrate", **fields))
+        assert err.value.code == ErrorCode.BAD_REQUEST
+
+    def test_redirect_address_reads_only_usable_redirects(self):
+        def redirect(shard):
+            return protocol.error_reply(
+                1, ErrorCode.REDIRECT, "go elsewhere", shard=shard
+            )
+
+        assert protocol.redirect_address(
+            redirect({"name": "s1", "unix_path": "/tmp/s1.sock"})
+        ) == {"unix_path": "/tmp/s1.sock", "host": None, "port": None}
+        assert protocol.redirect_address(
+            redirect({"name": "s1", "host": "10.0.0.2", "port": 7001})
+        ) == {"unix_path": None, "host": "10.0.0.2", "port": 7001}
+        assert protocol.redirect_address(redirect({"name": "s1"})) is None
+        assert protocol.redirect_address(
+            protocol.error_reply(1, ErrorCode.RETRY_AFTER, "later")
+        ) is None
+        assert protocol.redirect_address(protocol.ok_reply(1)) is None
+
 
 class TestReplies:
     def test_ok_reply_shape(self):

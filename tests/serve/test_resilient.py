@@ -1,6 +1,7 @@
 """ResilientServeClient: reconnects, idempotent re-issue, bounded calls."""
 
 import asyncio
+import json
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,9 @@ from repro.config import default_machine_config
 from repro.core.api import MB
 from repro.core.policy import StrictPolicy
 from repro.errors import ServeError
-from repro.serve.client import ServeClient
+from repro.serve import protocol
+from repro.serve.client import MAX_REDIRECT_HOPS, ServeClient, ServeReplyError
+from repro.serve.protocol import ErrorCode
 from repro.serve.resilient import ResilientServeClient
 from repro.serve.server import AdmissionServer, ServeConfig
 
@@ -356,6 +359,39 @@ class TestThinClientBounds:
                 await client.call("query", timeout=0.1)
             await client.close()
             await client.close()  # idempotent
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_call_follows_at_most_max_redirect_hops(self, tmp_path):
+        async def scenario():
+            sock = str(tmp_path / "loop.sock")
+            dials = 0
+
+            async def bounce(reader, writer):
+                # answers every request with a REDIRECT back to itself
+                nonlocal dials
+                dials += 1
+                while line := await reader.readline():
+                    writer.write(protocol.encode_frame(protocol.error_reply(
+                        json.loads(line)["id"], ErrorCode.REDIRECT, "go",
+                        shard={"name": "loop", "unix_path": sock},
+                    )))
+                    await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_unix_server(bounce, path=sock)
+            client = await ServeClient.connect(unix_path=sock, timeout=1.0)
+            with pytest.raises(ServeReplyError) as err:
+                await client.call("query", timeout=5.0)
+            assert err.value.code == ErrorCode.REDIRECT
+            assert dials == 1 + MAX_REDIRECT_HOPS
+            # call_raw hands the REDIRECT back without following it
+            reply = await client.call_raw("query", timeout=5.0)
+            assert reply["error"]["code"] == ErrorCode.REDIRECT
+            assert dials == 1 + MAX_REDIRECT_HOPS
+            await client.close()
             server.close()
             await server.wait_closed()
 

@@ -18,7 +18,7 @@ from repro.core.policy import StrictPolicy
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeReplyError
 from repro.serve.protocol import ErrorCode
-from repro.serve.server import AdmissionServer, ServeConfig
+from repro.serve.server import MAX_PARKED_LISTED, AdmissionServer, ServeConfig
 
 
 def tiny_machine(capacity_mb: float = 4.0):
@@ -318,6 +318,175 @@ class TestSharingAndStarvation:
             assert reply["admitted"] is True
             assert reply["forced"] is True
             await client.pp_end(reply["pp_id"])
+            await client.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+
+class TestMigrateVerb:
+    """The shard half of migration by REDIRECT: the ``parked`` list in
+    ``query`` and the ``migrate`` verb a cluster front-end sends."""
+
+    TARGET = {"name": "shard9", "unix_path": "/tmp/elsewhere.sock"}
+
+    async def _park(self, server, sock, client_id, **hello_fields):
+        """A 3 MB holder plus ``client_id`` parked behind it on 2 MB."""
+        holder = await ServeClient.connect(unix_path=sock)
+        held = await holder.pp_begin(MB(3))
+        parker = await ServeClient.connect(unix_path=sock)
+        hello = await parker.call_raw(
+            "hello", client=client_id, **hello_fields
+        )
+        assert hello["ok"] is True
+        # call_raw: the test reads the REDIRECT instead of following it
+        begin = asyncio.ensure_future(parker.call_raw(
+            "pp_begin", demand_bytes=MB(2), token="t-1"
+        ))
+        await wait_until(lambda: len(server.service.waitlist) == 1)
+        return holder, held, parker, begin
+
+    def test_movable_parked_begin_is_listed_and_redirected(self, tmp_path):
+        async def scenario():
+            server, sock, run_task = await start_server(tmp_path)
+            holder, held, parker, begin = await self._park(
+                server, sock, "mover", redirect=True
+            )
+            probe = await ServeClient.connect(unix_path=sock)
+            q = await probe.query()
+            assert q["demand_peak_bytes"] == MB(3)
+            [entry] = q["parked"]
+            assert entry["client"] == "mover"
+            assert entry["resource"] == "llc"
+            assert entry["demand_bytes"] == MB(2)
+            assert entry["parked_s"] >= 0.0
+            moved = await probe.call(
+                "migrate", client="mover", shard=self.TARGET
+            )
+            assert moved["moved"] == 1
+            # cancelled before the handler returned: nothing is parked
+            assert len(server.service.waitlist) == 0
+            reply = await asyncio.wait_for(begin, 5.0)
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == ErrorCode.REDIRECT
+            assert reply["error"]["shard"] == self.TARGET
+            assert (await probe.query())["parked"] == []
+            again = await probe.call(
+                "migrate", client="mover", shard=self.TARGET
+            )
+            assert again["moved"] == 0
+            await holder.pp_end(held["pp_id"])
+            for client in (holder, parker, probe):
+                await client.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+    def test_parked_list_is_longest_first_and_capped(self, tmp_path):
+        async def scenario():
+            server, sock, run_task = await start_server(tmp_path)
+            holder = await ServeClient.connect(unix_path=sock)
+            held = await holder.pp_begin(MB(4))
+            parkers, begins = [], []
+            for i in range(MAX_PARKED_LISTED + 2):
+                parker = await ServeClient.connect(unix_path=sock)
+                await parker.call_raw("hello", client=f"p{i}", redirect=True)
+                begins.append(asyncio.ensure_future(
+                    parker.call_raw("pp_begin", demand_bytes=MB(1))
+                ))
+                await wait_until(
+                    lambda: len(server.service.waitlist) == i + 1
+                )
+                parkers.append(parker)
+            probe = await ServeClient.connect(unix_path=sock)
+            parked = (await probe.query())["parked"]
+            assert [p["client"] for p in parked] == [
+                f"p{i}" for i in range(MAX_PARKED_LISTED)
+            ]
+            ages = [p["parked_s"] for p in parked]
+            assert ages == sorted(ages, reverse=True)
+            for client in parkers:
+                await client.close()
+            for begin in begins:
+                begin.cancel()
+            await holder.pp_end(held["pp_id"])
+            await holder.close()
+            await probe.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+    def test_session_without_redirect_is_not_moved(self, tmp_path):
+        async def scenario():
+            server, sock, run_task = await start_server(tmp_path)
+            holder, held, parker, begin = await self._park(
+                server, sock, "stayer"
+            )
+            probe = await ServeClient.connect(unix_path=sock)
+            assert (await probe.query())["parked"] == []
+            moved = await probe.call(
+                "migrate", client="stayer", shard=self.TARGET
+            )
+            assert moved["moved"] == 0
+            await asyncio.sleep(0.1)
+            assert not begin.done()
+            assert len(server.service.waitlist) == 1
+            # the begin is still parked, and admitted once room frees up
+            await holder.pp_end(held["pp_id"])
+            reply = await asyncio.wait_for(begin, 5.0)
+            assert reply["admitted"] is True
+            await parker.call("pp_end", pp_id=reply["pp_id"])
+            for client in (holder, parker, probe):
+                await client.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+    def test_thin_binary_client_follows_a_migration(self, tmp_path):
+        """A movable thin client's parked begin re-dials the named shard,
+        replays its hello (binary framing renegotiated) and is admitted
+        there."""
+        async def scenario():
+            server, sock, run_task = await start_server(tmp_path)
+            target = AdmissionServer(replace(server.cfg, shard_name="b"))
+            target_sock = str(tmp_path / "target.sock")
+            await target.start(unix_path=target_sock)
+            target_task = asyncio.ensure_future(target.run_until_drained())
+            holder = await ServeClient.connect(unix_path=sock)
+            held = await holder.pp_begin(MB(3))
+            mover = await ServeClient.connect(unix_path=sock)
+            await mover.call(
+                "hello", client="mover", binary=True, redirect=True
+            )
+            assert mover.binary is True
+            begin = asyncio.ensure_future(mover.pp_begin(MB(2), token="t-1"))
+            await wait_until(lambda: len(server.service.waitlist) == 1)
+            probe = await ServeClient.connect(unix_path=sock)
+            moved = await probe.call(
+                "migrate", client="mover",
+                shard={"name": "b", "unix_path": target_sock},
+            )
+            assert moved["moved"] == 1
+            reply = await asyncio.wait_for(begin, 5.0)
+            assert reply["admitted"] is True
+            assert mover.binary is True
+            assert target.service.leases.get("mover") is not None
+            await mover.pp_end(reply["pp_id"])
+            await holder.pp_end(held["pp_id"])
+            for client in (holder, mover, probe):
+                await client.close()
+            await finish(server, run_task)
+            await finish(target, target_task)
+
+        asyncio.run(scenario())
+
+    def test_non_bool_redirect_is_rejected(self, tmp_path):
+        async def scenario():
+            server, sock, run_task = await start_server(tmp_path)
+            client = await ServeClient.connect(unix_path=sock)
+            reply = await client.call_raw("hello", client="c", redirect="yes")
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == ErrorCode.BAD_REQUEST
             await client.close()
             await finish(server, run_task)
 
