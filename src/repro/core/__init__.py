@@ -9,7 +9,9 @@ Components map one-to-one onto figure 2 of the paper:
 * :mod:`repro.core.predicate` — Algorithm 1, the run/pause decision (§3.3),
 * :mod:`repro.core.policy` — RDA:Strict and RDA:Compromise policies (§3.3),
 * :mod:`repro.core.waitlist` — the resource waitlist for paused threads,
-* :mod:`repro.core.rda` — :class:`RdaScheduler`, wiring it all into the
+* :mod:`repro.core.admission` — :class:`AdmissionCore`, the above built
+  once with the starvation guard (the simulator's and the service's),
+* :mod:`repro.core.rda` — :class:`RdaScheduler`, an admission core on the
   kernel's extension hook.
 """
 

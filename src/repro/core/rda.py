@@ -1,7 +1,7 @@
 """RdaScheduler: the demand-aware extension wired into the kernel.
 
-This class is the top of figure 2: it owns the progress monitor, resource
-monitor, scheduling predicate and waitlist, and implements the kernel's
+This class is the top of figure 2: it runs the admission layer of
+:class:`~repro.core.admission.AdmissionCore` and implements the kernel's
 :class:`~repro.sim.kernel.SchedulingExtension` hook so that progress-period
 transitions translate into pause (wait queue) and resume (wake event)
 operations on the simulated Linux scheduler.
@@ -17,18 +17,14 @@ from typing import Optional, Sequence
 from ..config import MachineConfig, default_machine_config
 from ..sim.kernel import AdmissionDecision, Kernel, SchedulingExtension
 from ..sim.process import Thread
+from .admission import AdmissionCore
 from .policy import SchedulingPolicy, StrictPolicy
-from .predicate import Decision, SchedulingPredicate
-from .progress_monitor import ProgressMonitor
 from .progress_period import PeriodRequest, PeriodState, ResourceKind
-from .registry import PeriodRegistry
-from .resource_monitor import ResourceMonitor
-from .waitlist import Waitlist
 
 __all__ = ["RdaScheduler"]
 
 
-class RdaScheduler(SchedulingExtension):
+class RdaScheduler(AdmissionCore, SchedulingExtension):
     """Resource-demand-aware scheduling extension (the paper's system).
 
     Args:
@@ -37,12 +33,9 @@ class RdaScheduler(SchedulingExtension):
             configurations), or any custom policy.
         config: machine description; the managed LLC capacity comes from
             ``config.llc_capacity``.
-        starvation_guard: admit a waiting period when the managed resource
-            is completely idle even if the policy rejects it.  The paper
-            assumes every individual working set fits in the cache (§3.4
-            constraint 1), so the guard never fires in its experiments; it
-            turns a mis-annotated application into a slow one instead of a
-            deadlocked one.
+        starvation_guard, extra_resources: see
+            :class:`~repro.core.admission.AdmissionCore`.
+        strict_fifo_waitlist: drain the waitlist in strict arrival order.
     """
 
     def __init__(
@@ -54,37 +47,19 @@ class RdaScheduler(SchedulingExtension):
         strict_fifo_waitlist: bool = False,
     ) -> None:
         self.config = config or default_machine_config()
-        self.policy = policy or StrictPolicy()
-        self.strict_fifo_waitlist = strict_fifo_waitlist
-        self.resources = ResourceMonitor()
-        self.llc = self.resources.register(
-            ResourceKind.LLC, self.config.llc_capacity
+        super().__init__(
+            policy or StrictPolicy(),
+            self.config.llc_capacity,
+            lambda: 0.0,  # simulated time once attached to a kernel
+            strict_fifo=strict_fifo_waitlist,
+            starvation_guard=starvation_guard,
+            extra_resources=extra_resources,
         )
-        # The framework is "configurable to allow multiple hardware
-        # resources to be targeted" (§6): register any further capacities.
-        self.managed_kinds: list[ResourceKind] = [ResourceKind.LLC]
-        for kind, capacity in (extra_resources or {}).items():
-            self.resources.register(kind, capacity)
-            self.managed_kinds.append(kind)
-        self.predicate = SchedulingPredicate(self.resources, self.policy)
-        self.registry = PeriodRegistry()
-        self.waitlist = Waitlist(strict_fifo=strict_fifo_waitlist)
-        self.starvation_guard = starvation_guard
-        self._clock = lambda: 0.0
-        self.monitor = ProgressMonitor(
-            resources=self.resources,
-            predicate=self.predicate,
-            clock=lambda: self._clock(),
-            registry=self.registry,
-            waitlist=self.waitlist,
-        )
-        #: forced admissions performed by the starvation guard
-        self.forced_admissions = 0
 
     # ------------------------------------------------------------------
     def attach(self, kernel: Kernel) -> None:
         super().attach(kernel)
-        self._clock = lambda: kernel.engine.now
+        self.monitor.clock = lambda: kernel.engine.now
 
     @property
     def name(self) -> str:
@@ -97,8 +72,7 @@ class RdaScheduler(SchedulingExtension):
         self, thread: Thread, request: PeriodRequest
     ) -> tuple[int, AdmissionDecision]:
         period = self.monitor.begin(thread, request)
-        if period.state is PeriodState.WAITING and self._should_force(period):
-            self._force_admit(period)
+        self.force_if_idle(period)
         decision = (
             AdmissionDecision.RUN
             if period.state is PeriodState.RUNNING
@@ -108,39 +82,13 @@ class RdaScheduler(SchedulingExtension):
 
     def on_pp_end(self, thread: Thread, pp_id: int) -> Sequence[Thread]:
         _, admitted = self.monitor.end(pp_id)
-        admitted.extend(self._rescue_starved())
+        admitted.extend(self.rescue_starved())
         return [p.owner for p in admitted]
 
     def on_thread_exit(self, thread: Thread) -> Sequence[Thread]:
         admitted = self.monitor.abandon_owner(thread)
-        admitted.extend(self._rescue_starved())
+        admitted.extend(self.rescue_starved())
         return [p.owner for p in admitted]
-
-    # ------------------------------------------------------------------
-    # starvation guard
-    # ------------------------------------------------------------------
-    def _should_force(self, period) -> bool:
-        return (
-            self.starvation_guard
-            and self.resources.state(period.resource).usage_bytes == 0
-        )
-
-    def _force_admit(self, period) -> None:
-        self.monitor.force_admit(period)
-        self.forced_admissions += 1
-
-    def _rescue_starved(self) -> list:
-        """After releases, never leave an idle resource with a waiting queue."""
-        rescued = []
-        if not self.starvation_guard:
-            return rescued
-        for kind in self.managed_kinds:
-            state = self.resources.state(kind)
-            head = self.waitlist.peek(kind)
-            if state.usage_bytes == 0 and head is not None:
-                self._force_admit(head)
-                rescued.append(head)
-        return rescued
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

@@ -125,7 +125,7 @@ class ResourceMonitor:
         self._table: Dict[ResourceKind, ResourceState] = {}
         #: observers notified of every charge/release via
         #: ``on_charge(request, bytes_added)`` / ``on_release(request,
-        #: bytes_removed)`` — the sanitizer's conservation ledger hooks here
+        #: bytes_removed)`` and of resizes — the sanitizer's ledger hooks here
         self.observers: list = []
 
     def register(self, kind: ResourceKind, capacity_bytes: int) -> ResourceState:
@@ -162,15 +162,18 @@ class ResourceMonitor:
         return removed
 
     def resize_load(self, request: PeriodRequest, new_bytes: int) -> int:
-        """Re-size a charged request; observers see the delta as a partial
-        charge (growth) or partial release (shrink) so conservation ledgers
-        stay balanced."""
+        """Re-size a charged request.  Observers with ``on_resize(request,
+        new_bytes, delta)`` hear of it as such (the caller then rewrites the
+        period's request); the rest see the delta as a partial charge
+        (growth) or release (shrink), so byte ledgers stay balanced."""
         delta = self.state(request.resource).resize(request, new_bytes)
-        if delta > 0:
-            for observer in self.observers:
+        for observer in self.observers:
+            on_resize = getattr(observer, "on_resize", None)
+            if on_resize is not None:
+                on_resize(request, new_bytes, delta)
+            elif delta > 0:
                 observer.on_charge(request, delta)
-        elif delta < 0:
-            for observer in self.observers:
+            elif delta < 0:
                 observer.on_release(request, -delta)
         return delta
 

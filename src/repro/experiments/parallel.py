@@ -393,6 +393,10 @@ def fan_out(
             for index in list(running):
                 proc, conn, started = running[index]
                 elapsed = time.monotonic() - started
+                # Liveness first: a worker may send its result and exit
+                # between the two calls, but one already dead before a poll
+                # that finds nothing really sent nothing.
+                alive = proc.is_alive()
                 if conn.poll():
                     try:
                         status, payload = conn.recv()
@@ -415,7 +419,7 @@ def fan_out(
                         )
                     settle(index, outcome)
                     settled_any = True
-                elif not proc.is_alive():
+                elif not alive:
                     settle(index, TaskOutcome(
                         index, "crash",
                         message=f"worker exited with code {proc.exitcode} "

@@ -26,12 +26,15 @@ Each checker continuously asserts one correctness property the paper claims
 Checkers observe three streams wired up by
 :class:`~repro.sanitizer.sanitizer.KernelSanitizer`: the kernel trace-event
 stream (``on_event``), quiescent points after every engine event
-(``on_quiescent``), and the resource monitor's charge/release ledger
-(``on_charge`` / ``on_release``).
+(``on_quiescent``), and the resource monitor's charge/release/resize ledger
+(``on_charge`` / ``on_release`` / ``on_resize``).  ``demand-bound`` and
+``conservation`` need only the ledger, so they also watch the admission
+service's core, which has no kernel.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Type
 
 from ..core.progress_period import PeriodRequest, PeriodState, ResourceKind
@@ -99,6 +102,10 @@ class InvariantChecker:
 
     def on_release(self, request: PeriodRequest, removed_bytes: int) -> None:
         """The resource monitor released a period's demand."""
+
+    def on_resize(self, request: PeriodRequest, new_bytes: int, delta: int) -> None:
+        """A running period's charge moved by ``delta`` to ``new_bytes``;
+        its request is rewritten to ``demand_bytes=new_bytes``."""
 
     def finalize(self, now: float) -> None:
         """The simulation completed; check end-of-run invariants."""
@@ -171,16 +178,16 @@ class DemandBoundChecker(InvariantChecker):
         scheduler = self.scheduler
         if scheduler is None:
             return
-        forced_exempt: Dict[ResourceKind, int] = {}
-        for period in scheduler.registry:
-            if period.forced and period.state is PeriodState.RUNNING:
-                forced_exempt[period.resource] = (
-                    forced_exempt.get(period.resource, 0) + period.demand_bytes
-                )
         for kind in scheduler.managed_kinds:
             state = scheduler.resources.state(kind)
             bound = scheduler.policy.demand_bound(state.capacity_bytes)
-            usage = state.usage_bytes - forced_exempt.get(kind, 0)
+            usage = state.usage_bytes
+            if usage > bound + _EPS_BYTES:  # only then scan for exemptions
+                usage -= sum(
+                    p.demand_bytes for p in scheduler.registry
+                    if p.forced and p.state is PeriodState.RUNNING
+                    and p.resource is kind
+                )
             if usage > bound + _EPS_BYTES:
                 self.report_once(
                     ("over", kind),
@@ -405,6 +412,12 @@ class ConservationChecker(InvariantChecker):
                 f"{kind}: net reserved capacity went negative "
                 f"({self.net_bytes[kind]:.0f}B)"
             )
+
+    def on_resize(self, request: PeriodRequest, new_bytes: int, delta: int) -> None:
+        # The open charge moves to the rewritten request, so the period's
+        # eventual release finds it.
+        self.on_release(request, max(0, -delta))
+        self.on_charge(replace(request, demand_bytes=new_bytes), max(0, delta))
 
     def on_quiescent(self, now: float) -> None:
         scheduler = self.scheduler

@@ -19,14 +19,17 @@ The sanitizer subscribes to three observation points:
 * ``kernel.observers`` — every trace event (``on_kernel_event``),
 * ``kernel.engine.post_event_hooks`` — quiescent points after each engine
   event, where global state must be self-consistent,
-* ``scheduler.resources.observers`` — the charge/release ledger of the
-  resource monitor (when an RDA extension is attached).
+* ``scheduler.resources.observers`` — the charge/release/resize ledger of
+  the resource monitor (when an RDA extension is attached).
+
+An admission core with no kernel (the admission service) is watched through
+:meth:`KernelSanitizer.attach_core`: every ledger change is a quiescent point.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core.progress_period import PeriodRequest
 from ..errors import SanitizerError
@@ -41,7 +44,8 @@ _MAX_VIOLATIONS = 1000
 
 
 class KernelSanitizer:
-    """Runtime invariant checking for a simulated kernel.
+    """Runtime invariant checking for a simulated kernel (:meth:`attach`)
+    or a kernel-less admission core (:meth:`attach_core`).
 
     Args:
         checkers: checker instances to run; defaults to one of each
@@ -67,6 +71,10 @@ class KernelSanitizer:
         self.dropped = 0
         self.strict = strict
         self.kernel = None
+        #: the watched admission core; None under the default policy
+        self.scheduler = None
+        self.clock: Callable[[], float] = lambda: 0.0  # stamps violations
+        self._attached = False
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -74,25 +82,31 @@ class KernelSanitizer:
     # ------------------------------------------------------------------
     def attach(self, kernel) -> "KernelSanitizer":
         """Subscribe to a kernel's event stream, engine and resource table."""
-        if self.kernel is not None:
-            raise SanitizerError("sanitizer is already attached to a kernel")
+        extension = kernel.extension
+        self._bind(extension if hasattr(extension, "resources") else None)
         self.kernel = kernel
+        self.clock = lambda: kernel.now
         kernel.observers.append(self)
         kernel.engine.post_event_hooks.append(self.on_quiescent)
-        resources = getattr(kernel.extension, "resources", None)
-        if resources is not None:
-            resources.observers.append(self)
-        for checker in self.checkers:
-            checker.bind(self)
         return self
 
-    @property
-    def scheduler(self):
-        """The attached RDA extension, or None under the default policy."""
-        extension = self.kernel.extension if self.kernel is not None else None
-        if extension is not None and hasattr(extension, "resources"):
-            return extension
-        return None
+    def attach_core(self, core) -> "KernelSanitizer":
+        """Watch an :class:`~repro.core.admission.AdmissionCore` that runs
+        without a kernel.  Only the ledger checkers (``conservation``,
+        ``demand-bound``) apply; they check after every ledger change."""
+        self._bind(core)
+        self.clock = lambda: core.monitor.clock()
+        return self
+
+    def _bind(self, core) -> None:
+        if self._attached:
+            raise SanitizerError("sanitizer is already attached")
+        self._attached = True
+        self.scheduler = core
+        if core is not None:
+            core.resources.observers.append(self)
+        for checker in self.checkers:
+            checker.bind(self)
 
     # ------------------------------------------------------------------
     # observation fan-out
@@ -109,16 +123,29 @@ class KernelSanitizer:
     def on_charge(self, request: PeriodRequest, added_bytes: int) -> None:
         for checker in self.checkers:
             checker.on_charge(request, added_bytes)
+        self._ledger_quiescent()
 
     def on_release(self, request: PeriodRequest, removed_bytes: int) -> None:
         for checker in self.checkers:
             checker.on_release(request, removed_bytes)
+        self._ledger_quiescent()
+
+    def on_resize(self, request: PeriodRequest, new_bytes: int, delta: int) -> None:
+        for checker in self.checkers:
+            checker.on_resize(request, new_bytes, delta)
+        self._ledger_quiescent()
+
+    def _ledger_quiescent(self) -> None:
+        # With no kernel there are no engine events: a ledger change is
+        # the only point where the core's state settles.
+        if self.kernel is None and self.scheduler is not None:
+            self.on_quiescent(self.clock())
 
     def finalize(self) -> list[Violation]:
-        """Run end-of-simulation checks (idempotent); returns violations."""
+        """Run end-of-run checks (idempotent); returns violations."""
         if not self._finalized:
             self._finalized = True
-            now = self.kernel.now if self.kernel is not None else 0.0
+            now = self.clock()
             for checker in self.checkers:
                 checker.finalize(now)
         return self.violations
@@ -136,7 +163,7 @@ class KernelSanitizer:
         self.violations.append(
             Violation(
                 invariant=invariant,
-                time_s=self.kernel.now if self.kernel is not None else 0.0,
+                time_s=self.clock(),
                 message=message,
                 tid=tid,
                 window=tuple(self.window),

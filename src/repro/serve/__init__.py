@@ -65,7 +65,6 @@ from .server import (
     AdmissionServer,
     AdmissionService,
     ServeConfig,
-    ServiceSanitizer,
     adaptive_retry_hint_s,
     quota_admits,
     serve_until_drained,
@@ -101,7 +100,6 @@ __all__ = [
     "ServeClient",
     "ServeConfig",
     "ServeReplyError",
-    "ServiceSanitizer",
     "ShardAddress",
     "ShardState",
     "adaptive_retry_hint_s",

@@ -22,10 +22,13 @@ Design points:
 * **Bounded overload.**  The pending-admission queue is capped
   (``max_pending``); beyond it, new ``pp_begin`` requests receive a typed
   ``RETRY_AFTER`` reply instead of growing server memory without bound.
-* **Starvation guard.**  As in :class:`~repro.core.rda.RdaScheduler`, a
-  waiting period is force-admitted whenever its resource is completely
-  idle, both inline after every release and from a periodic sweep, so a
-  mis-annotated client is slow instead of deadlocked.
+* **One admission core.**  :class:`AdmissionService` is an
+  :class:`~repro.core.admission.AdmissionCore`, as the simulator's
+  :class:`~repro.core.rda.RdaScheduler` is, so both run one implementation
+  of the paper's admission layer.  Its starvation guard force-admits a
+  waiting period whenever its resource is completely idle: inline at
+  begin and after every release, with a periodic sweep as a safety net,
+  so a mis-annotated client is slow instead of deadlocked.
 * **Graceful drain.**  SIGTERM (or the ``drain`` verb) stops admissions,
   wakes parked clients with a ``DRAINING`` error, waits up to the grace
   budget for running periods to end, then closes.
@@ -55,9 +58,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import MachineConfig, default_machine_config
+from ..core.admission import AdmissionCore
 from ..core.policy import AlwaysAdmitPolicy, SchedulingPolicy
-from ..core.predicate import SchedulingPredicate
-from ..core.progress_monitor import ProgressMonitor
 from ..core.progress_period import (
     PeriodRequest,
     PeriodState,
@@ -66,8 +68,6 @@ from ..core.progress_period import (
     ReuseLevel,
     ensure_pp_ids_above,
 )
-from ..core.resource_monitor import ResourceMonitor
-from ..core.waitlist import Waitlist
 from ..errors import ProgressPeriodError, ProtocolError, ServeError
 from ..predict import ElasticController, MispredictDetector, OnlineWssEstimator
 from ..predict.estimator import EstimatorKey
@@ -79,7 +79,6 @@ from .protocol import ErrorCode
 
 __all__ = [
     "ServeConfig",
-    "ServiceSanitizer",
     "AdmissionService",
     "AdmissionServer",
     "adaptive_retry_hint_s",
@@ -175,7 +174,8 @@ class ServeConfig:
     drain_grace_s: float = 5.0
     #: largest accepted request frame
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    #: attach the online invariant checker (the serve analogue of --sanitize)
+    #: check the sanitizer's conservation and demand-bound invariants at
+    #: every charge, release and resize (the serve analogue of --sanitize)
     sanitize: bool = False
     #: flat file the metrics snapshot is dumped to (None = stats verb only)
     metrics_json: Optional[str] = None
@@ -212,84 +212,7 @@ class ServeConfig:
     predict_floor_frac: float = 0.25
 
 
-class ServiceSanitizer:
-    """Online invariant checking for the admission service.
-
-    The kernel sanitizer observes a simulated kernel; this is its
-    ``repro.serve`` analogue, subscribing to the resource monitor's
-    charge/release ledger and asserting, after every mutation:
-
-    * **conservation** — the resource table's usage equals the sum of this
-      ledger's charges minus releases (nothing leaks, nothing double-frees),
-    * **demand bound** — aggregate admitted demand never exceeds
-      ``policy.demand_bound(capacity)`` unless a starvation-guard forced
-      admission is live,
-    * **final quiescence** — at drain with no open periods, usage is zero
-      and the waitlist is empty.
-    """
-
-    def __init__(self, service: "AdmissionService") -> None:
-        self.service = service
-        self.ledger: Dict[ResourceKind, int] = {}
-        self.violations: List[str] = []
-
-    # resource-monitor observer interface ------------------------------
-    def on_charge(self, request: PeriodRequest, added_bytes: int) -> None:
-        kind = request.resource
-        self.ledger[kind] = self.ledger.get(kind, 0) + added_bytes
-        self._check(kind)
-
-    def on_release(self, request: PeriodRequest, removed_bytes: int) -> None:
-        kind = request.resource
-        self.ledger[kind] = self.ledger.get(kind, 0) - removed_bytes
-        if self.ledger[kind] < 0:
-            self._report(f"{kind}: ledger went negative ({self.ledger[kind]} B)")
-        self._check(kind)
-
-    # ------------------------------------------------------------------
-    def _check(self, kind: ResourceKind) -> None:
-        state = self.service.resources.state(kind)
-        if state.usage_bytes != self.ledger.get(kind, 0):
-            self._report(
-                f"{kind}: conservation broken — table says {state.usage_bytes} B, "
-                f"ledger says {self.ledger.get(kind, 0)} B"
-            )
-        bound = self.service.policy.demand_bound(state.capacity_bytes)
-        if state.usage_bytes > bound and not self.service.forced_running(kind):
-            self._report(
-                f"{kind}: usage {state.usage_bytes} B exceeds the policy bound "
-                f"{bound:.0f} B with no forced admission live"
-            )
-
-    def finalize(self) -> None:
-        """End-of-drain check: an idle service must hold zero demand."""
-        if len(self.service.monitor.registry) == 0:
-            for kind, state_usage in self.service.resources.snapshot().items():
-                usage, _ = state_usage
-                if usage != 0:
-                    self._report(f"{kind}: {usage} B still charged after drain")
-            if len(self.service.waitlist) != 0:
-                self._report(
-                    f"waitlist holds {len(self.service.waitlist)} period(s) "
-                    "after drain"
-                )
-
-    def _report(self, message: str) -> None:
-        self.violations.append(f"t={time.monotonic():.6f} {message}")
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        if self.ok:
-            return "sanitizer: 0 violations"
-        lines = [f"sanitizer: {len(self.violations)} invariant violation(s)"]
-        lines += [f"  {v}" for v in self.violations]
-        return "\n".join(lines)
-
-
-class AdmissionService:
+class AdmissionService(AdmissionCore):
     """The admission state machine, independent of any transport.
 
     All methods must be called from a single thread/event loop (the
@@ -297,27 +220,21 @@ class AdmissionService:
     """
 
     def __init__(self, cfg: ServeConfig) -> None:
-        self.cfg = cfg
-        self.policy = cfg.policy if cfg.policy is not None else AlwaysAdmitPolicy()
-        self.resources = ResourceMonitor()
-        self.resources.register(ResourceKind.LLC, cfg.machine.llc_capacity)
-        self.managed_kinds = [ResourceKind.LLC]
-        self.predicate = SchedulingPredicate(self.resources, self.policy)
-        self.waitlist = Waitlist(strict_fifo=cfg.strict_fifo)
-        self.monitor = ProgressMonitor(
-            resources=self.resources,
-            predicate=self.predicate,
-            clock=time.monotonic,
-            waitlist=self.waitlist,
+        super().__init__(
+            cfg.policy if cfg.policy is not None else AlwaysAdmitPolicy(),
+            cfg.machine.llc_capacity,
+            time.monotonic,
+            strict_fifo=cfg.strict_fifo,
         )
-        self.forced_admissions = 0
+        self.cfg = cfg
         #: largest demand a pp_begin declared since boot (the cluster
         #: front-end's brownout yardstick)
         self.demand_peak_bytes = 0
-        self.sanitizer: Optional[ServiceSanitizer] = None
-        if cfg.sanitize:
-            self.sanitizer = ServiceSanitizer(self)
-            self.resources.observers.append(self.sanitizer)
+        self.sanitizer = None
+        if cfg.sanitize:  # imported here: unsanitized servers skip its cost
+            from ..sanitizer import KernelSanitizer, default_checkers
+            checkers = default_checkers(["conservation", "demand-bound"])
+            self.sanitizer = KernelSanitizer(checkers).attach_core(self)
         self.leases = LeaseTable(cfg.lease_ttl_s)
         self.journal: Optional[AdmissionJournal] = None
         self.replayed_periods = 0
@@ -389,12 +306,11 @@ class AdmissionService:
         self.c_draining_rejects = m.counter(
             "draining_rejects_total", "pp_begin rejected because draining"
         )
-        llc = self.resources.state(ResourceKind.LLC)
-        m.gauge("open_periods", fn=lambda: len(self.monitor.registry))
+        m.gauge("open_periods", fn=lambda: len(self.registry))
         m.gauge("waiting", fn=lambda: len(self.waitlist))
-        m.gauge("usage_bytes", fn=lambda: llc.usage_bytes)
-        m.gauge("capacity_bytes", fn=lambda: llc.capacity_bytes)
-        m.gauge("utilization", fn=lambda: llc.utilization)
+        m.gauge("usage_bytes", fn=lambda: self.llc.usage_bytes)
+        m.gauge("capacity_bytes", fn=lambda: self.llc.capacity_bytes)
+        m.gauge("utilization", fn=lambda: self.llc.utilization)
         self.g_usage_peak = m.gauge(
             "usage_peak_bytes", "high-water mark of admitted demand"
         )
@@ -651,12 +567,11 @@ class AdmissionService:
         """
         assert self.estimator is not None
         admitted: List[ProgressPeriod] = []
-        llc = self.resources.state(ResourceKind.LLC)
-        bound = self.policy.demand_bound(llc.capacity_bytes)
+        bound = self.policy.demand_bound(self.llc.capacity_bytes)
         for pp_id, (peer_key, declared, _) in list(self._predictions.items()):
             if peer_key != key:
                 continue
-            period = self.monitor.registry.find(pp_id)
+            period = self.registry.find(pp_id)
             if period is None or period.state is not PeriodState.RUNNING:
                 continue
             current = period.request.demand_bytes
@@ -675,7 +590,7 @@ class AdmissionService:
             else:  # grow
                 if target <= current:
                     continue
-                headroom = bound - llc.usage_bytes
+                headroom = bound - self.llc.usage_bytes
                 grow_to = min(target, current + int(headroom))
                 if grow_to <= current:
                     continue
@@ -697,35 +612,18 @@ class AdmissionService:
         return self.estimator.predicted_for_client(client_id)
 
     # ------------------------------------------------------------------
-    def knows(self, kind: ResourceKind) -> bool:
-        return self.resources.known(kind)
-
-    def forced_running(self, kind: Optional[ResourceKind] = None) -> bool:
-        """Is any starvation-guard-forced period currently admitted?"""
-        return any(
-            p.forced
-            and p.state is PeriodState.RUNNING
-            and (kind is None or p.resource is kind)
-            for p in self.monitor.registry
-        )
-
     def note_usage(self) -> None:
         """Refresh the usage/waiting high-water marks."""
-        llc = self.resources.state(ResourceKind.LLC)
-        self.g_usage_peak.max(llc.usage_bytes)
+        self.g_usage_peak.max(self.llc.usage_bytes)
         self.g_waiting_peak.max(len(self.waitlist))
 
+    def force_admit(self, period: ProgressPeriod) -> None:
+        """The core's forced admission, also counted in the metrics."""
+        super().force_admit(period)
+        self.c_forced.inc()
+
     def rescue_starved(self) -> List[ProgressPeriod]:
-        """Force-admit head waiters whose resource is completely idle."""
-        rescued: List[ProgressPeriod] = []
-        for kind in self.managed_kinds:
-            state = self.resources.state(kind)
-            head = self.waitlist.peek(kind)
-            if state.usage_bytes == 0 and head is not None:
-                self.monitor.force_admit(head)
-                self.forced_admissions += 1
-                self.c_forced.inc()
-                rescued.append(head)
+        rescued = super().rescue_starved()
         if rescued:
             self.note_usage()
         return rescued
@@ -744,10 +642,8 @@ class AdmissionService:
         snap: Dict[str, Any] = {
             "policy": self.policy.name,
             **({"shard": self.cfg.shard_name} if self.cfg.shard_name else {}),
-            "demand_bound_bytes": self.policy.demand_bound(
-                self.resources.state(ResourceKind.LLC).capacity_bytes
-            ),
-            "open_periods": len(self.monitor.registry),
+            "demand_bound_bytes": self.policy.demand_bound(self.llc.capacity_bytes),
+            "open_periods": len(self.registry),
             "waiting": len(self.waitlist),
             "forced_admissions": self.forced_admissions,
             "clients": len(self.leases),
@@ -921,7 +817,7 @@ class AdmissionServer:
         # Give running periods the grace budget to pp_end naturally.
         deadline = time.monotonic() + self.cfg.drain_grace_s
         while (
-            len(self.service.monitor.registry) > 0
+            len(self.service.registry) > 0
             and time.monotonic() < deadline
         ):
             await asyncio.sleep(0.02)
@@ -936,7 +832,9 @@ class AdmissionServer:
         await asyncio.gather(*self._background, return_exceptions=True)
         if self._unix_path and os.path.exists(self._unix_path):
             os.unlink(self._unix_path)
-        if self.service.sanitizer is not None:
+        # Lease-held periods may outlive a lapsed grace; only an idle
+        # service must have released everything.
+        if self.service.sanitizer is not None and not self.service.registry:
             self.service.sanitizer.finalize()
         if self.cfg.metrics_json:
             self.service.metrics.dump_json(self.cfg.metrics_json)
@@ -1187,7 +1085,7 @@ class AdmissionServer:
             return protocol.error_reply(
                 request.id, ErrorCode.DRAINING, "server is draining"
             )
-        if not service.knows(request.resource):
+        if not service.resources.known(request.resource):
             service.c_protocol_errors.inc()
             return protocol.error_reply(
                 request.id, ErrorCode.BAD_REQUEST,
@@ -1242,15 +1140,7 @@ class AdmissionServer:
         # Bind the token *before* any admission so _wake-time journaling
         # of after-park admissions can read it off the owner record.
         record.bind_token(request.token, pp_id)
-        # Inline starvation guard: an empty resource must admit its lone
-        # oversized period (mirrors RdaScheduler.on_pp_begin).
-        if (
-            period.state is PeriodState.WAITING
-            and service.resources.state(period.resource).usage_bytes == 0
-        ):
-            service.monitor.force_admit(period)
-            service.forced_admissions += 1
-            service.c_forced.inc()
+        service.force_if_idle(period)
         if period.state is PeriodState.RUNNING:
             service.c_immediate.inc()
             service.note_usage()
@@ -1625,7 +1515,7 @@ class AdmissionServer:
         """Movable parked begins, longest-parked first, at most
         :data:`MAX_PARKED_LISTED`."""
         now = time.monotonic()
-        find = self.service.monitor.registry.find
+        find = self.service.registry.find
         parked = sorted(
             filter(self._movable, map(find, self._parked)),
             key=lambda p: p.begin_time,
@@ -1670,7 +1560,7 @@ class AdmissionServer:
         return protocol.ok_reply(
             request.id,
             draining=True,
-            open_periods=len(self.service.monitor.registry),
+            open_periods=len(self.service.registry),
             waiting=len(self.service.waitlist),
         )
 

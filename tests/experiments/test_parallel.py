@@ -252,6 +252,52 @@ class TestRunGrid:
         assert all(isinstance(e.outcome, (RunSuccess, RunFailure)) for e in events)
 
 
+class _SlowFirstPoll:
+    """A parent pipe end whose first empty ``poll()`` answers late."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self._first = True
+
+    def poll(self, *args):
+        ready = self._conn.poll(*args)
+        if self._first and not ready:
+            self._first = False
+            time.sleep(0.5)  # the worker sends and exits meanwhile
+        return ready
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class _SlowPollContext:
+    def __init__(self, real):
+        self._real = real
+
+    def Pipe(self, duplex=True):
+        parent, child = self._real.Pipe(duplex=duplex)
+        return _SlowFirstPoll(parent), child
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+class TestFanOutSettle:
+    def test_worker_exiting_after_an_empty_poll_is_not_a_crash(self, monkeypatch):
+        real_get_context = parallel.multiprocessing.get_context
+        monkeypatch.setattr(
+            parallel.multiprocessing, "get_context",
+            lambda *args: _SlowPollContext(real_get_context(*args)),
+        )
+
+        def answer(_payload):
+            time.sleep(0.1)
+            return 42
+
+        [outcome] = parallel.fan_out(answer, [None], jobs=1)
+        assert (outcome.status, outcome.result) == ("ok", 42), outcome.message
+
+
 # ----------------------------------------------------------------------
 # Determinism across the public sweep API (the acceptance criterion)
 # ----------------------------------------------------------------------

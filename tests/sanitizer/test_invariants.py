@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.admission import AdmissionCore
 from repro.core.policy import CompromisePolicy, StrictPolicy
 from repro.core.progress_period import (
     PeriodRequest,
@@ -371,6 +372,65 @@ class TestConservationInjection:
         san.on_quiescent(0.0)
         san.finalize()
         assert san.ok, san.summary()
+
+
+class TestCoreAttachment:
+    """A kernel-less admission core (the service's) with the ledger
+    checkers attached: every charge, release and resize is checked."""
+
+    def core(self, checkers=("conservation",), clock=lambda: 0.0):
+        core = AdmissionCore(StrictPolicy(), 1000, clock)
+        san = KernelSanitizer(default_checkers(list(checkers))).attach_core(core)
+        return core, san
+
+    @pytest.mark.parametrize("begin, resize", [(600, 300), (300, 600)])
+    def test_resize_then_end_is_clean(self, begin, resize):
+        core, san = self.core()
+        period = core.monitor.begin("t", request(begin))
+        core.monitor.resize(period.pp_id, resize)
+        core.monitor.end(period.pp_id)
+        san.finalize()
+        assert san.ok, san.summary()
+
+    def test_shared_set_resize_then_end_is_clean(self):
+        core, san = self.core()
+        first = core.monitor.begin("t1", request(600, key="k"))
+        second = core.monitor.begin("t2", request(600, key="k"))
+        core.monitor.resize(first.pp_id, 200)
+        core.monitor.end(second.pp_id)
+        core.monitor.end(first.pp_id)
+        san.finalize()
+        assert san.ok, san.summary()
+
+    def test_release_after_a_resize_is_still_a_double_release(self):
+        core, san = self.core()
+        core.monitor.begin("t1", request(400))
+        period = core.monitor.begin("t2", request(600))
+        core.monitor.resize(period.pp_id, 300)
+        core.monitor.end(period.pp_id)
+        assert san.ok, san.summary()
+        core.resources.release_load(period.request)  # released twice
+        assert any("matching charge" in v.message for v in san.violations)
+
+    def test_ledger_drift_is_caught_at_the_next_charge(self):
+        core, san = self.core()
+        core.llc.usage_bytes += 64  # corrupt: bypassed increment_load
+        assert san.ok  # nothing has checked yet
+        core.resources.increment_load(request(100))
+        assert fired(san) == {"conservation"}
+
+    def test_violations_carry_the_core_clock(self):
+        core, san = self.core(("demand-bound",), clock=lambda: 12.5)
+        core.resources.increment_load(request(1001))
+        assert fired(san) == {"demand-bound"}
+        assert san.violations[0].time_s == 12.5
+
+    def test_a_core_sanitizer_cannot_attach_twice(self, small_machine):
+        core, san = self.core()
+        with pytest.raises(SanitizerError, match="already attached"):
+            san.attach_core(core)
+        with pytest.raises(SanitizerError, match="already attached"):
+            san.attach(Kernel(config=small_machine))
 
 
 # ======================================================================

@@ -11,6 +11,7 @@ PACKAGES = [
     "repro.errors",
     "repro.cli",
     "repro.core",
+    "repro.core.admission",
     "repro.core.api",
     "repro.core.itko",
     "repro.core.partitioning",
