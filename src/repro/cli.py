@@ -641,11 +641,29 @@ def _machine_with_capacity(capacity_mb: Optional[float]):
     return replace(machine, llc=replace(machine.llc, capacity_bytes=capacity))
 
 
-def _cmd_serve(args) -> int:
+def _predict_settings_problem(args) -> Optional[str]:
+    """Why the ``--predict-*`` flags cannot build an estimator, or None."""
+    from .predict import OnlineWssEstimator
+
+    try:
+        OnlineWssEstimator(
+            history=args.predict_history,
+            min_samples=args.predict_min_samples,
+            error_band=args.predict_error_band,
+        )
+    except ValueError as exc:
+        return f"bad --predict-history/--predict-min-samples: {exc}"
+    return None
+
+
+def _cmd_serve(args, parser: argparse.ArgumentParser) -> int:
     import asyncio
 
     from .serve import ServeConfig, serve_until_drained
 
+    problem = _predict_settings_problem(args)
+    if problem is not None:
+        parser.error(f"serve: {problem}")  # exits 2 before any bind
     socket_path = args.socket
     if socket_path is None and args.host is None:
         socket_path = "repro-serve.sock"
@@ -1049,7 +1067,8 @@ def _cmd_fig(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "table1":
         print(figures.table1_machine())
         return 0
@@ -1066,7 +1085,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "sanitize":
         return _cmd_sanitize(args)
     if args.command == "serve":
-        return _cmd_serve(args)
+        return _cmd_serve(args, parser)
     if args.command == "place":
         return _cmd_place(args)
     if args.command == "loadgen":

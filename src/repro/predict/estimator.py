@@ -17,6 +17,16 @@ Design points:
   connection, so anonymous sessions share the ``""`` client bucket.
 * **Ring-buffered history.**  Only the newest ``history`` samples per key
   are kept, so drifting workloads re-learn and memory stays bounded.
+* **One cached closed-form fit per key.**  The least-squares line over
+  the ring is computed in pure Python on the first prediction after an
+  ``observe`` and reused until the next one; a request evaluates one
+  ``math.log``.  The fit is a function of the ring alone (no running
+  sums), so a clone re-fed from :meth:`~OnlineWssEstimator.export_samples`
+  predicts the same bytes.  Against the profiler's
+  :func:`~repro.profiler.regression.fit_log_regression` it is equal on
+  rings with one declared size and within one byte when the ring's
+  ``ln(declared)`` spread is at least 1e-3 and its observed sizes are
+  at most 16 MiB (``tests/predict/test_closed_form_fit.py``).
 * **Minimum-sample and confidence gates.**  Below ``min_samples``
   observations — or while recent predictions have mostly fallen outside
   the error band — ``predict`` returns ``None`` and the caller falls back
@@ -33,16 +43,41 @@ journaling and metric emission.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
-
-from ..errors import ProfilerError
-from ..profiler.regression import LogRegression, fit_log_regression
 
 __all__ = ["OnlineWssEstimator", "EstimatorKey"]
 
 #: (client_id, sharing_key-or-label) — see module docstring.
 EstimatorKey = Tuple[str, str]
+
+#: one key's cached model: (a, b, lo, hi) — ``a + b·ln(declared)``
+#: clamped to the ring's observed range ``[lo, hi]``
+_Fit = Tuple[float, float, int, int]
+
+
+def _fit_ring(ring: Deque[Tuple[int, int]]) -> _Fit:
+    """Least-squares ``wss = a + b·ln(declared)`` over one ring.
+
+    A ring whose ``ln(declared)`` spread is within
+    ``fit_log_regression``'s degeneracy threshold gets that function's
+    flat line through the mean; the mean of integer samples is exact.
+    """
+    n = len(ring)
+    ts = [math.log(x) for x, _ in ring]
+    ys = [y for _, y in ring]
+    mean_t = sum(ts) / n
+    mean_y = sum(ys) / n
+    b = 0.0
+    if max(ts) - min(ts) > 1e-12 * max(1.0, abs(ts[0])):
+        stt = sty = 0.0
+        for t, y in zip(ts, ys):
+            dt = t - mean_t
+            stt += dt * dt
+            sty += dt * (y - mean_y)
+        b = sty / stt
+    return mean_y - b * mean_t, b, min(ys), max(ys)
 
 
 class OnlineWssEstimator:
@@ -60,8 +95,15 @@ class OnlineWssEstimator:
             raise ValueError("history must be >= 2")
         if min_samples < 2:
             raise ValueError("min_samples must be >= 2 (regression needs 2 points)")
+        if min_samples > history:
+            raise ValueError(
+                f"min_samples ({min_samples}) must be <= history ({history}): "
+                "a ring that short never reaches the sample gate"
+            )
         if error_band <= 0:
             raise ValueError("error_band must be positive")
+        if confidence_window < 1:
+            raise ValueError("confidence_window must be >= 1")
         self.history = history
         self.min_samples = min_samples
         self.error_band = error_band
@@ -71,10 +113,11 @@ class OnlineWssEstimator:
         #: rolling record of recent |relative error| per key, fed back by
         #: the misprediction detector via note_error()
         self._errors: Dict[EstimatorKey, Deque[float]] = {}
-        #: newest declared demand per key — the input to hello placement hints
-        self._last_declared: Dict[EstimatorKey, int] = {}
-        #: cached fit per key, invalidated on observe()
-        self._fits: Dict[EstimatorKey, Optional[LogRegression]] = {}
+        #: client id -> {key: newest declared demand that got a
+        #: prediction} — the input to hello placement hints
+        self._last_declared: Dict[str, Dict[EstimatorKey, int]] = {}
+        #: cached fit per key, dropped by observe()
+        self._fits: Dict[EstimatorKey, _Fit] = {}
 
     # ------------------------------------------------------------------ ingest
 
@@ -132,58 +175,44 @@ class OnlineWssEstimator:
         """
         if declared_bytes <= 0:
             return None
+        declared = int(declared_bytes)
+        value = self._confident_value(key, declared)
+        if value is not None:
+            self._last_declared.setdefault(key[0], {})[key] = declared
+        return value
+
+    def _confident_value(
+        self, key: EstimatorKey, declared_bytes: int
+    ) -> Optional[int]:
         if self.confidence(key) < self.min_confidence:
             return None
-        value = self._predict_value(key, int(declared_bytes))
-        if value is not None:
-            self._last_declared[key] = int(declared_bytes)
-        return value
+        return self._predict_value(key, declared_bytes)
 
     def _predict_value(
         self, key: EstimatorKey, declared_bytes: int
     ) -> Optional[int]:
         """Model output without the confidence gate (also the self-score
         path in :meth:`observe`, which must bypass that gate)."""
-        ring = self._samples.get(key)
-        if ring is None or len(ring) < self.min_samples:
-            return None
-        fit = self._fit(key)
-        lo = min(y for _, y in ring)
-        hi = max(y for _, y in ring)
+        fit = self._fits.get(key)
         if fit is None:
-            value = (lo + hi) / 2.0
-        else:
-            try:
-                value = float(fit.predict(float(declared_bytes)))
-            except ProfilerError:
+            ring = self._samples.get(key)
+            if ring is None or len(ring) < self.min_samples:
                 return None
-        clamped = min(max(value, float(lo)), float(hi))
-        return max(1, int(round(clamped)))
-
-    def _fit(self, key: EstimatorKey) -> Optional[LogRegression]:
-        if key in self._fits:
-            return self._fits[key]
-        ring = self._samples[key]
-        xs = [float(x) for x, _ in ring]
-        ys = [float(y) for _, y in ring]
-        try:
-            fit: Optional[LogRegression] = fit_log_regression(xs, ys)
-        except ProfilerError:
-            fit = None
-        self._fits[key] = fit
-        return fit
+            fit = self._fits[key] = _fit_ring(ring)
+        a, b, lo, hi = fit
+        value = a + b * math.log(declared_bytes)
+        return max(1, int(round(min(max(value, lo), hi))))
 
     def predicted_for_client(self, client_id: str) -> Optional[int]:
         """Largest confident prediction across a client's keys.
 
         Feeds the ``hello`` reply's placement hint: a frontend placing
-        this client wants its peak expected footprint.
+        this client wants its peak expected footprint.  Each key is
+        evaluated at the newest declared demand it was predicted for.
         """
         best: Optional[int] = None
-        for key, declared in self._last_declared.items():
-            if key[0] != client_id:
-                continue
-            value = self.predict(key, declared)
+        for key, declared in self._last_declared.get(client_id, {}).items():
+            value = self._confident_value(key, declared)
             if value is not None and (best is None or value > best):
                 best = value
         return best

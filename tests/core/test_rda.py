@@ -116,7 +116,7 @@ class TestStarvationGuard:
 
     def test_rescue_after_release_forces_waiting_head(self, paper_machine):
         """A fitting period runs first; once it completes and the resource
-        drains to idle, _rescue_starved force-admits the oversized waiter."""
+        drains to idle, rescue_starved force-admits the oversized waiter."""
         from repro.workloads.base import ProcessSpec, Workload
 
         wl = Workload(

@@ -55,6 +55,19 @@ class TestGates:
         with pytest.raises(ValueError):
             OnlineWssEstimator(error_band=0.0)
 
+    def test_min_samples_above_history_is_rejected(self):
+        # a 4-sample ring never holds 8 samples: it would never predict
+        with pytest.raises(ValueError, match="history"):
+            OnlineWssEstimator(history=4, min_samples=8)
+        est = OnlineWssEstimator(history=4, min_samples=4)
+        feed(est, [(1000, 500)] * 4)
+        assert est.predict(KEY, 1000) == 500
+
+    def test_empty_confidence_window_is_rejected(self):
+        # an empty window would hold no error and read 1.0 forever
+        with pytest.raises(ValueError, match="confidence_window"):
+            OnlineWssEstimator(confidence_window=0)
+
 
 class TestLearning:
     def test_constant_liar_is_corrected(self):
@@ -117,6 +130,24 @@ class TestConfidence:
         assert est.predict(KEY, 1000) == 800
 
 
+HINT_CLIENTS = ["", "a", "ab", "b"]
+HINT_KEY = st.tuples(st.sampled_from(HINT_CLIENTS), st.sampled_from(["p", "q"]))
+# (declared, observed) on one log curve, plus one outlier that costs
+# confidence when the model scores itself on it
+HINT_SAMPLE = st.sampled_from([(1000, 500), (2000, 700), (4000, 900),
+                               (2000, 5000)])
+HINT_PREDICT = st.tuples(st.just("predict"), HINT_KEY,
+                         st.sampled_from([1000, 1500, 2000, 4000]))
+# predicts are listed twice: they are what fills the hint index
+HINT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("observe"), HINT_KEY,
+              st.lists(HINT_SAMPLE, min_size=1, max_size=4)),
+    HINT_PREDICT,
+    HINT_PREDICT,
+    st.tuples(st.just("distrust"), HINT_KEY),
+), min_size=10, max_size=40)
+
+
 class TestPlacementHint:
     def test_peak_confident_prediction_wins(self):
         est = OnlineWssEstimator(min_samples=2)
@@ -126,6 +157,38 @@ class TestPlacementHint:
         assert est.predict(("c1", "b"), 1000) == 700
         assert est.predicted_for_client("c1") == 700
         assert est.predicted_for_client("other") is None
+
+    @given(st.dictionaries(HINT_KEY, st.tuples(
+               HINT_SAMPLE, st.integers(min_value=0, max_value=5))),
+           HINT_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_hint_index_equals_a_brute_force_scan(self, warm, ops):
+        # "a" is a prefix of "ab", and "" holds the anonymous sessions;
+        # min_samples=3 keeps a key with a short warm-up below the gate
+        est = OnlineWssEstimator(min_samples=3, confidence_window=4)
+        for key, (sample, repeats) in warm.items():
+            feed(est, [sample] * repeats, key=key)
+        last = {}  # key -> newest declared demand that got a prediction
+        for op, key, *arg in ops:
+            if op == "observe":
+                for declared, observed in arg[0]:
+                    est.observe(key, declared, observed)
+            elif op == "predict":
+                if est.predict(key, arg[0]) is not None:
+                    last[key] = arg[0]
+            else:  # push the key under min_confidence
+                for _ in range(est.confidence_window):
+                    est.note_error(key, 10.0)
+            for client in HINT_CLIENTS:
+                hint = est.predicted_for_client(client)
+                confident = [
+                    value for value in (
+                        est.predict(k, declared)
+                        for k, declared in last.items() if k[0] == client
+                    )
+                    if value is not None
+                ]
+                assert hint == (max(confident) if confident else None)
 
 
 class TestPersistence:

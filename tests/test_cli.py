@@ -260,3 +260,20 @@ class TestPredictFlags:
     def test_invalid_predict_values_are_rejected(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("flags", [
+        ["--predict-history", "1"],
+        ["--predict-min-samples", "1"],
+        ["--predict-min-samples", "40"],  # above the default history of 32
+        ["--predict-history", "4", "--predict-min-samples", "5"],
+    ])
+    def test_estimator_settings_are_usage_errors(self, flags, tmp_path,
+                                                 capsys):
+        # binding inside a missing directory would fail: the check must
+        # come first
+        sock = tmp_path / "missing" / "serve.sock"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--predict", "--socket", str(sock), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--predict-" in err
