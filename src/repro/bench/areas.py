@@ -300,14 +300,14 @@ def bench_serve(seed: int, reps: int) -> List[BenchRecord]:
 # ----------------------------------------------------------------------
 # 8 clients racing for a capacity that fits one 6.3 MB period at a time,
 # each holding 10 ms, keeps the pending queue past max_pending for the
-# whole run: the shedding paths (adaptive RETRY_AFTER, park deadlines)
+# whole run: the shedding paths (adaptive RETRY_AFTER, park timeouts)
 # are the hot path being timed, not a corner case
 _OVERLOAD_SESSIONS = 160
 _OVERLOAD_CLIENTS = 8
 _OVERLOAD_DEMAND_MB = 6.3
 _OVERLOAD_HOLD_S = 0.01
 _OVERLOAD_MAX_PENDING = 4
-_OVERLOAD_PARK_DEADLINE_S = 0.03
+_OVERLOAD_PARK_TIMEOUT_S = 0.03
 _OVERLOAD_HINT_FLOOR_S = 0.005
 _OVERLOAD_HINT_CAP_S = 0.03
 
@@ -325,7 +325,7 @@ def bench_serve_overload(seed: int, reps: int) -> List[BenchRecord]:
     )
     serve_cfg = dict(
         max_pending=_OVERLOAD_MAX_PENDING,
-        park_deadline_s=_OVERLOAD_PARK_DEADLINE_S,
+        park_timeout_s=_OVERLOAD_PARK_TIMEOUT_S,
         retry_hint_floor_s=_OVERLOAD_HINT_FLOOR_S,
         retry_hint_cap_s=_OVERLOAD_HINT_CAP_S,
         max_pending_per_client=1,

@@ -135,18 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the managed LLC capacity (default: Table 1 machine)",
     )
     serve_p.add_argument(
-        "--max-pending", type=int, default=1024, metavar="N",
+        "--max-pending", type=_positive_int, default=1024, metavar="N",
         help="parked-admission bound; beyond it pp_begin gets RETRY_AFTER",
     )
     serve_p.add_argument(
-        "--park-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="how long one client may stay parked before a TIMEOUT reply",
-    )
-    serve_p.add_argument(
-        "--park-deadline", type=_positive_float, default=None,
+        "--park-timeout", type=_positive_float, default=30.0,
         metavar="SECONDS",
         help="queue-sojourn bound on parked admissions: past it the period "
-        "is cancelled with PARK_TIMEOUT and a retry hint (default: off)",
+        "is cancelled with PARK_TIMEOUT and a retry hint (default 30)",
     )
     serve_p.add_argument(
         "--retry-hint-floor", type=_positive_float, default=0.05,
@@ -174,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(slow-consumer defense; default: wait forever)",
     )
     serve_p.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
+        "--idle-timeout", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="disconnect a client idle this long (default: never)",
     )
     serve_p.add_argument(
@@ -186,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="periodically dump the live metrics snapshot to this file",
     )
     serve_p.add_argument(
-        "--metrics-interval", type=float, default=2.0, metavar="SECONDS",
+        "--metrics-interval", type=_positive_float, default=2.0,
+        metavar="SECONDS",
     )
     serve_p.add_argument(
         "--sanitize", action="store_true",
@@ -206,12 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact the journal after this many appended events",
     )
     serve_p.add_argument(
-        "--lease-ttl", type=float, default=10.0, metavar="SECONDS",
+        "--lease-ttl", type=_positive_float, default=10.0, metavar="SECONDS",
         help="client lease time-to-live; a silent client's periods are "
         "reclaimed after this",
     )
     serve_p.add_argument(
-        "--lease-check", type=float, default=0.25, metavar="SECONDS",
+        "--lease-check", type=_positive_float, default=0.25,
+        metavar="SECONDS",
         help="lease reaper sweep interval",
     )
     serve_p.add_argument(
@@ -659,7 +658,7 @@ def _predict_settings_problem(args) -> Optional[str]:
 def _cmd_serve(args, parser: argparse.ArgumentParser) -> int:
     import asyncio
 
-    from .serve import ServeConfig, serve_until_drained
+    from .serve import ServeConfig
 
     problem = _predict_settings_problem(args)
     if problem is not None:
@@ -673,7 +672,6 @@ def _cmd_serve(args, parser: argparse.ArgumentParser) -> int:
         strict_fifo=args.fifo,
         max_pending=args.max_pending,
         park_timeout_s=args.park_timeout,
-        park_deadline_s=args.park_deadline,
         retry_hint_floor_s=args.retry_hint_floor,
         retry_hint_cap_s=args.retry_hint_cap,
         max_pending_per_client=args.max_pending_per_client,

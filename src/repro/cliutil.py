@@ -13,12 +13,12 @@ __all__ = ["positive_float", "positive_int"]
 
 
 def positive_float(text: str) -> float:
-    """Argparse type: a strictly positive float."""
+    """Argparse type: a strictly positive float (NaN is rejected)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value <= 0:
+    if not value > 0:  # NaN compares false
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 

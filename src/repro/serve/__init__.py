@@ -67,7 +67,6 @@ from .server import (
     ServeConfig,
     adaptive_retry_hint_s,
     quota_admits,
-    serve_until_drained,
 )
 
 __all__ = [
@@ -115,6 +114,5 @@ __all__ = [
     "run_chaos",
     "run_loadgen",
     "run_loadgen_sync",
-    "serve_until_drained",
     "start_local_cluster",
 ]

@@ -119,7 +119,6 @@ class ChaosConfig:
     max_pending: Optional[int] = None
     retry_hint_floor_s: Optional[float] = None
     retry_hint_cap_s: Optional[float] = None
-    park_deadline_s: Optional[float] = None
     max_pending_per_client: Optional[int] = None
     write_timeout_s: Optional[float] = None
     #: overload campaign: open-loop storm arrivals per second
@@ -321,7 +320,6 @@ class ServerProcess:
             ("--max-pending", self.cfg.max_pending),
             ("--retry-hint-floor", self.cfg.retry_hint_floor_s),
             ("--retry-hint-cap", self.cfg.retry_hint_cap_s),
-            ("--park-deadline", self.cfg.park_deadline_s),
             ("--max-pending-per-client", self.cfg.max_pending_per_client),
             ("--write-timeout", self.cfg.write_timeout_s),
         )
@@ -684,7 +682,6 @@ _OVERLOAD_KNOBS = {
     "max_pending": 16,
     "retry_hint_floor_s": 0.05,
     "retry_hint_cap_s": 2.0,
-    "park_deadline_s": 1.0,
     "max_pending_per_client": 2,
     "write_timeout_s": 1.0,
 }
@@ -762,11 +759,17 @@ class _Campaign:
             # The storm must oversubscribe capacity or nothing sheds: at
             # the classic campaign's 10 ms holds, 150 arrivals/s of 2 MB
             # fits in an 8 MB machine with room to spare.  150 ms holds
-            # put offered load at ~5-6x capacity.
-            cfg = replace(cfg, hold_s=max(cfg.hold_s, 0.15), **{
-                knob: value for knob, value in _OVERLOAD_KNOBS.items()
-                if getattr(cfg, knob) is None
-            })
+            # put offered load at ~5-6x capacity.  A 1 s park timeout
+            # sheds the storm's parked begins with a retry hint.
+            cfg = replace(
+                cfg,
+                hold_s=max(cfg.hold_s, 0.15),
+                park_timeout_s=min(cfg.park_timeout_s, 1.0),
+                **{
+                    knob: value for knob, value in _OVERLOAD_KNOBS.items()
+                    if getattr(cfg, knob) is None
+                },
+            )
         self.cfg = cfg
         self.rolling = kind == "rolling"
         #: the front-end's supervisor restarts killed shards, not the harness
@@ -864,9 +867,11 @@ class _Campaign:
         common = dict(
             sessions=cfg.sessions, duration_s=cfg.duration_s,
             time_scale=1.0, call_timeout_s=2.0, seed=cfg.seed,
+            # past the server's park timeout, silence on pp_begin means a
+            # dropped frame, not a parked period — reconnect and re-issue
+            begin_timeout_s=cfg.park_timeout_s + 2.0,
         )
         if self.storm:
-            assert cfg.park_deadline_s is not None  # armed in __init__
             load_cfg = LoadgenConfig(
                 mode="open",
                 rate=cfg.storm_rate,
@@ -876,9 +881,6 @@ class _Campaign:
                 # admission.
                 max_retries=6,
                 resilient=True,
-                begin_timeout_s=(
-                    min(cfg.park_deadline_s, cfg.park_timeout_s) + 2.0
-                ),
                 client_backoff_cap_s=cfg.backoff_cap_s,
                 breaker_threshold=cfg.breaker_threshold,
                 breaker_reset_s=cfg.breaker_reset_s,
@@ -892,10 +894,6 @@ class _Campaign:
                 max_retries=100_000,
                 resilient=self.frontend is None,
                 cluster=self.frontend is not None,
-                # past the server's park timeout, silence on pp_begin
-                # means a dropped frame, not a parked period — reconnect
-                # and re-issue
-                begin_timeout_s=cfg.park_timeout_s + 2.0,
                 **common,
             )
         scripts = fig4_scripts(

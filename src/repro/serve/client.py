@@ -120,42 +120,34 @@ class ServeClient:
         """
         if self._closed:
             raise ServeError("client is closed")
-        request_id = next(self._ids)
-        frame: Dict[str, Any] = {
-            "v": protocol.PROTOCOL_VERSION, "id": request_id, "op": op,
-        }
-        frame.update(fields)
 
         async def round_trip() -> Dict[str, Any]:
-            if self.binary:
-                self.writer.write(protocol.encode_binary_frame(frame))
-            else:
-                self.writer.write(protocol.encode_frame(frame))
-            await self.writer.drain()
+            await self.send_request(next(self._ids), op, fields)
             return await self._read_reply()
 
-        if timeout is None:
-            return await round_trip()
         return await asyncio.wait_for(round_trip(), timeout=timeout)
 
+    async def send_request(
+        self, request_id: int, op: str, fields: Dict[str, Any]
+    ) -> None:
+        """Build one request frame and write it in the connection's
+        current framing."""
+        frame = {"v": protocol.PROTOCOL_VERSION, "id": request_id, "op": op}
+        frame.update(fields)
+        encode = (
+            protocol.encode_binary_frame if self.binary else protocol.encode_frame
+        )
+        self.writer.write(encode(frame))
+        await self.writer.drain()
+
     async def _read_reply(self) -> Dict[str, Any]:
-        """Read one reply frame in the connection's current encoding."""
-        if not self.binary:
-            line = await self.reader.readline()
-            if not line:
-                raise ProtocolError(
-                    protocol.ErrorCode.INTERNAL, "server closed the connection"
-                )
-            return protocol.decode_frame(line)
-        try:
-            header = await self.reader.readexactly(protocol.BINARY_HEADER_BYTES)
-            length = protocol.parse_binary_header(header)
-            payload = await self.reader.readexactly(length)
-        except asyncio.IncompleteReadError:
+        """Read one reply frame in the connection's current framing."""
+        buf = await protocol.read_raw_frame(self.reader, self.binary)
+        if not buf:
             raise ProtocolError(
                 protocol.ErrorCode.INTERNAL, "server closed the connection"
-            ) from None
-        return protocol.decode_binary_frame(header + payload)
+            )
+        return protocol.decode_any_frame(buf)
 
     async def call(
         self, op: str, timeout: Optional[float] = None, **fields: Any

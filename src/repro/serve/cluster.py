@@ -40,15 +40,14 @@ import asyncio
 import contextlib
 import dataclasses
 import itertools
-import os
-import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Awaitable, Dict, List, Optional, Tuple, Union
 
-from ..errors import ProtocolError, ServeError
 from . import protocol
 from .client import ServeClient
+from .listener import Listener, Session
 from .metrics import MetricsRegistry
 from .placer import ClusterError, DemandAwarePlacer, ShardAddress, ShardState
 from .protocol import ErrorCode
@@ -125,17 +124,16 @@ class ClusterConfig:
     metrics_interval_s: float = 2.0
 
 
-class ClusterFrontend:
+class ClusterFrontend(Listener):
     """The placer process: accepts clients, assigns shards, redirects."""
 
     def __init__(self, cfg: ClusterConfig) -> None:
         if not cfg.shards:
             raise ClusterError("ClusterConfig needs at least one shard")
-        self.cfg = cfg
+        super().__init__(cfg, MetricsRegistry())
         self.placer = DemandAwarePlacer(
             [ShardState(address=a) for a in cfg.shards], seed=cfg.seed
         )
-        self.metrics = MetricsRegistry()
         self.c_placements = self.metrics.counter(
             "placements_total", "clients assigned to a shard"
         )
@@ -147,9 +145,6 @@ class ClusterFrontend:
         )
         self.c_migration_failures = self.metrics.counter(
             "migration_failures_total", "migrate calls the source shard failed"
-        )
-        self.c_requests = self.metrics.counter(
-            "requests_total", "frames handled by the front-end itself"
         )
         self.c_brownout_shed = self.metrics.counter(
             "brownout_shed_total", "new clients shed with OVERLOAD"
@@ -225,85 +220,46 @@ class ClusterFrontend:
                 f"shard_alive:{address.name}",
                 fn=lambda s=shard: float(s.alive),
             )
-        self._servers: List[asyncio.AbstractServer] = []
-        self._unix_path: Optional[str] = None
-        self._background: List[asyncio.Task] = []
         self._anon_ids = itertools.count(1)
-        self.draining = False
-        self._drain_requested = asyncio.Event()
+        # hello and pp_begin are placed and redirected; query, stats and
+        # drain are answered with cluster-wide aggregates; the rest are
+        # shard verbs the front-end refuses
+        self.verbs = {
+            "hello": self._op_redirect,
+            "pp_begin": self._op_redirect,
+            "query": self._op_query,
+            "stats": self._op_stats,
+            "drain": self._op_drain,
+            "pp_end": partial(
+                self._refuse, ErrorCode.UNKNOWN_PERIOD, "end a period on its shard"
+            ),
+            "heartbeat": partial(
+                self._refuse, ErrorCode.NOT_BOUND, "say hello before heartbeat"
+            ),
+            "migrate": partial(
+                self._refuse, ErrorCode.BAD_REQUEST, "migrate is a shard verb"
+            ),
+        }
 
     # ------------------------------------------------------------------
-    # lifecycle (mirrors AdmissionServer)
+    # listener hooks
     # ------------------------------------------------------------------
-    async def start(
-        self,
-        unix_path: Optional[str] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-    ) -> None:
-        """Probe the shards once, then bind and start background loops."""
-        if unix_path is None and host is None:
-            raise ServeError("need a unix socket path and/or a TCP host/port")
+    async def _before_bind(self) -> None:
+        """Probe the shards once, so the first client is placed on a
+        known cluster."""
         await self._health_sweep()
-        if unix_path is not None:
-            if os.path.exists(unix_path):
-                os.unlink(unix_path)
-            self._servers.append(
-                await asyncio.start_unix_server(
-                    self._handle_client, path=unix_path,
-                    limit=self.cfg.max_frame_bytes,
-                )
-            )
-            self._unix_path = unix_path
-        if host is not None:
-            if port is None:
-                raise ServeError("TCP transport needs a port")
-            self._servers.append(
-                await asyncio.start_server(
-                    self._handle_client, host=host, port=port,
-                    limit=self.cfg.max_frame_bytes,
-                )
-            )
-        self._background.append(asyncio.ensure_future(self._health_loop()))
-        self._background.append(asyncio.ensure_future(self._balance_loop()))
-        self._background.append(asyncio.ensure_future(self._supervise_loop()))
-        if self.cfg.metrics_json:
-            self._background.append(asyncio.ensure_future(self._metrics_loop()))
 
-    @property
-    def tcp_port(self) -> Optional[int]:
-        for server in self._servers:
-            for sock in server.sockets or ():
-                if sock.family.name.startswith("AF_INET"):
-                    return sock.getsockname()[1]
-        return None
+    def _background_loops(self) -> List[Awaitable[None]]:
+        return [
+            self._health_loop(), self._balance_loop(), self._supervise_loop(),
+        ]
 
-    def request_drain(self) -> None:
-        self._drain_requested.set()
-
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-
-    async def run_until_drained(self) -> None:
-        await self._drain_requested.wait()
-        self.draining = True
-        for server in self._servers:
-            server.close()
-        for server in self._servers:
-            await server.wait_closed()
-        stopping = list(self._background) + list(self._restart_tasks)
-        for task in stopping:
+    async def _stopped(self) -> None:
+        """Cancel the supervised restarts still in flight."""
+        tasks = list(self._restart_tasks)
+        for task in tasks:
             task.cancel()
-        await asyncio.gather(*stopping, return_exceptions=True)
-        if self._unix_path and os.path.exists(self._unix_path):
-            os.unlink(self._unix_path)
-        if self.cfg.metrics_json:
-            self.metrics.dump_json(self.cfg.metrics_json)
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     # ------------------------------------------------------------------
     # background loops
@@ -352,11 +308,12 @@ class ClusterFrontend:
             s for s in self.placer.shards.values()
             if not s.draining and s.name not in self._restarting
         ]
-        replies = await asyncio.gather(
-            *(self._probe(s) for s in shards), return_exceptions=True
+        replies = await self._each_shard(
+            "query", shards, timeout=self.cfg.probe_timeout_s
         )
-        for shard, reply in zip(shards, replies):
-            if not isinstance(reply, dict):
+        for shard in shards:
+            reply = replies[shard.name]
+            if reply is None:
                 self.placer.observe(shard.name, alive=False)
                 continue
             self._fold_probe(shard, reply)
@@ -520,11 +477,6 @@ class ClusterFrontend:
                 moved += 1
         return moved
 
-    async def _metrics_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.cfg.metrics_interval_s)
-            self.metrics.dump_json(self.cfg.metrics_json)
-
     # ------------------------------------------------------------------
     # shard supervision
     # ------------------------------------------------------------------
@@ -609,28 +561,28 @@ class ClusterFrontend:
                 self.placer.revive(name)
                 return True
             self._last_restart[name] = time.monotonic()
-            restarter = self._restarters.get(name)
-            if restarter is None:
-                return False  # disarmed while we backed off
-            try:
-                await restarter()
-            except Exception:
-                return False
-            if not await self._await_ready(shard):
-                return False
-            self.placer.revive(name)
-            self.c_shard_restarts.inc()
-            return True
+            return await self._restart(shard)
         finally:
             self._restarting.discard(name)
 
-    async def _await_ready(self, shard: ShardState) -> bool:
-        """Probe a restarting shard until it answers (bounded)."""
+    async def _restart(self, shard: ShardState) -> bool:
+        """Run the shard's restarter, probe the shard until it answers
+        (bounded) and re-register it with the placer.  False when a step
+        fails, or when supervision was disarmed in the meantime."""
+        restarter = self._restarters.get(shard.name)
+        if restarter is None:
+            return False
+        try:
+            await restarter()
+        except Exception:
+            return False
         deadline = time.monotonic() + self.cfg.restart_ready_timeout_s
         while time.monotonic() < deadline:
             reply = await self._probe(shard)
             if reply is not None:
                 self._fold_probe(shard, reply)
+                self.placer.revive(shard.name)
+                self.c_shard_restarts.inc()
                 return True
             await asyncio.sleep(0.05)
         return False
@@ -680,21 +632,12 @@ class ClusterFrontend:
     async def restart_shard(self, name: str) -> bool:
         """Restart a drained/dead shard via its registered restarter and
         re-register it with the placer once it answers probes."""
-        restarter = self._restarters.get(name)
-        if restarter is None:
+        if name not in self._restarters:
             raise ClusterError(f"no restarter registered for shard {name!r}")
-        shard = self.placer.shards[name]
-        try:
-            await restarter()
-        except Exception:
-            self.placer.mark_draining(name, False)  # unplanned now
-            return False
-        if not await self._await_ready(shard):
-            self.placer.mark_draining(name, False)
-            return False
-        self.placer.revive(name)
-        self.c_shard_restarts.inc()
-        return True
+        if await self._restart(self.placer.shards[name]):
+            return True
+        self.placer.mark_draining(name, False)  # unplanned now
+        return False
 
     async def rolling_restart(
         self, *, grace_s: Optional[float] = None
@@ -717,81 +660,23 @@ class ClusterFrontend:
         return results
 
     # ------------------------------------------------------------------
-    # connection handling
+    # verbs
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one front-end connection, always in NDJSON.
+    async def _refuse(
+        self, code: str, message: str, session: Session,
+        request: protocol.Request,
+    ) -> Dict[str, Any]:
+        """A shard verb: answered with its typed error, no placement."""
+        return protocol.error_reply(request.id, code, message)
 
-        ``hello`` and ``pp_begin`` are answered with a REDIRECT to the
-        client's shard; ``query``/``stats``/``drain`` are answered here
-        with aggregates.  The connection never binds to a shard.
-        """
-        async def send(frame: Dict[str, Any]) -> None:
-            try:
-                writer.write(protocol.encode_frame(frame))
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
-
-        try:
-            while not self.draining:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    return
-                except ValueError:
-                    await send(protocol.error_reply(
-                        None, ErrorCode.FRAME_TOO_LARGE,
-                        f"request frame exceeds "
-                        f"{self.cfg.max_frame_bytes} bytes",
-                    ))
-                    return
-                if not line:
-                    return
-                self.c_requests.inc()
-                try:
-                    frame = protocol.decode_frame(
-                        line, self.cfg.max_frame_bytes
-                    )
-                    request = protocol.parse_request(frame)
-                except ProtocolError as exc:
-                    await send(protocol.error_reply(
-                        None, exc.code, exc.message
-                    ))
-                    continue
-                if request.op in ("hello", "pp_begin"):
-                    await self._op_redirect(request, send)
-                elif request.op == "query":
-                    await send(await self._op_query(request))
-                elif request.op == "stats":
-                    await send(protocol.ok_reply(
-                        request.id, stats=await self._op_stats()
-                    ))
-                elif request.op == "drain":
-                    await send(await self._op_drain(request))
-                else:
-                    await send(protocol.error_reply(
-                        request.id, *self._UNROUTED[request.op]
-                    ))
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-
-    #: verbs the front-end answers with an error and no placement
-    _UNROUTED = {
-        "pp_end": (ErrorCode.UNKNOWN_PERIOD, "end a period on its shard"),
-        "heartbeat": (ErrorCode.NOT_BOUND, "say hello before heartbeat"),
-        "migrate": (ErrorCode.BAD_REQUEST, "migrate is a shard verb"),
-    }
-
-    async def _op_redirect(self, request: protocol.Request, send) -> None:
+    async def _op_redirect(
+        self, session: Session, request: protocol.Request
+    ) -> Dict[str, Any]:
         """Place the client and answer with a REDIRECT to its shard.
 
         A ``pp_begin`` from a client that skipped hello is placed on its
-        declared demand under a synthetic id, forgotten right after the
-        reply; a named client's reservation is held for one lease TTL.
+        declared demand under a synthetic id, forgotten right away; a
+        named client's reservation is held for one lease TTL.
         """
         if request.op == "hello":
             client_id = request.client
@@ -802,61 +687,75 @@ class ClusterFrontend:
         else:
             client_id = f"anon-{next(self._anon_ids)}"
             demand = {request.resource.value: request.demand_bytes}
-        shard = await self._place(client_id, request.id, send, demand)
-        if shard is None:
-            return
+        shard = self._place(client_id, request.id, demand)
+        if not isinstance(shard, ShardState):
+            return shard  # shed
         self.c_redirects.inc()
-        await send(protocol.error_reply(
-            request.id, ErrorCode.REDIRECT,
-            f"assigned to shard {shard.name}",
-            shard=shard.address.to_fields(),
-        ))
         if request.op == "hello":
             self._reserve(client_id, shard)
         else:
             self.placer.forget(client_id)  # a synthetic identity never returns
+        return protocol.error_reply(
+            request.id, ErrorCode.REDIRECT,
+            f"assigned to shard {shard.name}",
+            shard=shard.address.to_fields(),
+        )
 
-    async def _place(
+    def _place(
         self,
         client_id: str,
         request_id: Optional[int],
-        send,
         demand_hint: Optional[Dict[str, int]] = None,
-    ) -> Optional[ShardState]:
-        """Place a client on a shard, or shed it: reply ``OVERLOAD`` in a
-        brownout, ``RETRY_AFTER`` with no live shard, and return None."""
+    ) -> Union[ShardState, Dict[str, Any]]:
+        """Place a client on a shard, or shed it: the ``OVERLOAD`` reply
+        in a brownout, ``RETRY_AFTER`` with no live shard."""
         if self._shed_new_client(client_id):
             self.c_brownout_shed.inc()
-            await send(protocol.error_reply(
+            return protocol.error_reply(
                 request_id, ErrorCode.OVERLOAD,
                 "cluster is in brownout: shedding new clients",
                 retry_after_s=self.cfg.brownout_retry_s,
-            ))
-            return None
+            )
         try:
             shard = self.placer.place(client_id, demand_hint)
         except ClusterError:
-            await send(protocol.error_reply(
+            return protocol.error_reply(
                 request_id, ErrorCode.RETRY_AFTER,
                 "no live admission shard; retry",
                 retry_after_s=self.cfg.retry_after_s,
-            ))
-            return None
+            )
         self.c_placements.inc()
         return shard
 
-    # ------------------------------------------------------------------
-    # aggregation verbs
-    # ------------------------------------------------------------------
-    async def _op_query(self, request: protocol.Request) -> Dict[str, Any]:
+    async def _each_shard(
+        self,
+        op: str,
+        shards: Optional[List[ShardState]] = None,
+        timeout: Optional[float] = None,
+    ) -> Dict[str, Optional[Dict[str, Any]]]:
+        """One ``op`` call to every shard (or to ``shards``) at once:
+        shard name -> its reply, None when the call failed."""
+        if shards is None:
+            shards = list(self.placer.shards.values())
+        replies = await asyncio.gather(
+            *(self._shard_call(s, op, timeout=timeout) for s in shards),
+            return_exceptions=True,
+        )
+        return {
+            shard.name: reply if isinstance(reply, dict) else None
+            for shard, reply in zip(shards, replies)
+        }
+
+    async def _op_query(
+        self, session: Session, request: protocol.Request
+    ) -> Dict[str, Any]:
         if request.pp_id is not None:
             return protocol.error_reply(
                 request.id, ErrorCode.BAD_REQUEST,
                 "per-period query must go through the period's shard",
             )
-        shards = list(self.placer.shards.values())
-        replies = await asyncio.gather(
-            *(self._probe(s) for s in shards), return_exceptions=True
+        replies = await self._each_shard(
+            "query", timeout=self.cfg.probe_timeout_s
         )
         resources: Dict[str, Dict[str, Any]] = {}
         totals = {
@@ -864,9 +763,9 @@ class ClusterFrontend:
             "forced_admissions": 0, "clients": 0,
         }
         per_shard: Dict[str, Any] = {}
-        for shard, reply in zip(shards, replies):
-            if not isinstance(reply, dict):
-                per_shard[shard.name] = None
+        for name, reply in replies.items():
+            if reply is None:
+                per_shard[name] = None
                 continue
             for key in totals:
                 value = reply.get(key)
@@ -879,7 +778,7 @@ class ClusterFrontend:
                 agg["usage_bytes"] += entry.get("usage_bytes", 0)
                 agg["capacity_bytes"] += entry.get("capacity_bytes", 0)
                 agg["waiting"] += entry.get("waiting", 0)
-            per_shard[shard.name] = {
+            per_shard[name] = {
                 "open_periods": reply.get("open_periods"),
                 "waiting": reply.get("waiting"),
                 "resources": reply.get("resources"),
@@ -896,34 +795,31 @@ class ClusterFrontend:
             **totals,
         )
 
-    async def _op_stats(self) -> Dict[str, Any]:
-        shards = list(self.placer.shards.values())
-        replies = await asyncio.gather(
-            *(self._shard_call(s, "stats") for s in shards),
-            return_exceptions=True,
-        )
+    async def _op_stats(
+        self, session: Session, request: protocol.Request
+    ) -> Dict[str, Any]:
         per_shard = {
-            shard.name: (
-                reply.get("stats") if isinstance(reply, dict) else None
-            )
-            for shard, reply in zip(shards, replies)
+            name: None if reply is None else reply.get("stats")
+            for name, reply in (await self._each_shard("stats")).items()
         }
         counters: Dict[str, int] = {}
         for reply in per_shard.values():
             for name, value in ((reply or {}).get("counters") or {}).items():
                 counters[name] = counters.get(name, 0) + value
-        stats = self.metrics.snapshot()
-        return {
-            **stats,
+        return protocol.ok_reply(request.id, stats={
+            **self.metrics.snapshot(),
             "shard_counters": counters,
             "shards": per_shard,
-        }
+        })
 
-    async def _op_drain(self, request: protocol.Request) -> Dict[str, Any]:
+    async def _op_drain(
+        self, session: Session, request: protocol.Request
+    ) -> Dict[str, Any]:
         """Drain admin verb, three modes.
 
         * ``{"op": "drain"}`` — fan out to every shard, then drain the
-          front-end itself (whole-cluster shutdown, the original verb).
+          front-end itself once the reply is written (whole-cluster
+          shutdown, the original verb).
         * ``{"op": "drain", "shard": "shard1"}`` — rolling-restart *one*
           shard: planned drain, restart via its registered restarter,
           rejoin.  The cluster keeps serving throughout.
@@ -970,16 +866,10 @@ class ClusterFrontend:
                 request.id, rolling=True, shards=results,
                 rolled=sum(1 for ok in results.values() if ok),
             )
-        shards = list(self.placer.shards.values())
-        results = await asyncio.gather(
-            *(self._shard_call(s, "drain") for s in shards),
-            return_exceptions=True,
-        )
         drained = {
-            shard.name: isinstance(result, dict)
-            for shard, result in zip(shards, results)
+            name: reply is not None
+            for name, reply in (await self._each_shard("drain")).items()
         }
-        self.request_drain()
         return protocol.ok_reply(request.id, draining=True, shards=drained)
 
 

@@ -156,7 +156,7 @@ class LoadgenReport:
     #: terminal OVERLOAD sheds (cluster brownout), anywhere in a session
     overload_sheds: int
     #: calls that terminally ended shed — RETRY_AFTER exhausted/dropped,
-    #: TIMEOUT/PARK_TIMEOUT, or OVERLOAD — as opposed to admitted/errored
+    #: PARK_TIMEOUT, or OVERLOAD — as opposed to admitted/errored
     shed_calls: int
     #: shed replies missing the mandated retry hint (should stay 0)
     sheds_without_hint: int
@@ -410,7 +410,7 @@ class _Runner:
                         self._retry_sleep_s(attempt, exc.retry_after_s)
                     )
                     continue
-                if exc.code in (ErrorCode.TIMEOUT, ErrorCode.PARK_TIMEOUT):
+                if exc.code == ErrorCode.PARK_TIMEOUT:
                     tally.park_timeouts += 1
                     tally.shed_calls += 1
                     return True  # period cancelled server-side; move on

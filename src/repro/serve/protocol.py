@@ -103,8 +103,7 @@ class ErrorCode:
     BAD_REQUEST = "BAD_REQUEST"  # verb fields missing or ill-typed
     UNKNOWN_PERIOD = "UNKNOWN_PERIOD"  # pp_id not open on this connection
     RETRY_AFTER = "RETRY_AFTER"  # pending-admission queue full
-    TIMEOUT = "TIMEOUT"  # parked longer than the park timeout
-    PARK_TIMEOUT = "PARK_TIMEOUT"  # parked past the sojourn deadline
+    PARK_TIMEOUT = "PARK_TIMEOUT"  # parked past the park timeout
     OVERLOAD = "OVERLOAD"  # cluster brownout: shedding new clients
     DRAINING = "DRAINING"  # server no longer admits new periods
     NOT_BOUND = "NOT_BOUND"  # heartbeat before hello (no client identity)

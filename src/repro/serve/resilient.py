@@ -418,19 +418,11 @@ class ResilientServeClient:
         **fields: Any,
     ) -> Dict[str, Any]:
         request_id = next(self._ids)
-        frame: Dict[str, Any] = {
-            "v": protocol.PROTOCOL_VERSION, "id": request_id, "op": op,
-        }
-        frame.update(fields)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         try:
             async with self._send_lock:  # type: ignore[union-attr]
-                if conn.binary:
-                    conn.writer.write(protocol.encode_binary_frame(frame))
-                else:
-                    conn.writer.write(protocol.encode_frame(frame))
-                await conn.writer.drain()
+                await conn.send_request(request_id, op, fields)
             if timeout is not None:
                 return await asyncio.wait_for(future, timeout=timeout)
             return await future

@@ -52,10 +52,9 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Tuple
 
 from ..config import MachineConfig, default_machine_config
 from ..core.admission import AdmissionCore
@@ -68,12 +67,13 @@ from ..core.progress_period import (
     ReuseLevel,
     ensure_pp_ids_above,
 )
-from ..errors import ProgressPeriodError, ProtocolError, ServeError
+from ..errors import ProgressPeriodError, ProtocolError
 from ..predict import ElasticController, MispredictDetector, OnlineWssEstimator
 from ..predict.estimator import EstimatorKey
 from . import protocol
 from .journal import AdmissionJournal, AdmitRecord
 from .leases import ClientRecord, LeaseTable
+from .listener import Listener, Session
 from .metrics import MetricsRegistry
 from .protocol import ErrorCode
 
@@ -83,7 +83,6 @@ __all__ = [
     "AdmissionServer",
     "adaptive_retry_hint_s",
     "quota_admits",
-    "serve_until_drained",
 ]
 
 #: most movable parked clients one ``query`` reply lists, so a probe
@@ -154,12 +153,10 @@ class ServeConfig:
     #: (:func:`adaptive_retry_hint_s`); floor == cap is a constant hint
     retry_hint_floor_s: float = 0.05
     retry_hint_cap_s: float = 0.05
-    #: how long one client may stay parked before a TIMEOUT reply
+    #: sojourn bound on parked pp_begins: past it the period is cancelled
+    #: with a typed PARK_TIMEOUT error carrying a retry hint (None = park
+    #: until admitted, drained or disconnected)
     park_timeout_s: Optional[float] = 30.0
-    #: CoDel-style sojourn bound on parked pp_begins: past it the period
-    #: is cancelled with a typed PARK_TIMEOUT error carrying a retry hint
-    #: (None = only the legacy park_timeout_s applies)
-    park_deadline_s: Optional[float] = None
     #: per-client bound on parked admissions, so one storm client cannot
     #: occupy the whole pending queue (None = no per-client bound)
     max_pending_per_client: Optional[int] = None
@@ -265,7 +262,6 @@ class AdmissionService(AdmissionCore):
     def _build_metrics(self) -> None:
         m = MetricsRegistry()
         self.metrics = m
-        self.c_requests = m.counter("requests_total", "frames received")
         self.c_begin = m.counter("pp_begin_total", "pp_begin requests")
         self.c_end = m.counter("pp_end_total", "successful pp_end calls")
         self.c_immediate = m.counter(
@@ -281,27 +277,15 @@ class AdmissionService(AdmissionCore):
             "retry_after_total", "pp_begin rejected by the pending-queue bound"
         )
         self.c_park_timeout = m.counter(
-            "park_timeouts_total", "parked periods that hit the park timeout"
-        )
-        self.c_park_deadline = m.counter(
-            "park_deadline_timeouts_total",
-            "parked periods shed by the CoDel-style sojourn deadline",
+            "park_timeouts_total", "parked periods shed by the park timeout"
         )
         self.c_quota_rejects = m.counter(
             "quota_rejects_total",
             "pp_begin rejected by the per-client pending quota",
         )
-        self.c_slow_disconnects = m.counter(
-            "slow_consumer_disconnects_total",
-            "sessions disconnected because writer.drain() stalled past "
-            "the write timeout",
-        )
         self.c_disconnect_cancel = m.counter(
             "cancelled_on_disconnect_total",
             "periods cancelled because their client vanished",
-        )
-        self.c_protocol_errors = m.counter(
-            "protocol_errors_total", "malformed / invalid request frames"
         )
         self.c_draining_rejects = m.counter(
             "draining_rejects_total", "pp_begin rejected because draining"
@@ -667,8 +651,8 @@ class AdmissionService(AdmissionCore):
         return snap
 
 
-class _Session:
-    """Per-connection state: transport plus the client record speaking.
+class ShardSession(Session):
+    """A shard connection plus the client record speaking on it.
 
     A fresh connection starts with an **anonymous** record whose periods
     die with the socket.  ``hello`` swaps in a named, lease-bound
@@ -677,167 +661,83 @@ class _Session:
 
     _ids = iter(range(1, 1 << 62))
 
-    def __init__(self, service: AdmissionService, writer: asyncio.StreamWriter) -> None:
+    def __init__(
+        self,
+        listener: "AdmissionServer",
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        super().__init__(listener, reader, writer)
         self.id = next(self._ids)
-        self.service = service
-        self.record = service.make_record()
+        self.record = listener.service.make_record()
         self.record.session = self
-        self.writer = writer
-        self.closed = False
-        #: frames that arrived while the connection was parked; processed
-        #: in order once the deferred pp_begin reply has been sent
-        self.pushback: List[bytes] = []
-        #: length-prefixed binary framing, negotiated in "hello"; the
-        #: switch takes effect after the hello reply (which is still sent
-        #: in the encoding the request arrived in)
-        self.binary = False
-        self.binary_pending = False
         #: the hello carried "redirect": true — the client follows
         #: REDIRECT, so a front-end may move its parked begin
         self.movable = False
-
-    async def send(self, frame: Dict[str, Any]) -> None:
-        if self.closed:
-            return
-        encode = (
-            protocol.encode_binary_frame if self.binary else protocol.encode_frame
-        )
-        timeout = self.service.cfg.write_timeout_s
-        try:
-            self.writer.write(encode(frame))
-            if timeout is None:
-                await self.writer.drain()
-            else:
-                await asyncio.wait_for(self.writer.drain(), timeout)
-        except asyncio.TimeoutError:
-            # Slow-consumer defense: a peer that stops reading (slowloris)
-            # must not pin this session's write buffer forever.  Abort the
-            # transport; the read side raises and the normal cleanup path
-            # reclaims the session (and, via the reaper, its lease).
-            self.closed = True
-            self.service.c_slow_disconnects.inc()
-            with contextlib.suppress(Exception):
-                self.writer.transport.abort()
-        except (ConnectionError, RuntimeError):
-            self.closed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<session #{self.id}>"
 
 
-class AdmissionServer:
-    """Asyncio front-end: transports, parking, timeouts, drain."""
+class AdmissionServer(Listener):
+    """One admission shard: parking, timeouts, leases, drain."""
+
+    session_class = ShardSession
 
     def __init__(self, cfg: ServeConfig) -> None:
-        self.cfg = cfg
         self.service = AdmissionService(cfg)
-        self.sessions: set[_Session] = set()
+        super().__init__(
+            cfg,
+            self.service.metrics,
+            idle_timeout_s=cfg.idle_timeout_s,
+            write_timeout_s=cfg.write_timeout_s,
+        )
         #: pp_id -> future resolved with "admitted" | "drained", or with
         #: the shard address a migrated begin is redirected to
         self._parked: Dict[int, asyncio.Future] = {}
-        self._servers: List[asyncio.AbstractServer] = []
-        self._unix_path: Optional[str] = None
-        self.draining = False
         #: True once abort() ran — a supervisor restarting this shard
         #: must skip the graceful drain (the journal handle is already
         #: abandoned and the transports are gone)
         self.aborted = False
-        self._drain_requested = asyncio.Event()
-        self._background: List[asyncio.Task] = []
-        self.service.metrics.gauge("connections", fn=lambda: len(self.sessions))
+        self.verbs = {
+            "hello": self._op_hello,
+            "heartbeat": self._op_heartbeat,
+            "pp_begin": self._op_pp_begin,
+            "pp_end": self._op_pp_end,
+            "query": self._op_query,
+            "stats": self._op_stats,
+            "drain": self._op_drain,
+            "migrate": self._op_migrate,
+        }
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # listener hooks
     # ------------------------------------------------------------------
-    async def start(
-        self,
-        unix_path: Optional[str] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-    ) -> None:
-        """Bind the requested transports and start background tasks."""
-        if unix_path is None and host is None:
-            raise ServeError("need a unix socket path and/or a TCP host/port")
-        if unix_path is not None:
-            if os.path.exists(unix_path):
-                os.unlink(unix_path)  # stale socket from a previous run
-            self._servers.append(
-                await asyncio.start_unix_server(
-                    self._handle_client, path=unix_path,
-                    limit=self.cfg.max_frame_bytes,
-                )
-            )
-            self._unix_path = unix_path
-        if host is not None:
-            if port is None:
-                raise ServeError("TCP transport needs a port")
-            self._servers.append(
-                await asyncio.start_server(
-                    self._handle_client, host=host, port=port,
-                    limit=self.cfg.max_frame_bytes,
-                )
-            )
-        self._background.append(asyncio.ensure_future(self._guard_loop()))
-        self._background.append(asyncio.ensure_future(self._lease_loop()))
-        if self.cfg.metrics_json:
-            self._background.append(asyncio.ensure_future(self._metrics_loop()))
+    def _background_loops(self) -> List[Awaitable[None]]:
+        return [self._guard_loop(), self._lease_loop()]
 
-    @property
-    def tcp_port(self) -> Optional[int]:
-        """The bound TCP port (for ``--port 0`` ephemeral binds)."""
-        for server in self._servers:
-            for sock in server.sockets or ():
-                if sock.family.name.startswith("AF_INET"):
-                    return sock.getsockname()[1]
-        return None
+    async def _dispatch(
+        self, session: ShardSession, request: protocol.Request
+    ) -> Optional[Dict[str, Any]]:
+        # Any well-formed frame proves the client is alive.
+        self.service.leases.renew(session.record)
+        return await super()._dispatch(session, request)
 
-    def request_drain(self) -> None:
-        """Begin graceful shutdown (idempotent; SIGTERM lands here)."""
-        self._drain_requested.set()
-
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-unix platforms
-
-    async def run_until_drained(self) -> None:
-        """Serve until a drain is requested, then shut down gracefully."""
-        await self._drain_requested.wait()
-        self.draining = True
-        # Stop accepting new connections.
-        for server in self._servers:
-            server.close()
-        # Wake every parked client with a DRAINING reply.
+    async def _wind_down(self) -> None:
+        """Wake every parked client with DRAINING, then give running
+        periods the grace budget to pp_end naturally."""
         for future in list(self._parked.values()):
             if not future.done():
                 future.set_result("drained")
-        # Give running periods the grace budget to pp_end naturally.
         deadline = time.monotonic() + self.cfg.drain_grace_s
-        while (
-            len(self.service.registry) > 0
-            and time.monotonic() < deadline
-        ):
+        while len(self.service.registry) > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
-        for session in list(self.sessions):
-            session.closed = True
-            with contextlib.suppress(Exception):
-                session.writer.close()
-        for server in self._servers:
-            await server.wait_closed()
-        for task in self._background:
-            task.cancel()
-        await asyncio.gather(*self._background, return_exceptions=True)
-        if self._unix_path and os.path.exists(self._unix_path):
-            os.unlink(self._unix_path)
+
+    async def _stopped(self) -> None:
         # Lease-held periods may outlive a lapsed grace; only an idle
         # service must have released everything.
         if self.service.sanitizer is not None and not self.service.registry:
             self.service.sanitizer.finalize()
-        if self.cfg.metrics_json:
-            self.service.metrics.dump_json(self.cfg.metrics_json)
         if self.service.journal is not None:
             self.service.journal.close()
 
@@ -861,9 +761,7 @@ class AdmissionServer:
             if not future.done():
                 future.cancel()
         for session in list(self.sessions):
-            session.closed = True
-            with contextlib.suppress(Exception):
-                session.writer.transport.abort()
+            session.close(abort=True)
         for server in self._servers:
             with contextlib.suppress(Exception):
                 await server.wait_closed()
@@ -878,11 +776,6 @@ class AdmissionServer:
         while True:
             await asyncio.sleep(self.cfg.starvation_check_s)
             self._wake(self.service.rescue_starved())
-
-    async def _metrics_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.cfg.metrics_interval_s)
-            self.service.metrics.dump_json(self.cfg.metrics_json)
 
     async def _lease_loop(self) -> None:
         """Reap the admitted demand of clients whose lease lapsed."""
@@ -925,138 +818,10 @@ class AdmissionServer:
         self._wake(admitted)
 
     # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        session = _Session(self.service, writer)
-        self.sessions.add(session)
-        try:
-            await self._serve_session(session, reader)
-        finally:
-            self.sessions.discard(session)
-            self._cleanup_session(session)
-            session.closed = True
-            with contextlib.suppress(Exception):
-                writer.close()
-
-    async def _read_frame(
-        self, session: _Session, reader: asyncio.StreamReader
-    ) -> bytes:
-        """Read one raw frame in the session's current encoding.
-
-        Returns ``b""`` on clean EOF.  Raises :class:`ProtocolError` for a
-        truncated or oversized binary frame (the stream cannot be
-        re-synchronized, so the caller replies with the typed error and
-        hangs up).
-        """
-        if not session.binary:
-            return await reader.readline()
-        return await protocol.read_raw_frame(
-            reader, True, self.cfg.max_frame_bytes
-        )
-
-    async def _serve_session(
-        self, session: _Session, reader: asyncio.StreamReader
-    ) -> None:
-        while not session.closed:
-            if session.pushback:
-                line = session.pushback.pop(0)
-            else:
-                try:
-                    if self.cfg.idle_timeout_s is not None:
-                        line = await asyncio.wait_for(
-                            self._read_frame(session, reader),
-                            timeout=self.cfg.idle_timeout_s,
-                        )
-                    else:
-                        line = await self._read_frame(session, reader)
-                except asyncio.TimeoutError:
-                    return  # idle client: hang up
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    return
-                except ValueError:
-                    # StreamReader overran its limit: the frame is oversized
-                    # and the byte stream can no longer be re-synchronized —
-                    # reply with the typed error, then hang up.
-                    self.service.c_protocol_errors.inc()
-                    await session.send(protocol.error_reply(
-                        None, ErrorCode.FRAME_TOO_LARGE,
-                        f"request frame exceeds {self.cfg.max_frame_bytes} bytes",
-                    ))
-                    return
-                except ProtocolError as exc:
-                    # Truncated or oversized binary frame: typed error, then
-                    # hang up (the length-prefixed stream is unrecoverable).
-                    self.service.c_protocol_errors.inc()
-                    await session.send(
-                        protocol.error_reply(None, exc.code, exc.message)
-                    )
-                    return
-                if not line:
-                    return  # EOF
-            self.service.c_requests.inc()
-            try:
-                request = protocol.parse_request(
-                    protocol.decode_any_frame(line, self.cfg.max_frame_bytes)
-                )
-            except ProtocolError as exc:
-                self.service.c_protocol_errors.inc()
-                await session.send(
-                    protocol.error_reply(None, exc.code, exc.message)
-                )
-                continue
-            # Any well-formed frame proves the client is alive.
-            self.service.leases.renew(session.record)
-            reply = await self._dispatch(session, reader, request)
-            if reply is not None:
-                await session.send(reply)
-            if session.binary_pending:
-                # hello negotiated binary framing; it applies to every
-                # frame after the (just-sent) hello reply.
-                session.binary_pending = False
-                session.binary = True
-            if request.op == "drain":
-                self.request_drain()
-
-    async def _dispatch(
-        self,
-        session: _Session,
-        reader: asyncio.StreamReader,
-        request: protocol.Request,
-    ) -> Optional[Dict[str, Any]]:
-        try:
-            if request.op == "pp_begin":
-                return await self._op_pp_begin(session, reader, request)
-            if request.op == "pp_end":
-                return self._op_pp_end(session, request)
-            if request.op == "hello":
-                return self._op_hello(session, request)
-            if request.op == "heartbeat":
-                return self._op_heartbeat(session, request)
-            if request.op == "query":
-                return self._op_query(session, request)
-            if request.op == "stats":
-                return self._op_stats(request)
-            if request.op == "drain":
-                return self._op_drain(request)
-            if request.op == "migrate":
-                return self._op_migrate(request)
-            raise ServeError(f"unroutable op {request.op!r}")  # pragma: no cover
-        except Exception as exc:  # noqa: BLE001 — a reply beats a dead server
-            return protocol.error_reply(
-                request.id, ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-
-    # ------------------------------------------------------------------
     # verbs
     # ------------------------------------------------------------------
     async def _op_pp_begin(
-        self,
-        session: _Session,
-        reader: asyncio.StreamReader,
-        request: protocol.Request,
+        self, session: ShardSession, request: protocol.Request
     ) -> Optional[Dict[str, Any]]:
         service = self.service
         service.c_begin.inc()
@@ -1086,7 +851,7 @@ class AdmissionServer:
                 request.id, ErrorCode.DRAINING, "server is draining"
             )
         if not service.resources.known(request.resource):
-            service.c_protocol_errors.inc()
+            self.c_protocol_errors.inc()
             return protocol.error_reply(
                 request.id, ErrorCode.BAD_REQUEST,
                 f"resource {request.resource} is not managed by this server",
@@ -1146,7 +911,7 @@ class AdmissionServer:
             service.note_usage()
             service.journal_admit(period)
             return self._admitted_reply(request.id, period)
-        return await self._park(session, reader, request, period)
+        return await self._park(session, request, period)
 
     def _retry_hint_s(self) -> float:
         """The retry hint carried by shed replies: live queue occupancy
@@ -1168,8 +933,7 @@ class AdmissionServer:
 
     async def _park(
         self,
-        session: _Session,
-        reader: asyncio.StreamReader,
+        session: ShardSession,
         request: protocol.Request,
         period: ProgressPeriod,
     ) -> Optional[Dict[str, Any]]:
@@ -1187,32 +951,13 @@ class AdmissionServer:
         future: asyncio.Future = loop.create_future()
         self._parked[period.pp_id] = future
         parked_at = loop.time()
-        deadline = (
-            None
-            if self.cfg.park_timeout_s is None
-            else parked_at + self.cfg.park_timeout_s
-        )
-        # CoDel-style sojourn bound: a separate, typically much tighter
-        # deadline that sheds the period with PARK_TIMEOUT + a retry hint
-        # instead of the legacy terminal TIMEOUT.
-        sojourn_deadline = (
-            None
-            if self.cfg.park_deadline_s is None
-            else parked_at + self.cfg.park_deadline_s
-        )
-        if sojourn_deadline is not None and (
-            deadline is None or sojourn_deadline < deadline
-        ):
-            deadline, shed_deadline = sojourn_deadline, True
-        else:
-            shed_deadline = False
+        park_timeout_s = self.cfg.park_timeout_s
+        deadline = None if park_timeout_s is None else parked_at + park_timeout_s
         read_task: Optional[asyncio.Task] = None
         try:
             while True:
                 if read_task is None:
-                    read_task = asyncio.ensure_future(
-                        self._read_frame(session, reader)
-                    )
+                    read_task = asyncio.ensure_future(session.read_frame())
                 timeout = (
                     None if deadline is None else max(0.0, deadline - loop.time())
                 )
@@ -1227,12 +972,11 @@ class AdmissionServer:
                         line = read_task.result()
                     except (
                         ConnectionError,
-                        ValueError,
                         asyncio.IncompleteReadError,
                         ProtocolError,
                     ):
-                        # A malformed binary frame while parked is handled
-                        # like a disconnect: the stream is unrecoverable.
+                        # A frame the stream cannot be re-synchronized after
+                        # is handled like a disconnect while parked.
                         line, eof = b"", True
                     read_task = None
                     if line:
@@ -1255,26 +999,17 @@ class AdmissionServer:
                 if future.done():
                     break
                 if not done and read_task is not None:
-                    # Pure timeout: cancel the period and tell the client.
+                    # Pure timeout: the wait is shed, not failed — cancel
+                    # the period and answer with a retry hint.
                     self._wake(self._cancel_period(session.record, period.pp_id))
                     self._wake(service.rescue_starved())
-                    if shed_deadline:
-                        # Sojourn bound: the wait is shed, not failed —
-                        # the typed error carries a retry hint.
-                        service.c_park_deadline.inc()
-                        return protocol.error_reply(
-                            request.id, ErrorCode.PARK_TIMEOUT,
-                            f"parked past the {self.cfg.park_deadline_s} s "
-                            "sojourn deadline; period cancelled",
-                            waited_s=self.cfg.park_deadline_s,
-                            retry_after_s=self._retry_hint_s(),
-                        )
                     service.c_park_timeout.inc()
                     return protocol.error_reply(
-                        request.id, ErrorCode.TIMEOUT,
-                        f"parked longer than the {self.cfg.park_timeout_s} s "
-                        "park timeout; period cancelled",
-                        waited_s=self.cfg.park_timeout_s,
+                        request.id, ErrorCode.PARK_TIMEOUT,
+                        f"parked past the {park_timeout_s} s park timeout; "
+                        "period cancelled",
+                        waited_s=park_timeout_s,
+                        retry_after_s=self._retry_hint_s(),
                     )
         finally:
             self._parked.pop(period.pp_id, None)
@@ -1285,7 +1020,6 @@ class AdmissionServer:
                     asyncio.CancelledError,
                     asyncio.IncompleteReadError,
                     ConnectionError,
-                    ValueError,
                     ProtocolError,
                 ):
                     await read_task
@@ -1329,8 +1063,8 @@ class AdmissionServer:
             reply["deduped"] = True
         return reply
 
-    def _op_hello(
-        self, session: _Session, request: protocol.Request
+    async def _op_hello(
+        self, session: ShardSession, request: protocol.Request
     ) -> Dict[str, Any]:
         """Bind this connection to a durable, lease-holding client identity."""
         service = self.service
@@ -1341,54 +1075,38 @@ class AdmissionServer:
                     request.id, ErrorCode.BAD_REQUEST,
                     f"{flag!r} must be a boolean when present",
                 )
-        binary = request.raw.get("binary", False)
-        if not record.anonymous:
-            if record.client_id == request.client:
-                service.leases.renew(record)  # re-hello: plain renewal
-                session.movable = request.raw.get("redirect", False)
-                if binary and not session.binary:
-                    session.binary_pending = True
-                return self._hello_reply(
-                    request.id, record, resumed=True, binary=binary
-                )
+        if not record.anonymous and record.client_id != request.client:
             return protocol.error_reply(
                 request.id, ErrorCode.BAD_REQUEST,
                 f"connection is already bound to client "
                 f"{record.client_id!r}; open a new connection to speak for "
                 f"{request.client!r}",
             )
-        if record.api.open_count:
-            return protocol.error_reply(
-                request.id, ErrorCode.BAD_REQUEST,
-                "'hello' must precede pp_begin on a connection "
-                "(anonymous periods cannot be adopted by an identity)",
+        resumed = True  # a re-hello is a plain renewal
+        if record.anonymous:
+            if record.api.open_count:
+                return protocol.error_reply(
+                    request.id, ErrorCode.BAD_REQUEST,
+                    "'hello' must precede pp_begin on a connection "
+                    "(anonymous periods cannot be adopted by an identity)",
+                )
+            record, resumed = service.leases.get_or_create(
+                request.client, service.make_record
             )
-        named, resumed = service.leases.get_or_create(
-            request.client, service.make_record
-        )
-        old = named.session
-        if old is not None and old is not session and not old.closed:
-            # Connection takeover: the newest socket speaks for the client
-            # (the old one is typically a zombie behind a dead NAT/proxy).
-            old.closed = True
-            with contextlib.suppress(Exception):
-                old.writer.close()
-        named.session = session
-        session.record = named
+            old = record.session
+            if old is not None and old is not session and not old.closed:
+                # Connection takeover: the newest socket speaks for the
+                # client (the old one is typically a zombie behind a dead
+                # NAT/proxy).
+                old.close()
+            record.session = session
+            session.record = record
+            service.c_hello.inc()
         session.movable = request.raw.get("redirect", False)
-        service.leases.renew(named)
-        service.c_hello.inc()
+        service.leases.renew(record)
+        binary = request.raw.get("binary", False)
         if binary and not session.binary:
             session.binary_pending = True
-        return self._hello_reply(request.id, named, resumed=resumed, binary=binary)
-
-    def _hello_reply(
-        self,
-        request_id: Optional[int],
-        record: ClientRecord,
-        resumed: bool,
-        binary: bool = False,
-    ) -> Dict[str, Any]:
         open_periods = []
         for pp_id in record.api.open_ids():
             period = record.api.period(pp_id)
@@ -1401,23 +1119,23 @@ class AdmissionServer:
                     "forced": period.forced,
                 })
         reply = protocol.ok_reply(
-            request_id,
+            request.id,
             client=record.client_id,
             resumed=resumed,
-            lease_ttl_s=self.service.leases.ttl_s,
+            lease_ttl_s=service.leases.ttl_s,
             open=open_periods,
         )
         if binary:
             reply["binary"] = True
         # Learned peak demand doubles as a cluster placement hint: the
         # client forwards it as `hello demand_bytes` on its next connect.
-        hint = self.service.predicted_for_client(record.client_id)
+        hint = service.predicted_for_client(record.client_id)
         if hint is not None:
             reply["predicted_demand_bytes"] = hint
         return reply
 
-    def _op_heartbeat(
-        self, session: _Session, request: protocol.Request
+    async def _op_heartbeat(
+        self, session: ShardSession, request: protocol.Request
     ) -> Dict[str, Any]:
         record = session.record
         if record.anonymous:
@@ -1434,15 +1152,15 @@ class AdmissionServer:
             open_periods=record.api.open_count,
         )
 
-    def _op_pp_end(
-        self, session: _Session, request: protocol.Request
+    async def _op_pp_end(
+        self, session: ShardSession, request: protocol.Request
     ) -> Dict[str, Any]:
         service = self.service
         record = session.record
         try:
             period = record.api.period(request.pp_id)
         except ProgressPeriodError:
-            service.c_protocol_errors.inc()
+            self.c_protocol_errors.inc()
             return protocol.error_reply(
                 request.id, ErrorCode.UNKNOWN_PERIOD,
                 f"pp_id {request.pp_id} is not an open period of this "
@@ -1470,8 +1188,8 @@ class AdmissionServer:
             admitted_waiters=len(admitted),
         )
 
-    def _op_query(
-        self, session: _Session, request: protocol.Request
+    async def _op_query(
+        self, session: ShardSession, request: protocol.Request
     ) -> Dict[str, Any]:
         snapshot = self.service.snapshot()
         snapshot["draining"] = self.draining
@@ -1530,7 +1248,9 @@ class AdmissionServer:
             for p in parked[:MAX_PARKED_LISTED]
         ]
 
-    def _op_migrate(self, request: protocol.Request) -> Dict[str, Any]:
+    async def _op_migrate(
+        self, session: ShardSession, request: protocol.Request
+    ) -> Dict[str, Any]:
         """Move a client's parked begin to the shard the request names:
         ``moved`` is 1 when the begin will be answered with REDIRECT."""
         record = self.service.leases.get(request.client)
@@ -1544,7 +1264,9 @@ class AdmissionServer:
         self._parked[period.pp_id].set_result(request.raw["shard"])
         return protocol.ok_reply(request.id, moved=1)
 
-    def _op_stats(self, request: protocol.Request) -> Dict[str, Any]:
+    async def _op_stats(
+        self, session: ShardSession, request: protocol.Request
+    ) -> Dict[str, Any]:
         stats = self.service.metrics.snapshot()
         sanitizer = self.service.sanitizer
         stats["sanitizer"] = (
@@ -1554,9 +1276,11 @@ class AdmissionServer:
         )
         return protocol.ok_reply(request.id, stats=stats)
 
-    def _op_drain(self, request: protocol.Request) -> Dict[str, Any]:
-        # The caller's reply is sent before request_drain() runs (the read
-        # loop triggers it after the send), so the client always hears back.
+    async def _op_drain(
+        self, session: ShardSession, request: protocol.Request
+    ) -> Dict[str, Any]:
+        # The listener starts the drain once this reply is written, so the
+        # caller always hears back.
         return protocol.ok_reply(
             request.id,
             draining=True,
@@ -1599,7 +1323,7 @@ class AdmissionServer:
             if future is not None and not future.done():
                 future.set_result("admitted")
 
-    def _cleanup_session(self, session: _Session) -> None:
+    def _end_session(self, session: ShardSession) -> None:
         """Connection gone: settle what dies with it, keep what is leased.
 
         Anonymous records keep the original semantics — every period is
@@ -1625,21 +1349,3 @@ class AdmissionServer:
             admitted.extend(self.service.rescue_starved())
             self._wake(admitted)
 
-
-async def serve_until_drained(
-    cfg: ServeConfig,
-    unix_path: Optional[str] = None,
-    host: Optional[str] = None,
-    port: Optional[int] = None,
-    signals: bool = True,
-    ready: Optional[asyncio.Event] = None,
-) -> AdmissionServer:
-    """Start a server, run until drained, and return it (for inspection)."""
-    server = AdmissionServer(cfg)
-    await server.start(unix_path=unix_path, host=host, port=port)
-    if signals:
-        server.install_signal_handlers()
-    if ready is not None:
-        ready.set()
-    await server.run_until_drained()
-    return server

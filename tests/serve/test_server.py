@@ -127,7 +127,7 @@ class TestMalformedFrames:
             reply = protocol.decode_frame(await reader.readline())
             assert reply["ok"] is True
             writer.close()
-            assert server.service.c_protocol_errors.value == 1
+            assert server.c_protocol_errors.value == 1
             await finish(server, run_task)
 
         asyncio.run(scenario())
@@ -232,7 +232,7 @@ class TestOverloadAndTimeout:
             reply_a = await a.pp_begin(MB(3))
             with pytest.raises(ServeReplyError) as err:
                 await b.pp_begin(MB(3))
-            assert err.value.code == ErrorCode.TIMEOUT
+            assert err.value.code == ErrorCode.PARK_TIMEOUT
             assert len(server.service.waitlist) == 0
             assert server.service.c_park_timeout.value == 1
             await a.pp_end(reply_a["pp_id"])

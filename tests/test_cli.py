@@ -158,16 +158,16 @@ class TestOverloadFlags:
     def test_serve_overload_knobs_parse_and_default_off(self):
         parser = build_parser()
         args = parser.parse_args(["serve"])
-        assert args.park_deadline is None
+        assert args.park_timeout == 30.0
         assert args.retry_hint_floor == 0.05 and args.retry_hint_cap == 0.05
         assert args.max_pending_per_client is None
         assert args.write_timeout is None
         args = parser.parse_args([
-            "serve", "--park-deadline", "0.5", "--retry-hint-floor", "0.05",
+            "serve", "--park-timeout", "0.5", "--retry-hint-floor", "0.05",
             "--retry-hint-cap", "2.0", "--max-pending-per-client", "2",
             "--write-timeout", "1.0",
         ])
-        assert args.park_deadline == 0.5 and args.retry_hint_floor == 0.05
+        assert args.park_timeout == 0.5 and args.retry_hint_floor == 0.05
         assert args.retry_hint_cap == 2.0
         assert args.max_pending_per_client == 2 and args.write_timeout == 1.0
 
@@ -182,7 +182,7 @@ class TestOverloadFlags:
             assert args.breaker_threshold == 3 and args.breaker_reset == 0.1
 
     @pytest.mark.parametrize("argv", [
-        ["serve", "--park-deadline", "0"],
+        ["serve", "--park-timeout", "0"],
         ["serve", "--retry-hint-floor", "-1"],
         ["serve", "--max-pending-per-client", "0"],
         ["serve", "--write-timeout", "nope"],
@@ -190,6 +190,14 @@ class TestOverloadFlags:
         ["loadgen", "--breaker-threshold", "0"],
         ["chaos", "--breaker-reset", "0"],
         ["chaos", "--storm-rate", "-5"],
+        ["serve", "--park-timeout", "-1"],
+        ["serve", "--park-timeout", "nan"],
+        ["serve", "--write-timeout", "nan"],
+        ["serve", "--idle-timeout", "0"],
+        ["serve", "--lease-ttl", "0"],
+        ["serve", "--lease-check", "0"],
+        ["serve", "--metrics-interval", "0"],
+        ["serve", "--max-pending", "0"],
     ])
     def test_nonpositive_tuning_values_are_rejected(self, argv):
         with pytest.raises(SystemExit):
@@ -210,7 +218,7 @@ class TestSharedValidators:
         assert cliutil.positive_float("0.5") == 0.5
         assert cliutil.positive_float("2") == 2.0
 
-    @pytest.mark.parametrize("text", ["0", "-1.5", "nan?", ""])
+    @pytest.mark.parametrize("text", ["0", "-1.5", "nan?", "", "nan"])
     def test_positive_float_rejects(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             cliutil.positive_float(text)

@@ -60,6 +60,7 @@ PACKAGES = [
     "repro.profiler.sampling",
     "repro.serve",
     "repro.serve.client",
+    "repro.serve.listener",
     "repro.serve.loadgen",
     "repro.serve.metrics",
     "repro.serve.protocol",
