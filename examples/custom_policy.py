@@ -12,6 +12,12 @@ further oversubscription entirely — a middle ground the paper's §4.2
 analysis hints at ("different scheduling configurations need to be
 combined for the overall approach to be beneficial").
 
+A policy's ``allows`` must be non-decreasing in ``outcome_bytes`` for a
+fixed resource state (refusing an outcome means refusing every smaller
+one): the waitlist drain relies on it to skip waiters that cannot fit.
+``SteppedPolicy`` is a threshold on the outcome at any fixed usage, so it
+qualifies.
+
 Run:  python examples/custom_policy.py
 """
 

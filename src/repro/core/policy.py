@@ -39,6 +39,11 @@ class SchedulingPolicy(ABC):
     def allows(self, outcome_bytes: float, resource: ResourceState) -> bool:
         """Apply the policy to ``outcome = remaining − demand`` (Algorithm 1).
 
+        For a fixed resource state the answer must be non-decreasing in
+        ``outcome_bytes``: if an outcome is refused, every smaller one is
+        too.  The waitlist drain relies on it to skip, unevaluated, every
+        waiter needing at least as much as one already refused.
+
         Args:
             outcome_bytes: space that would remain free (possibly negative)
                 if the candidate period were admitted.

@@ -44,7 +44,11 @@ class Decision(enum.Enum):
 
 @dataclass
 class PredicateStats:
-    """Counters for reporting and tests."""
+    """Counters for reporting and tests.
+
+    Only evaluated periods count: a waiter the waitlist drain skips
+    because a smaller need was already refused is in none of them.
+    """
 
     evaluated: int = 0
     admitted: int = 0

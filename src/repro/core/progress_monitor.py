@@ -14,6 +14,7 @@ actual thread pause/wake calls on the simulated kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Callable, Optional
 
@@ -94,12 +95,33 @@ class ProgressMonitor:
         return period, admitted
 
     def _retry_waiters(self, completed: ProgressPeriod) -> list[ProgressPeriod]:
-        """Figure 6's "attempt to schedule waiting threads" step."""
+        """Figure 6's "attempt to schedule waiting threads" step.
+
+        Between two admissions the resource state is fixed, and the policy
+        is non-decreasing in ``outcome = remaining − need``, so a waiter
+        whose marginal need is at least one the predicate has already
+        rejected is rejected too: it is skipped without evaluating (and
+        without counting in ``predicate.stats``).
+        """
         now = self.clock()
-        admitted = self.waitlist.drain_admissible(
-            completed.resource,
-            lambda p: self.predicate.try_schedule(p) is Decision.RUN,
-        )
+        resource = completed.resource
+        if not self.waitlist.waiting_on(resource):
+            return []
+        state = self.predicate.resources.state(resource)
+        floor = math.inf  # smallest need rejected since the last admission
+
+        def admit(p: ProgressPeriod) -> bool:
+            nonlocal floor
+            need = state.would_add(p.request)
+            if need >= floor:
+                return False
+            if self.predicate.try_schedule(p) is Decision.RUN:
+                floor = math.inf
+                return True
+            floor = need
+            return False
+
+        admitted = self.waitlist.drain_admissible(resource, admit)
         for p in admitted:
             p.state = PeriodState.RUNNING
             p.admit_time = now

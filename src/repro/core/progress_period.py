@@ -42,6 +42,8 @@ class ResourceKind(enum.Enum):
     (§6), so the enum carries the obvious candidates.
     """
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity
+
     LLC = "llc"
     MEMORY_BANDWIDTH = "membw"
     DRAM_CAPACITY = "dram"

@@ -41,11 +41,15 @@ class PowerBreakdown:
 class PowerModel:
     """Maps machine activity to instantaneous power and per-event energy."""
 
+    _PACKAGE_W_MAX = 4096
+
     def __init__(self, config: PowerConfig, n_cores: int) -> None:
         if n_cores <= 0:
             raise ConfigError("n_cores must be positive")
         self.config = config
         self.n_cores = n_cores
+        #: package watts per (active cores, freq scale); the config is frozen
+        self._package_w: dict[tuple[int, float], float] = {}
 
     def breakdown(
         self, n_active_cores: int, freq_scale: float = 1.0
@@ -77,7 +81,15 @@ class PowerModel:
         self, dt_s: float, n_active_cores: int, freq_scale: float = 1.0
     ) -> float:
         """Package-domain energy over an interval (joules)."""
-        return self.breakdown(n_active_cores, freq_scale).package_w * dt_s
+        key = (n_active_cores, freq_scale)
+        package_w = self._package_w.get(key)
+        if package_w is None:
+            if len(self._package_w) >= self._PACKAGE_W_MAX:
+                self._package_w.clear()  # ondemand scales are continuous
+            package_w = self._package_w[key] = self.breakdown(
+                n_active_cores, freq_scale
+            ).package_w
+        return package_w * dt_s
 
     def dram_energy(self, dt_s: float, dram_accesses: float) -> float:
         """DRAM-domain energy over an interval (joules)."""

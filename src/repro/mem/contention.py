@@ -116,23 +116,27 @@ class SharedLlcModel:
         """Compute the contention point of every demand in a co-running set.
 
         Demands with the same ``sharing_key`` receive identical points and
-        their working set is counted once toward the total.
+        their working set is counted once toward the total.  A point depends
+        only on the demand's working-set size within one set, so demands of
+        equal size share one (frozen) point object.
         """
         total = self.unique_demand_bytes(demands)
         oversub = total > self.capacity_bytes
         scale = 1.0 if not oversub else self.capacity_bytes / total
         points: list[ContentionPoint] = []
+        by_wss: dict[int, ContentionPoint] = {}
         for d in demands:
-            share = d.wss_bytes * scale
-            hot = 1.0 if d.wss_bytes == 0 else min(1.0, scale) ** self.gamma
-            points.append(
-                ContentionPoint(
+            point = by_wss.get(d.wss_bytes)
+            if point is None:
+                share = d.wss_bytes * scale
+                hot = 1.0 if d.wss_bytes == 0 else min(1.0, scale) ** self.gamma
+                point = by_wss[d.wss_bytes] = ContentionPoint(
                     share_bytes=share,
                     hot_fraction=hot,
                     total_demand_bytes=total,
                     oversubscribed=oversub,
                 )
-            )
+            points.append(point)
         return points
 
     def resolve_grouped(

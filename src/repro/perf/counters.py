@@ -19,6 +19,8 @@ __all__ = ["HwCounter", "CounterSet"]
 class HwCounter(enum.Enum):
     """Counter identifiers, named after their perf event analogues."""
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity
+
     INSTRUCTIONS = "instructions"
     CYCLES = "cycles"
     FP_OPS = "fp_arith_inst_retired"  # FLOPs retired

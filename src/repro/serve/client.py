@@ -60,6 +60,8 @@ class ServeClient:
         #: fields of the last successful hello, replayed on the shard a
         #: REDIRECT names
         self._hello: Optional[Dict[str, Any]] = None
+        #: REDIRECT replies :meth:`call` has followed
+        self.redirects = 0
 
     @classmethod
     async def connect(
@@ -164,6 +166,7 @@ class ServeClient:
             address = protocol.redirect_address(reply)
             if address is None:
                 break
+            self.redirects += 1
             shard = await ServeClient.connect(timeout=timeout, **address)
             self.writer.close()
             self.reader, self.writer = shard.reader, shard.writer

@@ -10,9 +10,9 @@ connection:
 1. read one frame in the session's framing (an NDJSON line under the
    StreamReader limit, or a negotiated length-prefixed binary frame),
    under the optional idle timeout;
-2. answer a malformed frame with its typed error — and hang up when the
-   byte stream cannot be re-synchronized (an oversized line, a torn
-   binary frame);
+2. answer a malformed frame with its typed error (a binary frame before
+   the negotiation is one) — and hang up when the byte stream cannot be
+   re-synchronized (an oversized line, a torn binary frame);
 3. dispatch the request through the endpoint's ``{op: handler}`` verb
    table; a handler that raises is answered with ``INTERNAL``;
 4. write the reply under the optional write budget (a peer that stops
@@ -62,6 +62,10 @@ class Session:
         #: in the encoding the request arrived in)
         self.binary = False
         self.binary_pending = False
+        #: until the first NDJSON frame, a frame's first byte is read on its
+        #: own: a binary frame sent without negotiation has no newline for
+        #: ``readline`` to wait for, so it is read whole by its header
+        self.sniff = True
 
     async def read_frame(self) -> bytes:
         """One raw frame in the session's current framing; ``b""`` on a
@@ -72,7 +76,19 @@ class Session:
         if self.binary:
             return await protocol.read_raw_frame(self.reader, True, max_bytes)
         try:
-            return await self.reader.readline()
+            if not self.sniff:
+                return await self.reader.readline()
+            head = await self.reader.read(1)
+            if head and head[0] == protocol.BINARY_MAGIC:
+                header = head + await self.reader.readexactly(
+                    protocol.BINARY_HEADER_BYTES - 1
+                )
+                length = protocol.parse_binary_header(header, max_bytes)
+                return header + await self.reader.readexactly(length)
+            self.sniff = False
+            # b"" is EOF; a lone leading newline joins the next line, where
+            # JSON reads it as whitespace
+            return head and head + await self.reader.readline()
         except ValueError:  # the StreamReader overran its limit
             raise ProtocolError(
                 ErrorCode.FRAME_TOO_LARGE,
@@ -308,6 +324,10 @@ class Listener:
                     return  # EOF
             self.c_requests.inc()
             try:
+                if not session.binary and line[0] == protocol.BINARY_MAGIC:
+                    raise ProtocolError(
+                        ErrorCode.BAD_FRAME, "binary framing not negotiated"
+                    )
                 request = protocol.parse_request(
                     protocol.decode_any_frame(line, self.cfg.max_frame_bytes)
                 )

@@ -365,11 +365,11 @@ class _Runner:
         return client
 
     def _absorb_counters(self, client: Any) -> None:
+        self.tally.redirects += client.redirects  # thin and resilient alike
         if isinstance(client, ResilientServeClient):
             self.tally.reconnects += client.reconnects
             self.tally.lost_periods += client.lost_periods
             self.tally.deduped += client.deduped
-            self.tally.redirects += client.redirects
             self.tally.redirect_latency_s.extend(client.redirect_latency_s)
             client.redirect_latency_s = []
 

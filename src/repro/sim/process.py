@@ -30,6 +30,8 @@ def nice_to_weight(nice: int) -> float:
 
 
 class ThreadState(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity
+
     NEW = "new"
     READY = "ready"  # runnable, on a run queue
     RUNNING = "running"  # on a core

@@ -49,6 +49,18 @@ class TestPolicyLattice:
         if usage <= 2 * CAP:
             assert CompromisePolicy().allows(outcome, s)
 
+    @given(outcome_st, outcome_st, usage_st, factor_st)
+    def test_allows_is_non_decreasing_in_the_outcome(self, o1, o2, usage, x):
+        """The waitlist drain skips a need at least one already refused."""
+        lo, hi = sorted((o1, o2))
+        s = state(usage)
+        for policy in (
+            StrictPolicy(), CompromisePolicy(oversubscription=x),
+            AlwaysAdmitPolicy(),
+        ):
+            if policy.allows(lo, s):
+                assert policy.allows(hi, s)
+
     @given(outcome_st, usage_st)
     def test_decisions_are_deterministic(self, outcome, usage):
         s = state(usage)

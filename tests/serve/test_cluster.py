@@ -10,6 +10,7 @@ from repro.config import default_machine_config
 from repro.core.api import MB
 from repro.core.policy import StrictPolicy
 from repro.serve.client import ServeClient
+from repro.serve.loadgen import LoadgenConfig, fig4_scripts, run_loadgen
 from repro.serve.protocol import ErrorCode
 from repro.serve.resilient import ResilientServeClient
 from repro.serve.server import AdmissionServer, ServeConfig
@@ -207,6 +208,29 @@ class TestForward:
             assert done["released"] is True
             assert cluster.frontend.c_redirects.value == 1
             await client.close()
+            assert await drain(cluster) == 0
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_thin_loadgen_reports_the_redirects_it_followed(
+        self, tmp_path, binary
+    ):
+        async def scenario():
+            cluster, sock = await start_cluster(tmp_path)
+            # 1 MB periods on 4 MB shards never park, so no shard migrates
+            # a begin: every redirect is the front-end's
+            load_cfg = LoadgenConfig(
+                mode="closed", clients=3, sessions=9, binary=binary,
+            )
+            report = await run_loadgen(
+                fig4_scripts(demand_mb=1.0, hold_s=0.001), load_cfg,
+                unix_path=sock,
+            )
+            assert report.sessions_failed == 0
+            assert report.protocol_errors == 0
+            assert report.redirects == 3  # one per thin client
+            assert report.redirects == cluster.frontend.c_redirects.value
             assert await drain(cluster) == 0
 
         asyncio.run(scenario())

@@ -38,6 +38,9 @@ MALFORMED = {
     "unnegotiated_binary": (
         protocol.encode_binary_frame(QUERY) + b"\n", ErrorCode.BAD_FRAME, True,
     ),
+    "unnegotiated_binary_first_frame": (
+        protocol.encode_binary_frame(QUERY), ErrorCode.BAD_FRAME, True,
+    ),
     "70_kb_line": (
         b'{"v": 1, "op": "query", "pad": "' + b"x" * 70_000 + b'"}\n',
         ErrorCode.FRAME_TOO_LARGE, False,
@@ -102,6 +105,33 @@ def test_shard_and_frontend_answer_a_malformed_frame_alike(tmp_path, name):
         assert shard.c_protocol_errors.value == 1
         stats = cluster.frontend.metrics.snapshot()
         assert stats["counters"]["protocol_errors_total"] == 1
+        cluster.request_drain()
+        assert await asyncio.wait_for(cluster.run_until_drained(), 20.0) == 0
+
+    asyncio.run(scenario())
+
+
+def test_unnegotiated_binary_frames_are_each_rejected_until_ndjson(tmp_path):
+    """Before a session's first NDJSON frame, every binary frame is read
+    whole and refused, and the session then serves NDJSON."""
+    async def scenario():
+        cluster, sock = await one_shard_cluster(tmp_path)
+        for path in (f"{sock}.shard0", sock):
+            reader, writer = await asyncio.open_unix_connection(path)
+            binary = protocol.encode_binary_frame(QUERY)
+            writer.write(binary + binary + protocol.encode_frame(QUERY))
+            await writer.drain()
+            replies = [
+                protocol.decode_frame(
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                )
+                for _ in range(3)
+            ]
+            assert [r["ok"] for r in replies] == [False, False, True]
+            assert {r["error"]["message"] for r in replies[:2]} == {
+                "binary framing not negotiated"
+            }
+            writer.close()
         cluster.request_drain()
         assert await asyncio.wait_for(cluster.run_until_drained(), 20.0) == 0
 
