@@ -17,39 +17,31 @@ Quickstart::
     print(report.describe())
 """
 
-from .config import MachineConfig, default_machine_config, E5_2420
-from .core import (
-    CompromisePolicy,
-    ProgressPeriodApi,
-    RdaScheduler,
-    ResourceKind,
-    ReuseLevel,
-    StrictPolicy,
-)
-from .experiments.runner import run_workload, run_policies, POLICIES
-from .perf import PerfReport
-from .sim import Kernel
-from .workloads import Workload, table2_workloads, workload_by_name
+from . import _lazy
+
+#: public name -> the submodule that defines it, imported on first access
+_EXPORTS = {
+    "MachineConfig": "config",
+    "default_machine_config": "config",
+    "E5_2420": "config",
+    "CompromisePolicy": "core.policy",
+    "StrictPolicy": "core.policy",
+    "RdaScheduler": "core.rda",
+    "ProgressPeriodApi": "core.api",
+    "ResourceKind": "core.progress_period",
+    "ReuseLevel": "core.progress_period",
+    "run_workload": "experiments.runner",
+    "run_policies": "experiments.runner",
+    "POLICIES": "experiments.runner",
+    "PerfReport": "perf.stat",
+    "Kernel": "sim.kernel",
+    "Workload": "workloads.base",
+    "table2_workloads": "workloads.suite",
+    "workload_by_name": "workloads.suite",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MachineConfig",
-    "default_machine_config",
-    "E5_2420",
-    "CompromisePolicy",
-    "StrictPolicy",
-    "RdaScheduler",
-    "ProgressPeriodApi",
-    "ResourceKind",
-    "ReuseLevel",
-    "run_workload",
-    "run_policies",
-    "POLICIES",
-    "PerfReport",
-    "Kernel",
-    "Workload",
-    "table2_workloads",
-    "workload_by_name",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

@@ -19,11 +19,9 @@ import sys
 from typing import Optional, Sequence
 
 from .cliutil import positive_float, positive_int
+from .config import DEFAULT_CACHE_DIR
 from .core.policy import CompromisePolicy, SchedulingPolicy, StrictPolicy
 from .errors import ReproError
-from .experiments import figures, report
-from .experiments.parallel import DEFAULT_CACHE_DIR
-from .experiments.runner import run_policies, run_workload
 from .workloads.suite import WORKLOAD_NAMES, workload_by_name
 
 __all__ = ["main", "build_parser", "policy_by_name"]
@@ -582,6 +580,8 @@ class _GridTracker:
 
 
 def _cmd_run(args) -> int:
+    from .experiments.runner import run_workload
+
     workload = workload_by_name(args.workload)
     rep = run_workload(workload, args.policy, sanitize=args.sanitize)
     policy_name = args.policy.name if args.policy else "Linux Default"
@@ -931,6 +931,7 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .experiments import figures, report
     from .experiments.charts import grouped_bar_chart
 
     tracker = _GridTracker(echo=args.progress)
@@ -994,6 +995,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_fig(args) -> int:
+    from .experiments import figures, report
     from .experiments.charts import bar_chart, line_chart
 
     chart = getattr(args, "chart", False)
@@ -1067,10 +1069,12 @@ def _cmd_fig(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "table1":
-        print(figures.table1_machine())
-        return 0
-    if args.command == "table2":
+    if args.command in ("table1", "table2"):
+        from .experiments import figures
+
+        if args.command == "table1":
+            print(figures.table1_machine())
+            return 0
         for row in figures.table2_rows():
             print(
                 f"{row['workload']:<10} procs={row['n_processes']:<3} "

@@ -33,7 +33,12 @@ __all__ = [
     "MachineConfig",
     "E5_2420",
     "default_machine_config",
+    "DEFAULT_CACHE_DIR",
 ]
+
+#: default on-disk location of the experiment result cache, relative to the
+#: working directory
+DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 @dataclass(frozen=True)

@@ -15,47 +15,36 @@ Components map one-to-one onto figure 2 of the paper:
   kernel's extension hook.
 """
 
-from .progress_period import (
-    ProgressPeriod,
-    PeriodRequest,
-    ReuseLevel,
-    ResourceKind,
-    PeriodState,
-)
-from .policy import SchedulingPolicy, StrictPolicy, CompromisePolicy, AlwaysAdmitPolicy
-from .registry import PeriodRegistry
-from .resource_monitor import ResourceMonitor, ResourceState
-from .waitlist import Waitlist
-from .predicate import SchedulingPredicate, Decision
-from .progress_monitor import ProgressMonitor
-from .rda import RdaScheduler
-from .api import ProgressPeriodApi
-from .itko import ItkoScheduler, profile_workload
-from .partitioning import PartitioningRdaScheduler, partitioned_kernel
-from .threadpool import ThreadPoolGuard
+from .. import _lazy
 
-__all__ = [
-    "ProgressPeriod",
-    "PeriodRequest",
-    "ReuseLevel",
-    "ResourceKind",
-    "PeriodState",
-    "SchedulingPolicy",
-    "StrictPolicy",
-    "CompromisePolicy",
-    "AlwaysAdmitPolicy",
-    "PeriodRegistry",
-    "ResourceMonitor",
-    "ResourceState",
-    "Waitlist",
-    "SchedulingPredicate",
-    "Decision",
-    "ProgressMonitor",
-    "RdaScheduler",
-    "ProgressPeriodApi",
-    "ItkoScheduler",
-    "profile_workload",
-    "PartitioningRdaScheduler",
-    "partitioned_kernel",
-    "ThreadPoolGuard",
-]
+#: public name -> the submodule that defines it, imported on first access;
+#: of these only ``rda``, ``itko`` and ``partitioning`` reach the simulator
+_EXPORTS = {
+    "ProgressPeriod": "progress_period",
+    "PeriodRequest": "progress_period",
+    "ReuseLevel": "progress_period",
+    "ResourceKind": "progress_period",
+    "PeriodState": "progress_period",
+    "SchedulingPolicy": "policy",
+    "StrictPolicy": "policy",
+    "CompromisePolicy": "policy",
+    "AlwaysAdmitPolicy": "policy",
+    "PeriodRegistry": "registry",
+    "ResourceMonitor": "resource_monitor",
+    "ResourceState": "resource_monitor",
+    "Waitlist": "waitlist",
+    "SchedulingPredicate": "predicate",
+    "Decision": "predicate",
+    "ProgressMonitor": "progress_monitor",
+    "RdaScheduler": "rda",
+    "ProgressPeriodApi": "api",
+    "ItkoScheduler": "itko",
+    "profile_workload": "itko",
+    "PartitioningRdaScheduler": "partitioning",
+    "partitioned_kernel": "partitioning",
+    "ThreadPoolGuard": "threadpool",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

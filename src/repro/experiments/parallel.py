@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
-from ..config import MachineConfig
+from ..config import DEFAULT_CACHE_DIR, MachineConfig
 from ..core.policy import SchedulingPolicy
 from ..errors import ReproError
 from ..perf.stat import PerfReport
@@ -55,9 +55,6 @@ __all__ = [
     "run_grid",
     "print_progress",
 ]
-
-#: default on-disk cache location, relative to the working directory
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: bump to invalidate every cached result (e.g. after a model change that
 #: alters what a given spec simulates to)

@@ -13,37 +13,30 @@ See ``docs/SANITIZER.md`` for the invariant catalogue and
 :mod:`repro.sanitizer.fuzz` for the randomized scheduler fuzzing harness.
 """
 
-from .invariants import (
-    CHECKERS,
-    ConservationChecker,
-    DemandBoundChecker,
-    DispatchOverlapChecker,
-    InvariantChecker,
-    LostWakeupChecker,
-    QueueExclusivityChecker,
-    default_checkers,
-    register_checker,
-)
-from .fuzz import FUZZ_CONFIGS, FuzzOutcome, FuzzReport, build_case, run_case, run_fuzz
-from .sanitizer import KernelSanitizer
-from .violations import Violation
+from .. import _lazy
 
-__all__ = [
-    "KernelSanitizer",
-    "Violation",
-    "InvariantChecker",
-    "DemandBoundChecker",
-    "LostWakeupChecker",
-    "QueueExclusivityChecker",
-    "DispatchOverlapChecker",
-    "ConservationChecker",
-    "CHECKERS",
-    "register_checker",
-    "default_checkers",
-    "FUZZ_CONFIGS",
-    "FuzzOutcome",
-    "FuzzReport",
-    "build_case",
-    "run_case",
-    "run_fuzz",
-]
+#: public name -> the submodule that defines it, imported on first access;
+#: the fuzzing harness (numpy, the simulator) loads only when asked for
+_EXPORTS = {
+    "KernelSanitizer": "sanitizer",
+    "Violation": "violations",
+    "InvariantChecker": "invariants",
+    "DemandBoundChecker": "invariants",
+    "LostWakeupChecker": "invariants",
+    "QueueExclusivityChecker": "invariants",
+    "DispatchOverlapChecker": "invariants",
+    "ConservationChecker": "invariants",
+    "CHECKERS": "invariants",
+    "register_checker": "invariants",
+    "default_checkers": "invariants",
+    "FUZZ_CONFIGS": "fuzz",
+    "FuzzOutcome": "fuzz",
+    "FuzzReport": "fuzz",
+    "build_case": "fuzz",
+    "run_case": "fuzz",
+    "run_fuzz": "fuzz",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

@@ -20,99 +20,58 @@ Entry points: ``python -m repro serve``, ``python -m repro place``,
 ``python -m repro loadgen`` and ``python -m repro chaos``.
 """
 
-from .chaos import ChaosConfig, ChaosProxy, ChaosReport, run_chaos
-from .client import ServeClient, ServeReplyError
-from .cluster import (
-    ClusterConfig,
-    ClusterFrontend,
-    LocalCluster,
-    start_local_cluster,
-)
-from .journal import (
-    AdmissionJournal,
-    AdmitRecord,
-    JournalState,
-    replay_journal,
-)
-from .leases import ClientRecord, LeaseTable
-from .loadgen import (
-    LoadgenConfig,
-    LoadgenReport,
-    fig4_scripts,
-    run_loadgen,
-    run_loadgen_sync,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .placer import (
-    ClusterError,
-    DemandAwarePlacer,
-    ShardAddress,
-    ShardState,
-)
-from .protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    ErrorCode,
-    Request,
-    decode_frame,
-    encode_frame,
-    error_reply,
-    ok_reply,
-    parse_request,
-)
-from .resilient import ResilientServeClient, backoff_sleep_s
-from .server import (
-    AdmissionServer,
-    AdmissionService,
-    ServeConfig,
-    adaptive_retry_hint_s,
-    quota_admits,
-)
+from .. import _lazy
 
-__all__ = [
-    "AdmissionJournal",
-    "AdmissionServer",
-    "AdmissionService",
-    "AdmitRecord",
-    "ChaosConfig",
-    "ChaosProxy",
-    "ChaosReport",
-    "ClientRecord",
-    "ClusterConfig",
-    "ClusterError",
-    "ClusterFrontend",
-    "Counter",
-    "DemandAwarePlacer",
-    "ErrorCode",
-    "Gauge",
-    "Histogram",
-    "JournalState",
-    "LeaseTable",
-    "LoadgenConfig",
-    "LoadgenReport",
-    "LocalCluster",
-    "MAX_FRAME_BYTES",
-    "MetricsRegistry",
-    "PROTOCOL_VERSION",
-    "Request",
-    "ResilientServeClient",
-    "ServeClient",
-    "ServeConfig",
-    "ServeReplyError",
-    "ShardAddress",
-    "ShardState",
-    "adaptive_retry_hint_s",
-    "backoff_sleep_s",
-    "decode_frame",
-    "encode_frame",
-    "error_reply",
-    "fig4_scripts",
-    "ok_reply",
-    "parse_request",
-    "quota_admits",
-    "replay_journal",
-    "run_chaos",
-    "run_loadgen",
-    "run_loadgen_sync",
-    "start_local_cluster",
-]
+#: public name -> the submodule that defines it, imported on first access,
+#: so a server process never loads the chaos harness or the load generator
+_EXPORTS = {
+    "AdmissionJournal": "journal",
+    "AdmissionServer": "server",
+    "AdmissionService": "server",
+    "AdmitRecord": "journal",
+    "ChaosConfig": "chaos",
+    "ChaosProxy": "chaos",
+    "ChaosReport": "chaos",
+    "ClientRecord": "leases",
+    "ClusterConfig": "cluster",
+    "ClusterError": "placer",
+    "ClusterFrontend": "cluster",
+    "Counter": "metrics",
+    "DemandAwarePlacer": "placer",
+    "ErrorCode": "protocol",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "JournalState": "journal",
+    "LeaseTable": "leases",
+    "LoadgenConfig": "loadgen",
+    "LoadgenReport": "loadgen",
+    "LocalCluster": "cluster",
+    "MAX_FRAME_BYTES": "protocol",
+    "MetricsRegistry": "metrics",
+    "PROTOCOL_VERSION": "protocol",
+    "Request": "protocol",
+    "ResilientServeClient": "resilient",
+    "ServeClient": "client",
+    "ServeConfig": "server",
+    "ServeReplyError": "client",
+    "ShardAddress": "placer",
+    "ShardState": "placer",
+    "adaptive_retry_hint_s": "server",
+    "backoff_sleep_s": "resilient",
+    "decode_frame": "protocol",
+    "encode_frame": "protocol",
+    "error_reply": "protocol",
+    "fig4_scripts": "loadgen",
+    "ok_reply": "protocol",
+    "parse_request": "protocol",
+    "quota_admits": "server",
+    "replay_journal": "journal",
+    "run_chaos": "chaos",
+    "run_loadgen": "loadgen",
+    "run_loadgen_sync": "loadgen",
+    "start_local_cluster": "cluster",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

@@ -62,10 +62,9 @@ class Session:
         #: in the encoding the request arrived in)
         self.binary = False
         self.binary_pending = False
-        #: until the first NDJSON frame, a frame's first byte is read on its
-        #: own: a binary frame sent without negotiation has no newline for
-        #: ``readline`` to wait for, so it is read whole by its header
-        self.sniff = True
+        #: the first byte of a frame whose read was cancelled before the
+        #: frame was whole (a park that ended); the next read resumes it
+        self.head = b""
 
     async def read_frame(self) -> bytes:
         """One raw frame in the session's current framing; ``b""`` on a
@@ -73,22 +72,27 @@ class Session:
         an NDJSON line past the StreamReader limit, a torn or oversized
         binary frame — raises :class:`ProtocolError`."""
         max_bytes = self.listener.cfg.max_frame_bytes
-        if self.binary:
-            return await protocol.read_raw_frame(self.reader, True, max_bytes)
+        if not self.head:
+            if self.binary:
+                return await protocol.read_raw_frame(self.reader, True, max_bytes)
+            # An NDJSON session reads each frame's first byte on its own: a
+            # binary frame sent without negotiation has no newline for
+            # ``readline`` to wait for, so it is read whole by its header.
+            self.head = await self.reader.read(1)
+        head = self.head
         try:
-            if not self.sniff:
-                return await self.reader.readline()
-            head = await self.reader.read(1)
             if head and head[0] == protocol.BINARY_MAGIC:
                 header = head + await self.reader.readexactly(
                     protocol.BINARY_HEADER_BYTES - 1
                 )
+                self.head = b""
                 length = protocol.parse_binary_header(header, max_bytes)
                 return header + await self.reader.readexactly(length)
-            self.sniff = False
             # b"" is EOF; a lone leading newline joins the next line, where
             # JSON reads it as whitespace
-            return head and head + await self.reader.readline()
+            frame = head and head + await self.reader.readline()
+            self.head = b""
+            return frame
         except ValueError:  # the StreamReader overran its limit
             raise ProtocolError(
                 ErrorCode.FRAME_TOO_LARGE,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.api import MB
@@ -135,6 +135,10 @@ class _Tally:
     utilization_samples: List[float] = field(default_factory=list)
 
 
+#: the run's counters, in report order: every int field of :class:`_Tally`
+_COUNTERS = tuple(f.name for f in fields(_Tally) if f.type == "int")
+
+
 @dataclass(frozen=True)
 class LoadgenReport:
     """What one load-generation run observed."""
@@ -180,25 +184,7 @@ class LoadgenReport:
         payload = {
             "mode": self.mode,
             "wall_s": self.wall_s,
-            "sessions_started": self.sessions_started,
-            "sessions_completed": self.sessions_completed,
-            "sessions_failed": self.sessions_failed,
-            "calls": self.calls,
-            "admitted": self.admitted,
-            "parked": self.parked,
-            "forced": self.forced,
-            "retries": self.retries,
-            "dropped_calls": self.dropped_calls,
-            "park_timeouts": self.park_timeouts,
-            "draining_rejects": self.draining_rejects,
-            "protocol_errors": self.protocol_errors,
-            "overload_sheds": self.overload_sheds,
-            "shed_calls": self.shed_calls,
-            "sheds_without_hint": self.sheds_without_hint,
-            "reconnects": self.reconnects,
-            "lost_periods": self.lost_periods,
-            "deduped": self.deduped,
-            "redirects": self.redirects,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "throughput_pps": self.throughput_pps,
             "admission_latency_s": self.admission_latency.to_dict(),
             "park_time_s": self.park_time.to_dict(),
@@ -560,25 +546,7 @@ class _Runner:
         return LoadgenReport(
             mode=self.cfg.mode,
             wall_s=wall_s,
-            sessions_started=tally.sessions_started,
-            sessions_completed=tally.sessions_completed,
-            sessions_failed=tally.sessions_failed,
-            calls=tally.calls,
-            admitted=tally.admitted,
-            parked=tally.parked,
-            forced=tally.forced,
-            retries=tally.retries,
-            dropped_calls=tally.dropped_calls,
-            park_timeouts=tally.park_timeouts,
-            draining_rejects=tally.draining_rejects,
-            protocol_errors=tally.protocol_errors,
-            overload_sheds=tally.overload_sheds,
-            shed_calls=tally.shed_calls,
-            sheds_without_hint=tally.sheds_without_hint,
-            reconnects=tally.reconnects,
-            lost_periods=tally.lost_periods,
-            deduped=tally.deduped,
-            redirects=tally.redirects,
+            **{name: getattr(tally, name) for name in _COUNTERS},
             throughput_pps=tally.admitted / wall_s if wall_s > 0 else 0.0,
             admission_latency=summarize_samples(tally.latency_s),
             park_time=summarize_samples(

@@ -14,23 +14,24 @@ This subpackage replaces the paper's Linux 4.6.0 testbed.  It provides:
   demand-aware scheduler plugs into.
 """
 
-from .engine import Engine, EventHandle
-from .process import Process, Thread, ThreadState
-from .kernel import Kernel, SchedulingExtension, AdmissionDecision
-from .machine import Machine
-from .tracing import KernelTracer, TraceKind, render_timeline
+from .. import _lazy
 
-__all__ = [
-    "Engine",
-    "EventHandle",
-    "Process",
-    "Thread",
-    "ThreadState",
-    "Kernel",
-    "SchedulingExtension",
-    "AdmissionDecision",
-    "Machine",
-    "KernelTracer",
-    "TraceKind",
-    "render_timeline",
-]
+#: public name -> the submodule that defines it, imported on first access
+_EXPORTS = {
+    "Engine": "engine",
+    "EventHandle": "engine",
+    "Process": "process",
+    "Thread": "process",
+    "ThreadState": "process",
+    "Kernel": "kernel",
+    "SchedulingExtension": "kernel",
+    "AdmissionDecision": "kernel",
+    "Machine": "machine",
+    "KernelTracer": "tracing",
+    "TraceKind": "tracing",
+    "render_timeline": "tracing",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

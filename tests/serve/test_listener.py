@@ -14,6 +14,7 @@ import pytest
 from repro.config import default_machine_config
 from repro.core.policy import StrictPolicy
 from repro.serve import protocol
+from repro.serve.client import ServeClient
 from repro.serve.cluster import start_local_cluster
 from repro.serve.protocol import VERBS, ErrorCode
 from repro.serve.server import AdmissionServer, ServeConfig
@@ -201,6 +202,81 @@ def test_idle_timeout_hangs_up_a_silent_connection(tmp_path):
         assert await asyncio.wait_for(reader.read(), 5.0) == b""
         assert len(server.sessions) == 0
         writer.close()
+        server.request_drain()
+        await asyncio.wait_for(server.run_until_drained(), 10.0)
+
+    asyncio.run(scenario())
+
+
+def test_unnegotiated_binary_frame_after_ndjson_is_rejected(tmp_path):
+    """Every NDJSON frame's first byte is sniffed, not only the first
+    frame's: a binary frame sent between two NDJSON queries is read whole
+    and refused, and the session goes on serving NDJSON."""
+    async def scenario():
+        cluster, sock = await one_shard_cluster(tmp_path)
+        for path in (f"{sock}.shard0", sock):
+            reader, writer = await asyncio.open_unix_connection(path)
+            replies = []
+            for frame in (
+                protocol.encode_frame(QUERY),
+                protocol.encode_binary_frame({**QUERY, "id": 2}),
+                protocol.encode_frame({**QUERY, "id": 3}),
+            ):
+                writer.write(frame)
+                await writer.drain()
+                replies.append(protocol.decode_frame(
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                ))
+            assert [r["ok"] for r in replies] == [True, False, True]
+            assert replies[1]["error"] == {
+                "code": ErrorCode.BAD_FRAME,
+                "message": "binary framing not negotiated",
+            }
+            writer.close()
+        cluster.request_drain()
+        assert await asyncio.wait_for(cluster.run_until_drained(), 20.0) == 0
+
+    asyncio.run(scenario())
+
+
+def test_frame_split_across_the_end_of_a_park_is_read_whole(tmp_path):
+    """A parked begin keeps a read in flight and cancels it when the park
+    ends; a frame whose first bytes arrived before that is answered whole
+    once the rest arrives."""
+    async def scenario():
+        server = AdmissionServer(shard_config())
+        sock = str(tmp_path / "serve.sock")
+        await server.start(unix_path=sock)
+        holder = await ServeClient.connect(unix_path=sock)
+        held = await holder.pp_begin(3 * 1024 * 1024)
+        reader, writer = await asyncio.open_unix_connection(sock)
+        writer.write(protocol.encode_frame({
+            **QUERY, "op": "pp_begin", "resource": "llc",
+            "demand_bytes": 3 * 1024 * 1024, "reuse": "low",
+        }))
+        await writer.drain()
+        for _ in range(200):
+            if len(server.service.waitlist):
+                break
+            await asyncio.sleep(0.01)
+        assert len(server.service.waitlist) == 1, "the begin never parked"
+        query = protocol.encode_frame({**QUERY, "id": 2})
+        writer.write(query[:5])
+        await writer.drain()
+        await asyncio.sleep(0.1)  # the park's read takes the first bytes
+        await holder.pp_end(held["pp_id"])
+        admitted = protocol.decode_frame(
+            await asyncio.wait_for(reader.readline(), 5.0)
+        )
+        assert admitted["ok"] is True and admitted["admitted"] is True
+        writer.write(query[5:])
+        await writer.drain()
+        reply = protocol.decode_frame(
+            await asyncio.wait_for(reader.readline(), 5.0)
+        )
+        assert reply["ok"] is True and reply["id"] == 2
+        writer.close()
+        await holder.close()
         server.request_drain()
         await asyncio.wait_for(server.run_until_drained(), 10.0)
 
