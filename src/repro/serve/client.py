@@ -1,6 +1,6 @@
 """Asyncio client for the admission-control service.
 
-A thin, explicit wrapper over the NDJSON protocol: one request per call,
+A thin, explicit wrapper over the wire protocol: one request per call,
 one reply per call (a ``pp_begin`` call blocks while the server parks the
 connection — the figure-4 contract, where the kernel blocks the calling
 thread).  :meth:`ServeClient.call` follows a ``REDIRECT`` — from a
@@ -17,6 +17,7 @@ client that must survive server restarts or flaky transports.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 from typing import Any, Dict, Optional
 
@@ -47,16 +48,10 @@ class ServeReplyError(ServeError):
 class ServeClient:
     """One connection to an admission server."""
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
+    def __init__(self, framer: protocol.Framer) -> None:
+        self.framer = framer
         self._ids = itertools.count(1)
         self._closed = False
-        #: length-prefixed binary framing; flips on after a successful
-        #: ``hello(binary=True)`` handshake (one-way per connection)
-        self.binary = False
         #: fields of the last successful hello, replayed on the shard a
         #: REDIRECT names
         self._hello: Optional[Dict[str, Any]] = None
@@ -69,46 +64,37 @@ class ServeClient:
         unix_path: Optional[str] = None,
         host: Optional[str] = None,
         port: Optional[int] = None,
-        limit: int = protocol.MAX_FRAME_BYTES,
         timeout: Optional[float] = None,
     ) -> "ServeClient":
         """Open a connection; ``timeout`` bounds the connect itself."""
+        loop = asyncio.get_running_loop()
         if unix_path is not None:
-            opening = asyncio.open_unix_connection(unix_path, limit=limit)
+            opening = loop.create_unix_connection(protocol.Framer, unix_path)
         elif host is not None and port is not None:
-            opening = asyncio.open_connection(host, port, limit=limit)
+            opening = loop.create_connection(protocol.Framer, host, port)
         else:
             raise ServeError("need a unix socket path or a TCP host+port")
-        if timeout is not None:
-            reader, writer = await asyncio.wait_for(opening, timeout=timeout)
-        else:
-            reader, writer = await opening
-        return cls(reader, writer)
+        _, connected = await asyncio.wait_for(opening, timeout)
+        return cls(connected)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def binary(self) -> bool:
+        """Length-prefixed binary framing: on after a successful
+        ``hello(binary=True)`` handshake (one-way per connection)."""
+        return self.framer.binary
+
     async def close(self) -> None:
         """Close the connection.  Idempotent — safe to call twice, safe to
         call on a connection whose transport (or loop) is already gone."""
-        if self._closed:
-            return
         self._closed = True
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (OSError, RuntimeError):
-            # OSError covers ConnectionError plus the EINVAL a transport
-            # aborted mid-close can surface from wait_closed();
-            # RuntimeError covers "Event loop is closed" during teardown.
-            pass
-        # Unblock any pending readline cleanly: feeding EOF makes a racing
-        # reader see b"" instead of hanging on a dead transport.
-        try:
-            self.reader.feed_eof()
-        except (AssertionError, RuntimeError):
-            pass
+        # RuntimeError covers "Event loop is closed" during teardown.
+        with contextlib.suppress(RuntimeError):
+            self.framer.transport.close()
+            await asyncio.shield(self.framer.gone)
 
     # ------------------------------------------------------------------
     async def call_raw(
@@ -116,40 +102,30 @@ class ServeClient:
     ) -> Dict[str, Any]:
         """Send one request and return the raw reply frame (ok or error).
 
-        ``timeout`` bounds the whole round trip; on expiry the call raises
-        :class:`asyncio.TimeoutError` and the connection must be considered
-        desynchronized (the reply may still arrive later) — close it.
+        ``timeout`` bounds the wait for the reply; on expiry the call
+        raises :class:`asyncio.TimeoutError` and the connection must be
+        considered desynchronized (the reply may still arrive later) —
+        close it.
         """
         if self._closed:
             raise ServeError("client is closed")
-
-        async def round_trip() -> Dict[str, Any]:
-            await self.send_request(next(self._ids), op, fields)
-            return await self._read_reply()
-
-        return await asyncio.wait_for(round_trip(), timeout=timeout)
-
-    async def send_request(
-        self, request_id: int, op: str, fields: Dict[str, Any]
-    ) -> None:
-        """Build one request frame and write it in the connection's
-        current framing."""
-        frame = {"v": protocol.PROTOCOL_VERSION, "id": request_id, "op": op}
-        frame.update(fields)
-        encode = (
-            protocol.encode_binary_frame if self.binary else protocol.encode_frame
-        )
-        self.writer.write(encode(frame))
-        await self.writer.drain()
-
-    async def _read_reply(self) -> Dict[str, Any]:
-        """Read one reply frame in the connection's current framing."""
-        buf = await protocol.read_raw_frame(self.reader, self.binary)
+        await self.send_request(next(self._ids), op, fields)
+        buf = await self.framer.read(timeout)
         if not buf:
             raise ProtocolError(
                 protocol.ErrorCode.INTERNAL, "server closed the connection"
             )
         return protocol.decode_any_frame(buf)
+
+    async def send_request(
+        self, request_id: int, op: str, fields: Dict[str, Any]
+    ) -> None:
+        """Build one request frame and write it in the connection's
+        current framing; a lost connection raises
+        :class:`ConnectionResetError`."""
+        frame = {"v": protocol.PROTOCOL_VERSION, "id": request_id, "op": op}
+        frame.update(fields)
+        await self.framer.send(frame)
 
     async def call(
         self, op: str, timeout: Optional[float] = None, **fields: Any
@@ -168,9 +144,8 @@ class ServeClient:
                 break
             self.redirects += 1
             shard = await ServeClient.connect(timeout=timeout, **address)
-            self.writer.close()
-            self.reader, self.writer = shard.reader, shard.writer
-            self.binary = False
+            self.framer.transport.close()
+            self.framer = shard.framer
             if op == "hello":
                 fields = {**fields, "redirect": True}
             elif self._hello is not None:
@@ -182,7 +157,7 @@ class ServeClient:
         if op == "hello":
             self._hello = fields
             if reply.get("binary"):
-                self.binary = True
+                self.framer.binary = True
         return reply
 
     # ------------------------------------------------------------------

@@ -5,14 +5,14 @@ cluster front-end (:class:`~repro.serve.cluster.ClusterFrontend`) speak
 one wire protocol, so they share one transport layer.  :class:`Listener`
 binds the unix and TCP listeners, owns the drain request, the signal
 handlers, the metrics dump and shutdown, and runs one frame loop per
-connection:
+connection over its :class:`~repro.serve.protocol.Framer`:
 
-1. read one frame in the session's framing (an NDJSON line under the
-   StreamReader limit, or a negotiated length-prefixed binary frame),
-   under the optional idle timeout;
+1. take the next frame the framer split off (an NDJSON line, or a
+   length-prefixed binary frame), under the optional idle timeout;
 2. answer a malformed frame with its typed error (a binary frame before
    the negotiation is one) — and hang up when the byte stream cannot be
-   re-synchronized (an oversized line, a torn binary frame);
+   re-synchronized (an oversized frame, a non-binary frame in a binary
+   session);
 3. dispatch the request through the endpoint's ``{op: handler}`` verb
    table; a handler that raises is answered with ``INTERNAL``;
 4. write the reply under the optional write budget (a peer that stops
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import os
 import signal
 from typing import Any, Awaitable, Callable, Dict, List, Optional
@@ -42,79 +43,23 @@ __all__ = ["Listener", "Session"]
 
 
 class Session:
-    """One connection: its transport, framing and deferred frames."""
+    """One connection, on its framer."""
 
-    def __init__(
-        self,
-        listener: "Listener",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def __init__(self, listener: "Listener", framer: protocol.Framer) -> None:
         self.listener = listener
-        self.reader = reader
-        self.writer = writer
+        self.framer = framer
         self.closed = False
-        #: frames that arrived while a reply was deferred (a parked
-        #: pp_begin); served in order once that reply has been sent
-        self.pushback: List[bytes] = []
-        #: length-prefixed binary framing, negotiated in "hello"; the
-        #: switch takes effect after the hello reply (which is still sent
-        #: in the encoding the request arrived in)
-        self.binary = False
-        self.binary_pending = False
-        #: the first byte of a frame whose read was cancelled before the
-        #: frame was whole (a park that ended); the next read resumes it
-        self.head = b""
-
-    async def read_frame(self) -> bytes:
-        """One raw frame in the session's current framing; ``b""`` on a
-        clean EOF.  A frame the stream cannot be re-synchronized after —
-        an NDJSON line past the StreamReader limit, a torn or oversized
-        binary frame — raises :class:`ProtocolError`."""
-        max_bytes = self.listener.cfg.max_frame_bytes
-        if not self.head:
-            if self.binary:
-                return await protocol.read_raw_frame(self.reader, True, max_bytes)
-            # An NDJSON session reads each frame's first byte on its own: a
-            # binary frame sent without negotiation has no newline for
-            # ``readline`` to wait for, so it is read whole by its header.
-            self.head = await self.reader.read(1)
-        head = self.head
-        try:
-            if head and head[0] == protocol.BINARY_MAGIC:
-                header = head + await self.reader.readexactly(
-                    protocol.BINARY_HEADER_BYTES - 1
-                )
-                self.head = b""
-                length = protocol.parse_binary_header(header, max_bytes)
-                return header + await self.reader.readexactly(length)
-            # b"" is EOF; a lone leading newline joins the next line, where
-            # JSON reads it as whitespace
-            frame = head and head + await self.reader.readline()
-            self.head = b""
-            return frame
-        except ValueError:  # the StreamReader overran its limit
-            raise ProtocolError(
-                ErrorCode.FRAME_TOO_LARGE,
-                f"request frame exceeds {max_bytes} bytes",
-            ) from None
 
     async def send(self, frame: Dict[str, Any]) -> None:
         """Write one reply in the session's framing, under the write budget."""
         if self.closed:
             return
-        encode = (
-            protocol.encode_binary_frame if self.binary else protocol.encode_frame
-        )
         try:
-            self.writer.write(encode(frame))
-            await asyncio.wait_for(
-                self.writer.drain(), self.listener.write_timeout_s
-            )
+            await self.framer.send(frame, self.listener.write_timeout_s)
         except asyncio.TimeoutError:
             # Slow-consumer defense: a peer that stops reading (slowloris)
             # must not pin this session's write buffer forever.  Abort the
-            # transport; the read side raises and the normal cleanup path
+            # transport; the read side ends and the normal cleanup path
             # reclaims the session.
             self.listener.c_slow_disconnects.inc()
             self.close(abort=True)
@@ -126,9 +71,9 @@ class Session:
         self.closed = True
         with contextlib.suppress(Exception):
             if abort:
-                self.writer.transport.abort()
+                self.framer.transport.abort()
             else:
-                self.writer.close()
+                self.framer.transport.close()
 
 
 class Listener:
@@ -168,7 +113,7 @@ class Listener:
         )
         self.c_slow_disconnects = metrics.counter(
             "slow_consumer_disconnects_total",
-            "sessions disconnected because writer.drain() stalled past "
+            "sessions disconnected because a paused reply write outlasted "
             "the write timeout",
         )
         metrics.gauge("connections", fn=lambda: len(self.sessions))
@@ -219,18 +164,21 @@ class Listener:
         if host is not None and port is None:
             raise ServeError("TCP transport needs a port")
         await self._before_bind()
-        limit = self.cfg.max_frame_bytes
+        loop = asyncio.get_running_loop()
+        accept = functools.partial(
+            protocol.Framer, self.cfg.max_frame_bytes, self._serve_connection
+        )
         if unix_path is not None:
             if os.path.exists(unix_path):
                 os.unlink(unix_path)  # stale socket from a previous run
-            self._servers.append(await asyncio.start_unix_server(
-                self._serve_connection, path=unix_path, limit=limit
-            ))
+            self._servers.append(
+                await loop.create_unix_server(accept, path=unix_path)
+            )
             self._unix_path = unix_path
         if host is not None:
-            self._servers.append(await asyncio.start_server(
-                self._serve_connection, host=host, port=port, limit=limit
-            ))
+            self._servers.append(
+                await loop.create_server(accept, host=host, port=port)
+            )
         loops = self._background_loops()
         if self.cfg.metrics_json:
             loops.append(self._metrics_loop())
@@ -287,10 +235,8 @@ class Listener:
     # ------------------------------------------------------------------
     # the frame loop
     # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        session = self.session_class(self, reader, writer)
+    async def _serve_connection(self, framer: protocol.Framer) -> None:
+        session = self.session_class(self, framer)
         self.sessions.add(session)
         try:
             await self._frame_loop(session)
@@ -305,30 +251,22 @@ class Listener:
         await session.send(protocol.error_reply(None, exc.code, exc.message))
 
     async def _frame_loop(self, session: Session) -> None:
+        framer = session.framer
         while not session.closed:
-            if session.pushback:
-                line = session.pushback.pop(0)
-            else:
-                try:
-                    line = await asyncio.wait_for(
-                        session.read_frame(), self.idle_timeout_s
-                    )
-                except (
-                    asyncio.TimeoutError,  # idle client: hang up
-                    ConnectionError,
-                    asyncio.IncompleteReadError,
-                ):
-                    return
-                except ProtocolError as exc:
-                    # the stream cannot be re-synchronized: reply with the
-                    # typed error, then hang up
-                    await self._reject(session, exc)
-                    return
-                if not line:
-                    return  # EOF
+            try:
+                line = await framer.read(self.idle_timeout_s)
+            except asyncio.TimeoutError:
+                return  # idle client: hang up
+            except ProtocolError as exc:
+                # the stream cannot be re-synchronized: reply with the
+                # typed error, then hang up
+                await self._reject(session, exc)
+                return
+            if not line:
+                return  # EOF
             self.c_requests.inc()
             try:
-                if not session.binary and line[0] == protocol.BINARY_MAGIC:
+                if not framer.binary and line[0] == protocol.BINARY_MAGIC:
                     raise ProtocolError(
                         ErrorCode.BAD_FRAME, "binary framing not negotiated"
                     )
@@ -342,10 +280,9 @@ class Listener:
             if reply is None:
                 continue  # nobody left to answer
             await session.send(reply)
-            if session.binary_pending:
+            if reply.get("binary"):
                 # hello negotiated binary framing; it applies to every
                 # frame after the (just-sent) hello reply
-                session.binary_pending = False
-                session.binary = True
+                framer.binary = True
             if request.op == "drain" and reply.get("draining"):
                 self.request_drain()  # only now: the caller heard back

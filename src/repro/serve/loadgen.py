@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.api import MB
 from ..errors import ProtocolError, ServeError
-from ..experiments.metrics import LatencySummary, summarize_samples
+from ..latency import LatencySummary, summarize_samples
 from ..workloads.export import PpCall, SessionScript
 from . import protocol
 from .client import ServeClient, ServeReplyError
@@ -276,7 +276,6 @@ class _Runner:
         self._next_client = 0
         self._deadline: Optional[float] = None
         self._stop = False
-        self._sampler_stop = False
 
     # ------------------------------------------------------------------
     def _take_script(self) -> SessionScript:
@@ -447,8 +446,7 @@ class _Runner:
                     self.tally.sessions_failed += 1
                     return
             self.tally.sessions_completed += 1
-        except (ProtocolError, ServeError, ConnectionError,
-                asyncio.IncompleteReadError):
+        except (ProtocolError, ServeError, ConnectionError):
             self.tally.sessions_failed += 1
 
     # ------------------------------------------------------------------
@@ -502,12 +500,7 @@ class _Runner:
         except OSError:
             return
         try:
-            # The stop flag backs up cancellation: the query round trip
-            # runs under asyncio.wait_for, and on 3.11 a cancel landing
-            # just as the inner future completes is swallowed (the task
-            # keeps running in "cancelling" state).  The flag turns that
-            # race into a normal exit one iteration later.
-            while not self._sampler_stop:
+            while True:
                 await asyncio.sleep(0.02)
                 reply = await client.call("query", timeout=5.0)
                 for state in reply.get("resources", {}).values():
@@ -535,10 +528,8 @@ class _Runner:
         else:
             await self._open_loop()
         wall_s = time.monotonic() - t_start
-        self._sampler_stop = True
         sampler.cancel()
-        with_suppress = asyncio.gather(sampler, return_exceptions=True)
-        await with_suppress
+        await asyncio.gather(sampler, return_exceptions=True)
 
         server_stats = await self._final_stats()
         tally = self.tally

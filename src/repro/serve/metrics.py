@@ -15,7 +15,7 @@ interpolated inside the matching log bucket; the bucket growth factor of
 1.25 bounds the relative error of any quantile to ~12 %, which is plenty
 for the tail-latency comparisons the load generator reports (client-side
 summaries use exact samples via
-:func:`repro.experiments.metrics.summarize_samples`).
+:func:`repro.latency.summarize_samples`).
 """
 
 from __future__ import annotations

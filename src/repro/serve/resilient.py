@@ -152,20 +152,13 @@ class ResilientServeClient:
         self._reader_task: Optional[asyncio.Task] = None
         self._heartbeat_task: Optional[asyncio.Task] = None
         self._hb_interval_s: Optional[float] = heartbeat_interval_s
-        self._send_lock: Optional[asyncio.Lock] = None
-        self._conn_lock: Optional[asyncio.Lock] = None
+        self._conn_lock = asyncio.Lock()
         self._connected_once = False
         self._closed = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _locks(self) -> None:
-        # Locks are created lazily so the constructor needs no event loop.
-        if self._send_lock is None:
-            self._send_lock = asyncio.Lock()
-            self._conn_lock = asyncio.Lock()
-
     async def connect(self) -> "ResilientServeClient":
         """Establish the first connection (and lease).  Optional — every
         call connects on demand — but useful to fail fast."""
@@ -239,8 +232,7 @@ class ResilientServeClient:
     # connection machinery
     # ------------------------------------------------------------------
     async def _ensure_connected(self) -> ServeClient:
-        self._locks()
-        async with self._conn_lock:  # type: ignore[union-attr]
+        async with self._conn_lock:
             if self._closed:
                 raise ServeError("client is closed")
             if self._conn is not None and not self._conn.closed:
@@ -312,6 +304,8 @@ class ResilientServeClient:
                     await asyncio.sleep(self._backoff(attempt))
                     continue
                 if hello.get("ok"):
+                    if hello.get("binary"):
+                        conn.framer.binary = True  # every frame from now on
                     if self._redirect_t0 is not None:
                         self.redirect_latency_s.append(
                             time.monotonic() - self._redirect_t0
@@ -366,35 +360,22 @@ class ResilientServeClient:
             await asyncio.wait({reader_task})
 
     async def _reader_loop(self, conn: ServeClient) -> None:
-        """Dispatch reply frames to their callers by request id.
-
-        The loop owns the connection's encoding state: when the server
-        acknowledges a ``hello {binary}``, the very next frame it sends is
-        length-prefixed, so the switch must happen here — between two
-        reads — not in the caller that sent the hello (which only learns
-        of the ack after this loop has already gone back to reading).
-        """
+        """Dispatch reply frames, as the connection's framer splits them
+        off, to their callers by request id."""
         try:
             while True:
-                try:
-                    buf = await protocol.read_raw_frame(
-                        conn.reader, conn.binary
-                    )
-                except ProtocolError:
-                    break  # torn binary frame: the stream is desynchronized
+                buf = await conn.framer.read()
                 if not buf:
                     break
                 try:
                     reply = protocol.decode_any_frame(buf)
                 except ProtocolError:
                     continue  # undecodable reply: skip, id-matching resyncs
-                if reply.get("ok") and reply.get("binary") and not conn.binary:
-                    conn.binary = True  # hello ack: switch both directions
                 future = self._pending.pop(reply.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(reply)
-        except (ConnectionError, ValueError, asyncio.CancelledError):
-            pass
+        except (ProtocolError, asyncio.CancelledError):
+            pass  # an oversized frame desynchronized the stream, or close()
         finally:
             if self._conn is conn:
                 self._conn = None
@@ -421,11 +402,8 @@ class ResilientServeClient:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         try:
-            async with self._send_lock:  # type: ignore[union-attr]
-                await conn.send_request(request_id, op, fields)
-            if timeout is not None:
-                return await asyncio.wait_for(future, timeout=timeout)
-            return await future
+            await conn.send_request(request_id, op, fields)
+            return await asyncio.wait_for(future, timeout)
         finally:
             self._pending.pop(request_id, None)
 
@@ -482,10 +460,7 @@ class ResilientServeClient:
             try:
                 conn = await self._ensure_connected()
                 reply = await self._roundtrip(conn, op, timeout=timeout, **fields)
-            except (
-                ConnectionError, asyncio.IncompleteReadError,
-                asyncio.TimeoutError,
-            ) as exc:
+            except (ConnectionError, asyncio.TimeoutError) as exc:
                 if isinstance(exc, asyncio.TimeoutError) and conn is not None:
                     await self._drop(conn)
                 attempt += 1

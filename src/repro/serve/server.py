@@ -67,7 +67,7 @@ from ..core.progress_period import (
     ReuseLevel,
     ensure_pp_ids_above,
 )
-from ..errors import ProgressPeriodError, ProtocolError
+from ..errors import ProgressPeriodError
 from ..predict import ElasticController, MispredictDetector, OnlineWssEstimator
 from ..predict.estimator import EstimatorKey
 from . import protocol
@@ -662,12 +662,9 @@ class ShardSession(Session):
     _ids = iter(range(1, 1 << 62))
 
     def __init__(
-        self,
-        listener: "AdmissionServer",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        self, listener: "AdmissionServer", framer: protocol.Framer
     ) -> None:
-        super().__init__(listener, reader, writer)
+        super().__init__(listener, framer)
         self.id = next(self._ids)
         self.record = listener.service.make_record()
         self.record.session = self
@@ -939,11 +936,10 @@ class AdmissionServer(Listener):
     ) -> Optional[Dict[str, Any]]:
         """Defer the reply until admission, timeout, drain, or disconnect.
 
-        While parked we keep one ``readline`` in flight so a client that
-        dies mid-park is noticed immediately (its period is cancelled and
-        its demand released) instead of squatting on the waitlist until the
-        park timeout.  Frames a client pipelines while parked are buffered
-        and served after the deferred reply.
+        The park also waits on the session's framer, so a client that dies
+        mid-park is noticed at once (its period cancelled, its demand
+        released).  Frames it pipelines stay queued in the framer, up to
+        its bound, and are served after the deferred reply.
         """
         service = self.service
         service.note_usage()
@@ -953,44 +949,16 @@ class AdmissionServer(Listener):
         parked_at = loop.time()
         park_timeout_s = self.cfg.park_timeout_s
         deadline = None if park_timeout_s is None else parked_at + park_timeout_s
-        read_task: Optional[asyncio.Task] = None
+        framer = session.framer
         try:
             while True:
-                if read_task is None:
-                    read_task = asyncio.ensure_future(session.read_frame())
-                timeout = (
-                    None if deadline is None else max(0.0, deadline - loop.time())
-                )
-                done, _ = await asyncio.wait(
-                    {future, read_task},
-                    timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                eof = False
-                if read_task in done:
-                    try:
-                        line = read_task.result()
-                    except (
-                        ConnectionError,
-                        asyncio.IncompleteReadError,
-                        ProtocolError,
-                    ):
-                        # A frame the stream cannot be re-synchronized after
-                        # is handled like a disconnect while parked.
-                        line, eof = b"", True
-                    read_task = None
-                    if line:
-                        session.pushback.append(line)
-                        # A pipelined frame (heartbeat included) proves the
-                        # parked client alive even before it is parsed.
-                        service.leases.renew(session.record)
-                    else:
-                        eof = True
-                if eof:
-                    # Client vanished while parked.  Anonymous periods are
-                    # cancelled outright; a lease-bound client may be
-                    # reconnecting, so its parked period is cancelled (the
-                    # reply target is gone) but re-issue by token is safe.
+                if framer.ended:
+                    # Client vanished while parked (or sent a frame the
+                    # stream cannot be re-synchronized after).  Anonymous
+                    # periods are cancelled outright; a lease-bound client
+                    # may be reconnecting, so its parked period is
+                    # cancelled (the reply target is gone) but re-issue by
+                    # token is safe.
                     session.closed = True
                     service.c_disconnect_cancel.inc()
                     self._wake(self._cancel_period(session.record, period.pp_id))
@@ -998,7 +966,16 @@ class AdmissionServer(Listener):
                     return None  # no one left to reply to
                 if future.done():
                     break
-                if not done and read_task is not None:
+                arrival = framer.arrival()
+                timeout = (
+                    None if deadline is None else max(0.0, deadline - loop.time())
+                )
+                done, _ = await asyncio.wait(
+                    {future, arrival},
+                    timeout=timeout,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+                if not done:
                     # Pure timeout: the wait is shed, not failed — cancel
                     # the period and answer with a retry hint.
                     self._wake(self._cancel_period(session.record, period.pp_id))
@@ -1011,18 +988,13 @@ class AdmissionServer(Listener):
                         waited_s=park_timeout_s,
                         retry_after_s=self._retry_hint_s(),
                     )
+                if arrival.done() and not framer.ended:
+                    # A pipelined frame (heartbeat included) proves the
+                    # parked client alive even before it is parsed.
+                    service.leases.renew(session.record)
         finally:
             self._parked.pop(period.pp_id, None)
             service.h_sojourn.observe(max(0.0, loop.time() - parked_at))
-            if read_task is not None:
-                read_task.cancel()
-                with contextlib.suppress(
-                    asyncio.CancelledError,
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    ProtocolError,
-                ):
-                    await read_task
         outcome = future.result()
         if outcome == "drained":
             self._wake(self._cancel_period(session.record, period.pp_id))
@@ -1104,9 +1076,6 @@ class AdmissionServer(Listener):
             service.c_hello.inc()
         session.movable = request.raw.get("redirect", False)
         service.leases.renew(record)
-        binary = request.raw.get("binary", False)
-        if binary and not session.binary:
-            session.binary_pending = True
         open_periods = []
         for pp_id in record.api.open_ids():
             period = record.api.period(pp_id)
@@ -1125,8 +1094,8 @@ class AdmissionServer(Listener):
             lease_ttl_s=service.leases.ttl_s,
             open=open_periods,
         )
-        if binary:
-            reply["binary"] = True
+        if request.raw.get("binary"):
+            reply["binary"] = True  # the listener switches the framing
         # Learned peak demand doubles as a cluster placement hint: the
         # client forwards it as `hello demand_bytes` on its next connect.
         hint = service.predicted_for_client(record.client_id)

@@ -115,7 +115,7 @@ class TestHelloHeartbeat:
             hello = await second.hello("alice")
             assert hello["resumed"] is True
             # the old socket was closed by the takeover
-            assert (await first.reader.read()) == b""
+            assert (await first.framer.read()) == b""
             beat = await second.heartbeat()
             assert beat["client"] == "alice"
             await first.close()
@@ -142,7 +142,7 @@ class TestReaper:
             assert not begin.done()  # strict bound: 3+3 > 4 MB, parked
 
             # the holder crashes: hard connection drop, no pp_end
-            holder.writer.transport.abort()
+            holder.framer.transport.abort()
 
             # within the lease TTL the reaper reclaims the dead client's
             # period and the parked waiter is admitted

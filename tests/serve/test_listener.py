@@ -239,42 +239,147 @@ def test_unnegotiated_binary_frame_after_ndjson_is_rejected(tmp_path):
     asyncio.run(scenario())
 
 
-def test_frame_split_across_the_end_of_a_park_is_read_whole(tmp_path):
-    """A parked begin keeps a read in flight and cancels it when the park
-    ends; a frame whose first bytes arrived before that is answered whole
-    once the rest arrives."""
+async def read_reply(reader, binary):
+    """One reply frame off a raw connection, in the given framing."""
+    if not binary:
+        return protocol.decode_frame(
+            await asyncio.wait_for(reader.readline(), 5.0)
+        )
+    header = await asyncio.wait_for(
+        reader.readexactly(protocol.BINARY_HEADER_BYTES), 5.0
+    )
+    length = protocol.parse_binary_header(header)
+    payload = await asyncio.wait_for(reader.readexactly(length), 5.0)
+    return protocol.decode_binary_frame(header + payload)
+
+
+async def park_a_begin(server, sock, binary, hello=None):
+    """A raw connection whose 3 MB begin is parked behind a holder's
+    3 MB period (4 MB of LLC); returns the holder, its period and the
+    connection."""
+    holder = await ServeClient.connect(unix_path=sock)
+    held = await holder.pp_begin(3 * 1024 * 1024)
+    reader, writer = await asyncio.open_unix_connection(sock)
+    if binary or hello:
+        writer.write(protocol.encode_frame({
+            **QUERY, "op": "hello", "client": hello or "split",
+            "binary": binary,
+        }))
+        await writer.drain()
+        ack = await read_reply(reader, False)
+        assert ack["ok"] is True and ack.get("binary", False) is binary
+    encode = protocol.encode_binary_frame if binary else protocol.encode_frame
+    writer.write(encode({
+        **QUERY, "op": "pp_begin", "resource": "llc",
+        "demand_bytes": 3 * 1024 * 1024, "reuse": "low",
+    }))
+    await writer.drain()
+    for _ in range(200):
+        if len(server.service.waitlist):
+            break
+        await asyncio.sleep(0.01)
+    assert len(server.service.waitlist) == 1, "the begin never parked"
+    return holder, held, reader, writer
+
+
+async def end_period(reader, writer, pp_id, binary):
+    """End a period a raw connection holds (a named client's would
+    outlive the connection and hold up the drain)."""
+    encode = protocol.encode_binary_frame if binary else protocol.encode_frame
+    writer.write(encode({**QUERY, "id": 9, "op": "pp_end", "pp_id": pp_id}))
+    await writer.drain()
+    assert (await read_reply(reader, binary))["ok"] is True
+
+
+@pytest.mark.parametrize("framing", ["ndjson", "binary"])
+def test_frame_split_across_the_end_of_a_park_is_read_whole(tmp_path, framing):
+    """A frame whose first bytes arrived while a begin was parked is
+    answered whole once the rest arrives after the park ended (in a binary
+    session: cut 3 bytes into its payload)."""
+    binary = framing == "binary"
+
     async def scenario():
         server = AdmissionServer(shard_config())
         sock = str(tmp_path / "serve.sock")
         await server.start(unix_path=sock)
-        holder = await ServeClient.connect(unix_path=sock)
-        held = await holder.pp_begin(3 * 1024 * 1024)
-        reader, writer = await asyncio.open_unix_connection(sock)
-        writer.write(protocol.encode_frame({
-            **QUERY, "op": "pp_begin", "resource": "llc",
-            "demand_bytes": 3 * 1024 * 1024, "reuse": "low",
-        }))
+        holder, held, reader, writer = await park_a_begin(server, sock, binary)
+        if binary:
+            query = protocol.encode_binary_frame({**QUERY, "id": 2})
+            cut = protocol.BINARY_HEADER_BYTES + 3
+        else:
+            query, cut = protocol.encode_frame({**QUERY, "id": 2}), 5
+        writer.write(query[:cut])
         await writer.drain()
-        for _ in range(200):
-            if len(server.service.waitlist):
-                break
-            await asyncio.sleep(0.01)
-        assert len(server.service.waitlist) == 1, "the begin never parked"
-        query = protocol.encode_frame({**QUERY, "id": 2})
-        writer.write(query[:5])
-        await writer.drain()
-        await asyncio.sleep(0.1)  # the park's read takes the first bytes
+        await asyncio.sleep(0.1)  # the first bytes arrive while parked
         await holder.pp_end(held["pp_id"])
-        admitted = protocol.decode_frame(
-            await asyncio.wait_for(reader.readline(), 5.0)
-        )
+        admitted = await read_reply(reader, binary)
         assert admitted["ok"] is True and admitted["admitted"] is True
-        writer.write(query[5:])
+        writer.write(query[cut:])
         await writer.drain()
-        reply = protocol.decode_frame(
-            await asyncio.wait_for(reader.readline(), 5.0)
-        )
+        reply = await read_reply(reader, binary)
         assert reply["ok"] is True and reply["id"] == 2
+        await end_period(reader, writer, admitted["pp_id"], binary)
+        writer.close()
+        await holder.close()
+        server.request_drain()
+        await asyncio.wait_for(server.run_until_drained(), 10.0)
+
+    asyncio.run(scenario())
+
+
+def test_frames_pipelined_behind_a_parked_begin_are_bounded(tmp_path):
+    """A client pipelining ~1,000 queries behind its parked begin makes
+    the session hold at most the framer's bound of frames; every frame
+    read renews the lease, and once the deferred admission reply is sent
+    every query is answered, in order."""
+    queries = 1000
+
+    async def scenario():
+        server = AdmissionServer(shard_config(lease_ttl_s=30.0))
+        sock = str(tmp_path / "serve.sock")
+        await server.start(unix_path=sock)
+        holder, held, reader, writer = await park_a_begin(
+            server, sock, False, hello="piper"
+        )
+        [session] = [s for s in server.sessions if s.record.client_id == "piper"]
+        leases = server.service.leases
+        renewals = []
+        renew = leases.renew
+
+        def counting_renew(record):
+            if record is session.record:
+                renewals.append(len(session.framer.frames))
+            renew(record)
+
+        leases.renew = counting_renew
+        writer.write(b"".join(
+            protocol.encode_frame({**QUERY, "id": 2 + i})
+            for i in range(queries)
+        ))
+        await writer.drain()
+        held_frames = []
+        for _ in range(50):
+            held_frames.append(len(session.framer.frames))
+            await asyncio.sleep(0.01)
+        assert max(held_frames) == protocol.MAX_BUFFERED_FRAMES
+        assert not session.framer.transport.is_reading()
+        # the frames taken in while parked renewed the lease
+        assert renewals and renewals[-1] == protocol.MAX_BUFFERED_FRAMES
+        parked_renewals = len(renewals)
+        await holder.pp_end(held["pp_id"])
+        admitted = await read_reply(reader, False)
+        assert admitted["ok"] is True and admitted["admitted"] is True
+        ids = []
+        for _ in range(queries):
+            reply = await read_reply(reader, False)
+            assert reply["ok"] is True
+            ids.append(reply["id"])
+        assert ids == list(range(2, 2 + queries))
+        # ... and so did every frame served after the park
+        assert len(renewals) == parked_renewals + queries
+        assert max(renewals) <= protocol.MAX_BUFFERED_FRAMES
+        leases.renew = renew
+        await end_period(reader, writer, admitted["pp_id"], False)
         writer.close()
         await holder.close()
         server.request_drain()

@@ -8,6 +8,8 @@ and the CLI imports the experiment harness only inside the commands that
 run it, so a server process loads neither numpy nor the simulator.
 ``repro.experiments`` and ``repro.mem`` stay eager: both need numpy
 anyway, and ``repro.experiments.sweep`` is a submodule and a function.
+The load generator and the chaos driver take their latency summaries
+from the pure-Python ``repro.latency``, so they load no numpy either.
 """
 
 import asyncio
@@ -110,6 +112,24 @@ def test_server_process_imports_only_the_service(tmp_path, name):
         if any(module == n or module.startswith(n + ".") for n in NOT_IMPORTED)
     )
     assert loaded == []
+
+
+@pytest.mark.parametrize("module", ["repro.serve.loadgen", "repro.serve.chaos"])
+def test_the_load_generator_and_the_chaos_driver_load_no_numpy(module):
+    out = run_python(
+        f"import json, sys, {module}\n"
+        "print(json.dumps(['numpy' in sys.modules,"
+        " sorted(m for m in sys.modules if m.startswith('repro.experiments'))]))\n"
+    )
+    assert json.loads(out) == [False, []]
+
+
+def test_experiments_metrics_re_exports_the_latency_helpers():
+    import repro.latency
+    from repro.experiments import metrics
+
+    for name in repro.latency.__all__:
+        assert getattr(metrics, name) is getattr(repro.latency, name)
 
 
 def test_importing_the_lazy_packages_loads_none_of_their_submodules():
