@@ -1,7 +1,8 @@
 """``repro bench`` — the repository's performance benchmark harness.
 
 One pinned, seeded workload per area (simulator, admission service,
-cluster, fleet, overload control, demand prediction, cache simulator)
+cluster, fleet, overload control, demand prediction, cache simulator,
+profiler)
 reduced to flat JSON records with a stable schema; see
 ``docs/BENCHMARKS.md`` and :mod:`repro.bench.schema`.
 """

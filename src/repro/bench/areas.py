@@ -1,5 +1,5 @@
 """The benchmark areas: simulator kernel, admission service, cluster, fleet,
-cache simulator.
+cache simulator, profiler.
 
 Each area runs a pinned, seeded workload and reduces it to a handful of
 :class:`~repro.bench.schema.BenchRecord` rows.  Workloads are sized so a
@@ -7,10 +7,11 @@ Each area runs a pinned, seeded workload and reduces it to a handful of
 the hot paths the records are meant to guard: the event-loop inner loop
 and rate memoization (sim), frame codec + parking + the metrics registry
 (serve), the placer front-end's redirect path (cluster), the
-content-addressed result cache (fleet), and the trace-driven cache
-simulator plus the analytical contention model (mem).  Each timed rep of
-the sim and mem areas runs for at least ~0.5 s, so one scheduler hiccup
-cannot swing a record.
+content-addressed result cache (fleet), the trace-driven cache
+simulator plus the analytical contention model (mem), and the figure-12
+trace generators plus window statistics (profiler).  Each timed rep of
+the sim, mem and profiler areas runs for at least ~0.5 s, so one
+scheduler hiccup cannot swing a record.
 
 Repetitions time the *same* deterministic workload several times and keep
 the best result (classic min-of-N to shed scheduler noise) — best wall
@@ -35,15 +36,18 @@ from ..core.policy import CompromisePolicy, StrictPolicy
 from ..core.rda import RdaScheduler
 # _canonical is the fleet's spec-canonicalizer; the bench digests reuse it
 # so one hashing convention covers both subsystems.
+from ..experiments.figures import OCEAN_INPUTS, WATER_INPUTS
 from ..experiments.parallel import (
     ResultCache, RunRequest, RunSuccess, _canonical, run_grid, run_key,
 )
 from ..mem.cache import Cache
 from ..mem.contention import LlcDemand, SharedLlcModel
 from ..mem.hierarchy import CacheHierarchy
+from ..profiler import sampling
 from ..sim.engine import Engine
 from ..sim.kernel import Kernel
 from ..units import kib
+from ..workloads import tracegen
 from ..workloads.base import Phase, PpSpec, ProcessSpec, Workload
 from ..workloads.suite import workload_by_name
 from .schema import BenchRecord, config_digest
@@ -56,6 +60,7 @@ __all__ = [
     "bench_cluster",
     "bench_fleet",
     "bench_mem",
+    "bench_profiler",
 ]
 
 
@@ -739,4 +744,70 @@ def bench_mem(seed: int, reps: int) -> List[BenchRecord]:
         rec("contention_evals_per_s", round(evals / contention_wall, 1),
             "evals/s", contention_wall),
         rec("cache_hits_total", float(cache_hits), "hits", cache_wall),
+    ]
+
+
+# ----------------------------------------------------------------------
+# profiler: figure-12 window statistics windows/sec + trace generation
+# ----------------------------------------------------------------------
+#: the figure-12 subjects at their four input scales: 16 traces
+_PROFILER_SUBJECTS = (
+    ("water_pp1_trace", WATER_INPUTS),
+    ("water_pp2_trace", WATER_INPUTS),
+    ("ocean_pp1_trace", OCEAN_INPUTS),
+    ("ocean_pp2_trace", OCEAN_INPUTS),
+)
+_PROFILER_ACCESSES = 2_000_000
+_PROFILER_WINDOW = 1_000_000  # instructions: the paper's window
+#: passes over the 16 traces per timed rep; one pass (93 windows) is about
+#: 0.15-0.2 s of window statistics on a 2-vCPU VM
+_PROFILER_PASSES = 4
+
+
+def bench_profiler(seed: int, reps: int) -> List[BenchRecord]:
+    digest = config_digest({
+        "area": "profiler",
+        "subjects": [[name, list(scales)] for name, scales in _PROFILER_SUBJECTS],
+        "accesses": _PROFILER_ACCESSES,
+        "window": _PROFILER_WINDOW,
+        "passes": _PROFILER_PASSES,
+        "seed": seed,
+    })
+
+    def profiler_rep() -> Tuple[float, float, int, int]:
+        """Seconds sampling windows and building traces, and their counts.
+
+        Each trace is built under one clock and sampled under another, so
+        neither rate pays for the other's work.
+        """
+        sample_s = build_s = 0.0
+        windows = addresses = 0
+        for _ in range(_PROFILER_PASSES):
+            for name, scales in _PROFILER_SUBJECTS:
+                for n in scales:
+                    t0 = time.perf_counter()
+                    trace = getattr(tracegen, name)(n, n_accesses=_PROFILER_ACCESSES)
+                    t1 = time.perf_counter()
+                    profile = sampling.sample_windows(trace, _PROFILER_WINDOW)
+                    sample_s += time.perf_counter() - t1
+                    build_s += t1 - t0
+                    windows += len(profile)
+                    addresses += len(trace)
+        return sample_s, build_s, windows, addresses
+
+    runs = [profiler_rep() for _ in range(max(1, reps))]
+    sample_s = min(r[0] for r in runs)
+    build_s = min(r[1] for r in runs)
+    _, _, windows, addresses = runs[0]
+
+    def rec(metric: str, value: float, unit: str, wall: float) -> BenchRecord:
+        return BenchRecord(
+            area="profiler", metric=metric, value=value, unit=unit,
+            seed=seed, config_digest=digest, wall_s=round(wall, 6),
+        )
+
+    return [
+        rec("windows_per_s", round(windows / sample_s, 1), "windows/s", sample_s),
+        rec("tracegen_addresses_per_s", round(addresses / build_s, 1),
+            "addresses/s", build_s),
     ]

@@ -10,6 +10,8 @@ One benchmark pass produces one file per area in the output directory::
     BENCH_serve_predict.json  admission throughput with demand prediction on
     BENCH_mem.json            cache-simulator accesses/sec (one cache, a 2-core
                               hierarchy) and contention-model evals/sec
+    BENCH_profiler.json       figure-12 window statistics windows/sec and
+                              trace-generation addresses/sec
 
 ``--quick`` times each workload once (the sub-second serve and cluster
 areas keep min-of-3 even in quick mode — their latency tails need it);
@@ -41,6 +43,7 @@ BENCH_FILES: Dict[str, str] = {
     "serve_overload": "BENCH_serve_overload.json",
     "serve_predict": "BENCH_serve_predict.json",
     "mem": "BENCH_mem.json",
+    "profiler": "BENCH_profiler.json",
 }
 AREA_NAMES = tuple(BENCH_FILES)
 
@@ -85,6 +88,8 @@ def _run_area(name: str, opts: BenchOptions) -> List[BenchRecord]:
         return areas.bench_serve_predict(opts.seed, reps)
     if name == "mem":
         return areas.bench_mem(opts.seed, reps)
+    if name == "profiler":
+        return areas.bench_profiler(opts.seed, reps)
     raise BenchError(f"unknown bench area {name!r}; choose from {AREA_NAMES}")
 
 

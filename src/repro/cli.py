@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .cliutil import positive_float, positive_int
+from .cliutil import non_negative_float, positive_float, positive_int
 from .config import DEFAULT_CACHE_DIR
 from .core.policy import CompromisePolicy, SchedulingPolicy, StrictPolicy
 from .errors import ReproError
@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="disconnect a client idle this long (default: never)",
     )
     serve_p.add_argument(
-        "--drain-grace", type=float, default=5.0, metavar="SECONDS",
+        "--drain-grace", type=non_negative_float, default=5.0,
+        metavar="SECONDS",
         help="drain waits this long for running periods before closing",
     )
     serve_p.add_argument(
@@ -194,11 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
         "periods survive a server crash",
     )
     serve_p.add_argument(
-        "--journal-fsync", type=float, default=0.0, metavar="SECONDS",
+        "--journal-fsync", type=non_negative_float, default=0.0,
+        metavar="SECONDS",
         help="fsync batching window for the journal (0 = fsync per event)",
     )
     serve_p.add_argument(
-        "--journal-compact-every", type=int, default=1000, metavar="N",
+        "--journal-compact-every", type=positive_int, default=1000,
+        metavar="N",
         help="compact the journal after this many appended events",
     )
     serve_p.add_argument(
@@ -239,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resize (default 2)",
     )
     serve_p.add_argument(
-        "--shards", type=int, default=1, metavar="N",
+        "--shards", type=positive_int, default=1, metavar="N",
         help="run N admission shards behind a demand-aware placer "
         "front-end on --socket (shard i listens on <socket>.shard<i>; "
         "capacity/journal options apply per shard)",
@@ -472,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--areas", nargs="*",
         choices=(
             "sim", "serve", "fleet", "cluster", "serve_overload",
-            "serve_predict", "mem",
+            "serve_predict", "mem", "profiler",
         ),
         default=(
             "sim", "serve", "fleet", "cluster", "serve_overload",
-            "serve_predict", "mem",
+            "serve_predict", "mem", "profiler",
         ),
         help="benchmark areas to run (default: all)",
     )

@@ -1,15 +1,15 @@
 """Shared argparse value validators.
 
 Several subcommands (``serve``, ``loadgen``, ``chaos``, ``bench`` and the
-``--predict-*`` family) take strictly-positive numeric flags; the
-validators live here so each front-end stops re-declaring them.
+``--predict-*`` family) take strictly-positive or non-negative numeric
+flags; the validators live here so each front-end stops re-declaring them.
 """
 
 from __future__ import annotations
 
 import argparse
 
-__all__ = ["positive_float", "positive_int"]
+__all__ = ["non_negative_float", "positive_float", "positive_int"]
 
 
 def positive_float(text: str) -> float:
@@ -20,6 +20,17 @@ def positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
     if not value > 0:  # NaN compares false
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """Argparse type: a float that is zero or more (NaN is rejected)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not value >= 0:  # NaN compares false
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 

@@ -38,9 +38,14 @@ class Region:
         """Absolute address(es) for byte offset(s) into the region.
 
         Accepts scalars or numpy arrays; offsets wrap modulo the region so
-        generators can index freely with logical element numbers.
+        generators can index freely with logical element numbers.  The
+        modulo runs only when some offset lies outside ``[0, size)``: an
+        in-region offset is its own remainder.
         """
-        return self.base + np.asarray(offset, dtype=np.int64) % self.size
+        off = np.asarray(offset, dtype=np.int64)
+        if off.size and 0 <= off.min() and off.max() < self.size:
+            return self.base + off
+        return self.base + off % self.size
 
     def element_addr(self, index, element_bytes: int):
         """Address(es) of fixed-size element(s), wrapping modulo the region."""

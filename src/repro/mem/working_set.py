@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.progress_period import ReuseLevel
+from ..errors import ProfilerError
 
 __all__ = ["WindowStats", "window_stats", "reuse_level_of_ratio"]
 
@@ -49,12 +50,36 @@ class WindowStats:
         )
 
 
+#: a window whose line span (max - min) is at most this many times its
+#: access count is counted in an array indexed by line; a sparser one is
+#: sorted instead, so the array holds at most 4n + 1 int64 counts for n
+#: accesses (about 32 bytes per access)
+DENSE_SPAN_PER_ACCESS = 4
+
+
+def check_window_options(granularity_bytes: int, min_accesses: int) -> None:
+    """Raise :class:`ProfilerError` unless both window options are >= 1."""
+    if granularity_bytes < 1:
+        raise ProfilerError(f"granularity must be >= 1 byte, got {granularity_bytes}")
+    if min_accesses < 1:
+        raise ProfilerError(f"min_accesses must be >= 1, got {min_accesses}")
+
+
 def window_stats(
     addresses: Sequence[int],
     granularity_bytes: int = 64,
     min_accesses: int = 2,
 ) -> WindowStats:
     """Compute footprint / WSS / reuse ratio of one window of addresses.
+
+    As the paper's profiler does, a window is counted in an array: one
+    slot per line between the window's lowest and highest line, holding
+    that line's access count.  When that span exceeds
+    :data:`DENSE_SPAN_PER_ACCESS` slots per access (a window that straddles
+    distant regions), the lines are sorted and each run of equal lines is
+    counted instead.  Either way the nonzero counts are the ones
+    ``np.unique(lines, return_counts=True)`` gives, in line order, so both
+    paths return identical statistics.
 
     Args:
         addresses: virtual byte addresses of the load/store instructions
@@ -63,16 +88,27 @@ def window_stats(
             PIN tool would coalesce accesses to the same line).
         min_accesses: an address counts toward the working set when touched
             at least this many times (the paper's "pre-configured number").
+
+    Raises:
+        ProfilerError: ``granularity_bytes`` or ``min_accesses`` is below 1.
     """
+    check_window_options(granularity_bytes, min_accesses)
     arr = np.asarray(addresses, dtype=np.int64)
     if arr.size == 0:
         return WindowStats(0, 0, 0, 0.0)
-    lines = arr // granularity_bytes  # a fresh array: safe to sort in place
-    lines.sort()
-    # each run of equal sorted lines is one unique line; its length is
-    # that line's access count (the counts np.unique would return)
-    starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
-    counts = np.diff(starts, append=lines.size)
+    lines = arr // granularity_bytes  # a fresh array: safe to shift or sort
+    low = int(lines.min())
+    # a Python int: the span of an int64 window can exceed int64
+    if int(lines.max()) - low <= DENSE_SPAN_PER_ACCESS * lines.size:
+        lines -= low
+        counts = np.bincount(lines)
+        counts = counts[counts != 0]
+    else:
+        lines.sort()
+        # each run of equal sorted lines is one unique line; its length is
+        # that line's access count
+        starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
+        counts = np.diff(starts, append=lines.size)
     footprint = int(counts.size) * granularity_bytes
     wss = int((counts >= min_accesses).sum()) * granularity_bytes
     reuse_ratio = float(counts.mean())

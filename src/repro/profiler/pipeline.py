@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from ..errors import ProfilerError
 from ..mem.trace import MemoryTrace
+from ..mem.working_set import check_window_options
 from .annotate import period_annotation
 from .detect import DetectedPeriod, DetectorConfig, detect_periods
 from .loopmap import Loop, SyntheticBinary, map_period_to_loop
@@ -82,6 +83,7 @@ class ProfilerPipeline:
     ) -> None:
         if window_instructions <= 0:
             raise ProfilerError("window size must be positive")
+        check_window_options(granularity_bytes, min_accesses)
         self.window_instructions = window_instructions
         self.detector = detector or DetectorConfig()
         self.granularity_bytes = granularity_bytes

@@ -125,7 +125,7 @@ class TestRunner:
     def test_area_names_match_files(self):
         assert AREA_NAMES == (
             "sim", "serve", "cluster", "fleet", "serve_overload",
-            "serve_predict", "mem",
+            "serve_predict", "mem", "profiler",
         )
         assert set(BENCH_FILES) == set(AREA_NAMES)
 

@@ -64,3 +64,37 @@ class TestAddressSpace:
         space.alloc("a", 64)
         space.alloc("b", 64)
         assert [r.name for r in space.regions()] == ["a", "b"]
+
+
+class TestWrapOnlyWhenNeeded:
+    """``Region.addr`` skips the modulo when every offset is in the region;
+    each result must still equal ``base + offset % size``."""
+
+    REGION = Region("a", base=0x10_0000_0000, size=4096)
+
+    def want(self, offset):
+        return self.REGION.base + np.asarray(offset, dtype=np.int64) % self.REGION.size
+
+    @pytest.mark.parametrize("offset", [-1, 0, 4095, 4096, 2 * 4096])
+    def test_scalar_offsets_at_the_edges(self, offset):
+        got, want = self.REGION.addr(offset), self.want(offset)
+        assert type(got) is type(want) and got.dtype == np.int64
+        assert got == want
+
+    @pytest.mark.parametrize("offsets", [
+        [0, 4095], [0, 4095, 4096], [-1, 0], [4096, 2 * 4096], [-1, 0, 4095, 4096, 8192],
+    ])
+    def test_array_offsets_at_the_edges(self, offsets):
+        got, want = self.REGION.addr(np.array(offsets)), self.want(offsets)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    def test_empty_offsets(self):
+        got = self.REGION.addr(np.array([], dtype=np.int64))
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    def test_result_is_not_the_offsets_array(self):
+        offsets = np.array([0, 8, 16], dtype=np.int64)
+        got = self.REGION.addr(offsets)
+        got[0] = 1
+        assert offsets.tolist() == [0, 8, 16]

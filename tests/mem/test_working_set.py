@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.progress_period import ReuseLevel
+from repro.errors import ProfilerError
 from repro.mem.working_set import WindowStats, reuse_level_of_ratio, window_stats
 
 
@@ -42,6 +43,18 @@ class TestWindowStats:
         s = window_stats([0, 100, 200], granularity_bytes=256)
         assert s.footprint_bytes == 256  # all in one 256-byte block
         assert s.wss_bytes == 256
+
+    @pytest.mark.parametrize("granularity", [0, -64])
+    def test_nonpositive_granularity_rejected(self, granularity):
+        # -64 used to give a negative footprint; 0 divided by zero
+        with pytest.raises(ProfilerError, match="granularity"):
+            window_stats([0, 64, 128, 64], granularity_bytes=granularity)
+
+    @pytest.mark.parametrize("min_accesses", [0, -1])
+    def test_nonpositive_access_threshold_rejected(self, min_accesses):
+        # used to count every line toward the working set
+        with pytest.raises(ProfilerError, match="min_accesses"):
+            window_stats([0, 64, 128, 64], min_accesses=min_accesses)
 
 
 class TestSimilarity:

@@ -60,6 +60,15 @@ class TestProfile:
         with pytest.raises(ProfilerError):
             ProfilerPipeline(window_instructions=0)
 
+    @pytest.mark.parametrize("option", [
+        {"granularity_bytes": 0}, {"granularity_bytes": -64},
+        {"min_accesses": 0}, {"min_accesses": -1},
+    ])
+    def test_nonpositive_granularity_or_threshold_rejected(self, option):
+        # rejected up front, before any trace is sampled
+        with pytest.raises(ProfilerError):
+            ProfilerPipeline(**option)
+
 
 class TestScalingStudy:
     # The scaling study needs a window large enough to span a few rows of

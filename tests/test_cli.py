@@ -198,6 +198,12 @@ class TestOverloadFlags:
         ["serve", "--lease-check", "0"],
         ["serve", "--metrics-interval", "0"],
         ["serve", "--max-pending", "0"],
+        ["serve", "--drain-grace", "nan"],
+        ["serve", "--drain-grace", "-1"],
+        ["serve", "--shards", "0"],
+        ["serve", "--shards", "-3"],
+        ["serve", "--journal-fsync", "-1"],
+        ["serve", "--journal", "J", "--journal-compact-every", "0"],
     ])
     def test_nonpositive_tuning_values_are_rejected(self, argv):
         with pytest.raises(SystemExit):
@@ -225,6 +231,17 @@ class TestSharedValidators:
 
     def test_positive_int_accepts(self):
         assert cliutil.positive_int("3") == 3
+
+    def test_non_negative_float_accepts(self):
+        # zero keeps its meaning (e.g. --journal-fsync 0: fsync per event)
+        assert cliutil.non_negative_float("0") == 0.0
+        assert cliutil.non_negative_float("0.05") == 0.05
+        assert cliutil.non_negative_float("5") == 5.0
+
+    @pytest.mark.parametrize("text", ["-1", "-0.001", "nan", "x", ""])
+    def test_non_negative_float_rejects(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cliutil.non_negative_float(text)
 
     @pytest.mark.parametrize("text", ["0", "-2", "1.5", "x"])
     def test_positive_int_rejects(self, text):

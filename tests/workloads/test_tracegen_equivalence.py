@@ -227,3 +227,71 @@ class TestWindowStatsEquivalence:
         assert list(profile.windows) == [
             ref_window_stats(w) for w in trace.windows(1_000_000)
         ]
+
+
+# ----------------------------------------------------------------------
+# the counting path: window_stats counts a window in an array indexed by
+# line when its line span is at most DENSE_SPAN_PER_ACCESS slots per
+# access, and sorts it otherwise; both paths must equal np.unique's counts
+# ----------------------------------------------------------------------
+import tracemalloc  # noqa: E402
+
+from repro.mem import working_set  # noqa: E402
+
+
+def _window_with_span(n: int, span: int) -> np.ndarray:
+    """``n`` line addresses whose lowest and highest line are ``span`` apart."""
+    rng = np.random.default_rng(span)
+    lines = np.concatenate(([0, span], rng.integers(0, span + 1, n - 2)))
+    return (lines - 12_345) * 64 + rng.integers(0, 64, n)
+
+
+class TestCountingPath:
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    @pytest.mark.parametrize("extra, counted", [(-1, True), (0, True), (1, False)])
+    def test_span_just_under_at_and_over_the_bound(self, monkeypatch, n, extra,
+                                                   counted):
+        addresses = _window_with_span(n, working_set.DENSE_SPAN_PER_ACCESS * n + extra)
+        calls = []
+        bincount = np.bincount
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(working_set.np, "bincount", spy)
+        for min_accesses in (1, 2, 3):
+            assert (window_stats(addresses, 64, min_accesses)
+                    == ref_window_stats(addresses, 64, min_accesses))
+        assert bool(calls) is counted
+
+    def test_window_spanning_all_of_int64(self):
+        # at granularity 1 the span is 2**64 - 1 lines: taken in int64 it
+        # would wrap to -1, pass the bound, and hand bincount negative lines
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        for addresses in ([lo, hi], [hi, lo, lo, 0, hi, hi]):
+            addresses = np.array(addresses, dtype=np.int64)
+            assert window_stats(addresses, 1) == ref_window_stats(addresses, 1)
+
+    def test_sparse_window_sorts_without_the_counting_array(self):
+        # two lines 2**24 apart: a counting array would take 128 MiB
+        addresses = np.array([0, (1 << 24) * 64, 0], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            got = window_stats(addresses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == ref_window_stats(addresses)
+        assert peak < 1 << 20
+
+    def test_phased_trace_windows_across_regions(self):
+        # phased_trace re-bases each phase 2**40 bytes apart, so the window
+        # that straddles two phases takes the sort path
+        trace = tracegen.phased_trace(
+            [("blocked", 64 * 1024, 4), ("stream", 1 << 20, 1)],
+            accesses_per_phase=150_000,
+        )
+        assert list(sample_windows(trace, 300_000).windows) == [
+            ref_window_stats(w) for w in trace.windows(300_000)
+        ]
