@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .cliutil import non_negative_float, positive_float, positive_int
+from .cliutil import non_negative_float, non_negative_int, positive_float, positive_int
 from .config import DEFAULT_CACHE_DIR
 from .core.policy import CompromisePolicy, SchedulingPolicy, StrictPolicy
 from .errors import ReproError
@@ -43,12 +43,6 @@ def policy_by_name(name: str) -> Optional[SchedulingPolicy]:
     raise argparse.ArgumentTypeError(
         f"unknown policy {name!r}; expected default, strict or compromise[:x]"
     )
-
-
-# Shared validators (repro.cliutil); the underscore aliases keep the
-# historical names used throughout this module.
-_positive_float = positive_float
-_positive_int = positive_int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,42 +127,42 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the managed LLC capacity (default: Table 1 machine)",
     )
     serve_p.add_argument(
-        "--max-pending", type=_positive_int, default=1024, metavar="N",
+        "--max-pending", type=positive_int, default=1024, metavar="N",
         help="parked-admission bound; beyond it pp_begin gets RETRY_AFTER",
     )
     serve_p.add_argument(
-        "--park-timeout", type=_positive_float, default=30.0,
+        "--park-timeout", type=positive_float, default=30.0,
         metavar="SECONDS",
         help="queue-sojourn bound on parked admissions: past it the period "
         "is cancelled with PARK_TIMEOUT and a retry hint (default 30)",
     )
     serve_p.add_argument(
-        "--retry-hint-floor", type=_positive_float, default=0.05,
+        "--retry-hint-floor", type=positive_float, default=0.05,
         metavar="SECONDS",
         help="lower clamp of RETRY_AFTER hints, which scale with live "
         "queue occupancy and admission latency (default 0.05; floor == "
         "cap is a constant hint)",
     )
     serve_p.add_argument(
-        "--retry-hint-cap", type=_positive_float, default=0.05,
+        "--retry-hint-cap", type=positive_float, default=0.05,
         metavar="SECONDS",
         help="upper clamp of RETRY_AFTER hints (default 0.05; raised to "
         "the floor if below it)",
     )
     serve_p.add_argument(
-        "--max-pending-per-client", type=_positive_int, default=None,
+        "--max-pending-per-client", type=positive_int, default=None,
         metavar="N",
         help="per-client parked-admission quota; beyond it pp_begin gets "
         "RETRY_AFTER even while the global queue has room (default: off)",
     )
     serve_p.add_argument(
-        "--write-timeout", type=_positive_float, default=None,
+        "--write-timeout", type=positive_float, default=None,
         metavar="SECONDS",
         help="disconnect a session whose reply write stalls this long "
         "(slow-consumer defense; default: wait forever)",
     )
     serve_p.add_argument(
-        "--idle-timeout", type=_positive_float, default=None,
+        "--idle-timeout", type=positive_float, default=None,
         metavar="SECONDS",
         help="disconnect a client idle this long (default: never)",
     )
@@ -182,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="periodically dump the live metrics snapshot to this file",
     )
     serve_p.add_argument(
-        "--metrics-interval", type=_positive_float, default=2.0,
+        "--metrics-interval", type=positive_float, default=2.0,
         metavar="SECONDS",
     )
     serve_p.add_argument(
@@ -205,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact the journal after this many appended events",
     )
     serve_p.add_argument(
-        "--lease-ttl", type=_positive_float, default=10.0, metavar="SECONDS",
+        "--lease-ttl", type=positive_float, default=10.0, metavar="SECONDS",
         help="client lease time-to-live; a silent client's periods are "
         "reclaimed after this",
     )
     serve_p.add_argument(
-        "--lease-check", type=_positive_float, default=0.25,
+        "--lease-check", type=positive_float, default=0.25,
         metavar="SECONDS",
         help="lease reaper sweep interval",
     )
@@ -252,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tie-break seed of the cluster placer (with --shards > 1)",
     )
     serve_p.add_argument(
-        "--rebalance-fragmentation", type=_positive_float, default=0.5,
+        "--rebalance-fragmentation", type=positive_float, default=0.5,
         metavar="RATIO",
         help="with --shards > 1: trigger proactive parked-client rebalance "
         "when free-capacity fragmentation reaches this ratio (default 0.5)",
@@ -294,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket", default=None, metavar="PATH", help="server unix socket"
     )
     load_p.add_argument("--host", default=None, help="server TCP address")
-    load_p.add_argument("--port", type=int, default=None, help="server TCP port")
+    load_p.add_argument(
+        "--port", type=positive_int, default=None, help="server TCP port"
+    )
     load_p.add_argument(
         "--workload", default="fig4",
         help="suite workload to replay, or 'fig4' for the synthetic "
@@ -305,22 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed = N persistent clients; open = Poisson arrivals",
     )
     load_p.add_argument(
-        "--clients", type=int, default=4, help="closed loop: concurrent clients"
+        "--clients", type=positive_int, default=4,
+        help="closed loop: concurrent clients",
     )
     load_p.add_argument(
-        "--rate", type=float, default=20.0,
+        "--rate", type=positive_float, default=20.0,
         help="open loop: mean session arrivals per second",
     )
     load_p.add_argument(
-        "--sessions", type=int, default=None,
+        "--sessions", type=positive_int, default=None,
         help="total sessions to run (default: bounded by --duration)",
     )
     load_p.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
+        "--duration", type=positive_float, default=None, metavar="SECONDS",
         help="stop starting new sessions after this much wall time",
     )
     load_p.add_argument(
-        "--time-scale", type=float, default=None,
+        "--time-scale", type=non_negative_float, default=None,
         help="multiply scripted hold times (default 1e-4 for suite "
         "workloads, 1.0 for fig4)",
     )
@@ -366,18 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_p.add_argument("--seed", type=int, default=0)
     chaos_p.add_argument(
-        "--duration", type=float, default=6.0, metavar="SECONDS",
+        "--duration", type=positive_float, default=6.0, metavar="SECONDS",
         help="load phase wall-clock budget",
     )
     chaos_p.add_argument(
-        "--clients", type=int, default=4, help="concurrent resilient clients"
+        "--clients", type=positive_int, default=4,
+        help="concurrent resilient clients",
     )
     chaos_p.add_argument(
-        "--kills", type=int, default=2,
+        "--kills", type=non_negative_int, default=2,
         help="SIGKILL/restart cycles during the load",
     )
     chaos_p.add_argument(
-        "--kill-interval", type=float, default=1.5, metavar="SECONDS",
+        "--kill-interval", type=non_negative_float, default=1.5,
+        metavar="SECONDS",
         help="gap between kills",
     )
     chaos_p.add_argument(
@@ -385,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission policy name passed to the server (default strict)",
     )
     chaos_p.add_argument(
-        "--capacity-mb", type=float, default=8.0, metavar="MB",
+        "--capacity-mb", type=positive_float, default=8.0, metavar="MB",
         help="managed LLC capacity of the chaos server",
     )
     chaos_p.add_argument(
-        "--lease-ttl", type=float, default=1.5, metavar="SECONDS",
+        "--lease-ttl", type=positive_float, default=1.5, metavar="SECONDS",
         help="client lease time-to-live on the chaos server",
     )
     chaos_p.add_argument(
@@ -405,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         "shards behind a placer front-end instead of the single server",
     )
     chaos_p.add_argument(
-        "--shards", type=int, default=3, metavar="N",
+        "--shards", type=positive_int, default=3, metavar="N",
         help="shard count for --cluster / --rolling (default 3)",
     )
     chaos_p.add_argument(
@@ -419,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a supervised cluster under live load, asserting zero lost periods",
     )
     chaos_p.add_argument(
-        "--rolling-grace", type=_positive_float, default=3.0,
+        "--rolling-grace", type=positive_float, default=3.0,
         metavar="SECONDS",
         help="--rolling: per-shard drain grace before a forced restart "
         "(default 3.0)",
@@ -431,16 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(adaptive retry hints, park deadlines, quotas, write budget)",
     )
     chaos_p.add_argument(
-        "--storm-rate", type=_positive_float, default=150.0, metavar="RATE",
+        "--storm-rate", type=positive_float, default=150.0, metavar="RATE",
         help="--overload: mean session arrivals per second (default 150)",
     )
     chaos_p.add_argument(
-        "--slowloris", type=int, default=2, metavar="N",
+        "--slowloris", type=non_negative_int, default=2, metavar="N",
         help="--overload: concurrent slow consumers that never read "
         "replies (default 2)",
     )
     chaos_p.add_argument(
-        "--p99-bound", type=_positive_float, default=5.0, metavar="SECONDS",
+        "--p99-bound", type=positive_float, default=5.0, metavar="SECONDS",
         help="--overload: admitted calls must keep p99 admission latency "
         "under this (default 5.0)",
     )
@@ -514,18 +513,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_resilient_client_options(parser: argparse.ArgumentParser) -> None:
     """Resilient-client tuning shared by ``loadgen`` and ``chaos``."""
     parser.add_argument(
-        "--backoff-cap", type=_positive_float, default=None,
+        "--backoff-cap", type=positive_float, default=None,
         metavar="SECONDS",
         help="resilient clients: transport-retry backoff ceiling "
         "(default: the client's own 1.0 s)",
     )
     parser.add_argument(
-        "--breaker-threshold", type=_positive_int, default=None, metavar="N",
+        "--breaker-threshold", type=positive_int, default=None, metavar="N",
         help="resilient clients: open the circuit breaker after N "
         "consecutive connect failures (default: breaker disabled)",
     )
     parser.add_argument(
-        "--breaker-reset", type=_positive_float, default=None,
+        "--breaker-reset", type=positive_float, default=None,
         metavar="SECONDS",
         help="resilient clients: breaker reset window before the "
         "half-open probe (default 1.0, or 0.2 under chaos --overload)",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 
-__all__ = ["non_negative_float", "positive_float", "positive_int"]
+__all__ = ["non_negative_float", "non_negative_int", "positive_float", "positive_int"]
 
 
 def positive_float(text: str) -> float:
@@ -42,4 +42,15 @@ def positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """Argparse type: an integer that is zero or more (0 means "none")."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value

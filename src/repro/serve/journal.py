@@ -150,8 +150,10 @@ def _parse_line(line: bytes) -> Optional[Dict[str, Any]]:
 
 
 #: a snapshot record as serialized by ``_rewrite_snapshot`` always starts
-#: with these bytes; used to tell a torn snapshot from a torn append
-_SNAP_PREFIX = b'{"k":"snap"'
+#: with these 7 bytes and no append kind (admit, close, resize, obs) does;
+#: used to tell a torn snapshot from a torn append.  Cuts of 1-6 bytes,
+#: ``{"k":"`` or less, are shared by every kind and stay a torn tail.
+_SNAP_PREFIX = b'{"k":"s'
 
 
 def replay_journal(path: str) -> JournalState:
@@ -163,7 +165,9 @@ def replay_journal(path: str) -> JournalState:
     also raises: snapshots reach the log only through fsync + atomic
     rename (never through an interruptible append), so a partial one
     means the file itself was damaged, and tolerating it would silently
-    drop every open period the snapshot carried.
+    drop every open period the snapshot carried.  A line is a snapshot
+    from its 7th byte on (``{"k":"s``); a cut within the first 6 bytes
+    cannot be told from a torn append, so it is dropped as one.
     """
     state = JournalState(open={}, max_pp_id=0, events_replayed=0)
     if not os.path.exists(path):

@@ -146,9 +146,10 @@ class Kernel:
         # constantly (every quantum rotation cycles through the same handful
         # of placements), and resolve()/rate()/apply_bandwidth_cap() are pure
         # functions of (phases, sharing scopes, freq_scale) — so rates and
-        # cache points are keyed on the ordered (id(phase), pid) signature of
-        # the running threads.  Phase objects are frozen and outlive the
-        # kernel's processes, so ids are stable for the kernel's lifetime.
+        # cache points are keyed on freq_scale and the running threads'
+        # ordered rate keys, (id(phase), pid) each.  Phase objects are frozen
+        # and outlive the kernel's processes, so ids are stable for the
+        # kernel's lifetime.
         self._rate_cache: Dict[tuple, tuple] = {}
         self._RATE_CACHE_MAX = 4096
         # Behind it, on a miss: each thread's uncapped rate, keyed on
@@ -160,6 +161,9 @@ class Kernel:
         self._phase_rate_cache: Dict[tuple, ExecRate] = {}
         #: each (id(phase), pid)'s LLC demand, built once
         self._demands: Dict[tuple, LlcDemand] = {}
+        #: (id(phase), LLC share) -> (seconds, DRAM accesses) of the cold
+        #: reload, the only inputs ExecutionModel.reload_cost reads
+        self._reloads: Dict[tuple, tuple[float, float]] = {}
         self._exited_threads = 0
         self._total_threads = 0
         #: optional KernelTracer recording scheduling events
@@ -524,13 +528,11 @@ class Kernel:
         running = [c.thread for c in self.cores if c.thread is not None]
         if not running:
             return
-        key = (
-            self.freq_scale,
-            tuple([(id(t.phase), t.process.pid) for t in running]),
-        )
+        keys = tuple([t.rate_key for t in running])
+        key = (self.freq_scale, keys)
         cached = self._rate_cache.get(key)
         if cached is None:
-            cached = self._rates_for(running)
+            cached = self._rates_for(running, keys)
             if len(self._rate_cache) >= self._RATE_CACHE_MAX:
                 self._rate_cache.clear()
             self._rate_cache[key] = cached
@@ -543,7 +545,7 @@ class Kernel:
             return
         # Charge switch + cold-reload cost to threads that just landed on a
         # core previously running someone else (figure 1's reload effect).
-        exec_model = self.machine.exec_model
+        reloads = self._reloads
         for core, thread, switched in placed:
             if not switched:
                 continue
@@ -551,23 +553,33 @@ class Kernel:
             if self.config.scheduler.model_cache_reload:
                 phase = thread.phase
                 assert phase is not None
-                reload = exec_model.reload_cost(phase, points[running.index(thread)])
-                thread.stall_remaining_s += reload.seconds
-                thread.stall_dram_total += reload.dram_accesses
+                point = points[running.index(thread)]
+                reload_key = (id(phase), point.share_bytes)
+                reload = reloads.get(reload_key)
+                if reload is None:
+                    if len(reloads) >= self._RATE_CACHE_MAX:
+                        reloads.clear()
+                    cost = self.machine.exec_model.reload_cost(phase, point)
+                    reload = reloads[reload_key] = (cost.seconds, cost.dram_accesses)
+                thread.stall_remaining_s += reload[0]
+                thread.stall_dram_total += reload[1]
 
-    def _rates_for(self, running: Sequence[Thread]) -> tuple:
-        """Slow path: derive (rate triples, cache points) for a co-running set."""
+    def _rates_for(self, running: Sequence[Thread], keys: tuple) -> tuple:
+        """Slow path: derive (rate triples, cache points) for a co-running set.
+
+        ``keys`` are the running threads' rate keys, in order.
+        """
         demands = []
         phases: list[Phase] = []
         known = self._demands
-        for t in running:
+        for t, rate_key in zip(running, keys):
             phase = t.phase
-            assert phase is not None and phase.kind is PhaseKind.COMPUTE
             phases.append(phase)
-            pid = t.process.pid
-            demand = known.get((id(phase), pid))
+            demand = known.get(rate_key)
             if demand is None:
-                demand = known[id(phase), pid] = LlcDemand(
+                assert phase is not None and phase.kind is PhaseKind.COMPUTE
+                pid = t.process.pid
+                demand = known[rate_key] = LlcDemand(
                     wss_bytes=phase.wss_bytes,
                     reuse=phase.reuse,
                     sharing_key=phase.sharing_scope(pid),

@@ -87,6 +87,9 @@ class Thread:
         #: the phase at ``phase_idx`` (``None`` past the end of the program);
         #: a plain attribute because the kernel reads it on every event
         self.phase: Optional[Phase] = self.program[0] if self.program else None
+        #: ``(id(phase), pid)``: what the kernel's rate memos key this
+        #: thread's share of a co-running set on; kept with ``phase``
+        self.rate_key = (id(self.phase), process.pid)
         #: instructions already retired within the current phase
         self.instr_done = 0.0
         self.state = ThreadState.NEW
@@ -143,6 +146,7 @@ class Thread:
         self.instr_done = 0.0
         idx = self.phase_idx
         self.phase = self.program[idx] if idx < len(self.program) else None
+        self.rate_key = (id(self.phase), self.process.pid)
 
     def set_state(self, state: ThreadState, now: float) -> None:
         """Transition states, folding elapsed time into the right counter."""

@@ -231,6 +231,52 @@ class TestSnapshotCrashSafety:
         with pytest.raises(JournalError, match="partial snapshot"):
             replay_journal(path)
 
+    @pytest.mark.parametrize("cut", [7, 8, 9, 10])
+    @pytest.mark.parametrize("after_records", [False, True])
+    def test_snapshot_cut_in_its_first_eleven_bytes_raises(
+        self, tmp_path, cut, after_records
+    ):
+        # `{"k":"s` (7 bytes) already names a snapshot: no append kind
+        # (admit, close, resize, obs) starts so.  `{"k":"` begins every
+        # kind, so a 6-byte cut stays a torn append.
+        snap = self._recovered_snapshot(tmp_path)
+        head = self._records(tmp_path) if after_records else b""
+        path = str(tmp_path / "cut.ndjson")
+        with open(path, "wb") as fh:
+            fh.write(head + snap[:6])
+        state = replay_journal(path)
+        assert set(state.open) == ({1, 2} if after_records else set())
+        assert state.events_replayed == (2 if after_records else 0)
+        with open(path, "wb") as fh:
+            fh.write(head + snap[:cut])
+        with pytest.raises(JournalError, match="partial snapshot"):
+            replay_journal(path)
+
+    @staticmethod
+    def _recovered_snapshot(tmp_path) -> bytes:
+        """The one snapshot line ``recover()`` leaves for a two-period log."""
+        path = str(tmp_path / "snap.ndjson")
+        journal = AdmissionJournal(path)
+        journal.record_admit(record(1))
+        journal.record_admit(record(2))
+        journal.abandon()
+        reborn = AdmissionJournal(path)
+        reborn.recover()
+        reborn.close()
+        blob = open(path, "rb").read()
+        assert blob.startswith(b'{"k":"snap"') and blob.count(b"\n") == 1
+        return blob
+
+    @staticmethod
+    def _records(tmp_path) -> bytes:
+        """Two whole admit lines, as a log holds them before a torn line."""
+        path = str(tmp_path / "records.ndjson")
+        journal = AdmissionJournal(path)
+        journal.record_admit(record(1))
+        journal.record_admit(record(2))
+        journal.close()
+        return open(path, "rb").read()
+
     def test_torn_tail_after_a_snapshot_is_still_tolerated(self, tmp_path):
         path = str(tmp_path / "j.ndjson")
         journal = AdmissionJournal(path)

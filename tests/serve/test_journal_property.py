@@ -30,9 +30,9 @@ from repro.serve.journal import AdmissionJournal, AdmitRecord, replay_journal
 #: small, so a few steps fill a ring and trigger an automatic compaction
 OBS_HISTORY = 3
 COMPACT_EVERY = 6
-#: how every snapshot record starts; a cut shorter than this is not
-#: recognisable as a snapshot
-SNAP_PREFIX = b'{"k":"snap"'
+#: how every snapshot record starts, and no other record kind; a cut
+#: shorter than this is not recognisable as a snapshot
+SNAP_PREFIX = b'{"k":"s'
 
 clients = st.sampled_from(["c1", "c2"])
 keys = st.sampled_from(["k1", "k2", "pp-é"])
@@ -111,8 +111,8 @@ class JournalMachine(RuleBasedStateMachine):
     def _check_snapshot_cuts(self, data: bytes) -> None:
         """A log just compacted is one snapshot line; a cut of it raises.
 
-        The cuts run from the end of the record's ``{"k":"snap"`` prefix
-        to its last byte but one, at about 64 points spread over the line.
+        The cuts run from the end of the record's ``{"k":"s`` prefix to
+        its last byte but one, at about 64 points spread over the line.
         """
         assert data.startswith(SNAP_PREFIX) and data.count(b"\n") == 1
         write(self.cut, data)

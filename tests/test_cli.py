@@ -204,10 +204,39 @@ class TestOverloadFlags:
         ["serve", "--shards", "-3"],
         ["serve", "--journal-fsync", "-1"],
         ["serve", "--journal", "J", "--journal-compact-every", "0"],
+        ["chaos", "--shards", "0"],
+        ["chaos", "--kills", "-1"],
+        ["chaos", "--duration", "-1"],
+        ["chaos", "--clients", "0"],
+        ["chaos", "--kill-interval", "-1"],
+        ["chaos", "--slowloris", "-3"],
+        ["chaos", "--capacity-mb", "0"],
+        ["chaos", "--lease-ttl", "0"],
+        ["loadgen", "--clients", "0"],
+        ["loadgen", "--sessions", "-5"],
+        ["loadgen", "--rate", "-2"],
+        ["loadgen", "--duration", "nan"],
+        ["loadgen", "--port", "0"],
+        ["loadgen", "--time-scale", "-1"],
     ])
     def test_nonpositive_tuning_values_are_rejected(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    def test_chaos_zero_counts_mean_none(self, capsys):
+        # 0 kills, 0 slow consumers, no gap and no hold scaling stay valid;
+        # a negative one is a usage error (exit 2) before any server starts
+        args = build_parser().parse_args([
+            "chaos", "--kills", "0", "--slowloris", "0", "--kill-interval", "0",
+        ])
+        assert (args.kills, args.slowloris, args.kill_interval) == (0, 0, 0.0)
+        args = build_parser().parse_args(["loadgen", "--time-scale", "0"])
+        assert args.time_scale == 0.0
+        for argv in (["chaos", "--kills", "-1"], ["chaos", "--slowloris", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
 
     def test_chaos_overload_parses_and_excludes_cluster(self, capsys):
         args = build_parser().parse_args(["chaos", "--overload"])
@@ -247,6 +276,16 @@ class TestSharedValidators:
     def test_positive_int_rejects(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             cliutil.positive_int(text)
+
+    def test_non_negative_int_accepts(self):
+        # zero keeps its meaning (e.g. chaos --kills 0: no kills)
+        assert cliutil.non_negative_int("0") == 0
+        assert cliutil.non_negative_int("3") == 3
+
+    @pytest.mark.parametrize("text", ["-1", "1.5", "nan", "x", ""])
+    def test_non_negative_int_rejects(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cliutil.non_negative_int(text)
 
 
 class TestPredictFlags:
