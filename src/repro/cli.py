@@ -18,10 +18,21 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .cliutil import non_negative_float, non_negative_int, positive_float, positive_int
+from .cliutil import (
+    add_options,
+    finite_positive_float,
+    from_args,
+    listen_port,
+    non_negative_float,
+    port,
+    positive_float,
+    positive_int,
+    tolerance,
+)
 from .config import DEFAULT_CACHE_DIR
 from .core.policy import CompromisePolicy, SchedulingPolicy, StrictPolicy
-from .errors import ReproError
+from .errors import ConfigError, ReproError
+from .serve.config import ChaosConfig, ClusterConfig, LoadgenConfig, ServeConfig
 from .workloads.suite import WORKLOAD_NAMES, workload_by_name
 
 __all__ = ["main", "build_parser", "policy_by_name"]
@@ -58,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one workload under one policy")
     run_p.add_argument("workload", choices=WORKLOAD_NAMES)
     run_p.add_argument(
-        "--policy", type=policy_by_name, default=None,
-        help="default | strict | compromise[:factor]",
-    )
-    run_p.add_argument(
         "--sanitize", action="store_true",
         help="run under the kernel sanitizer (fails on invariant violations)",
     )
@@ -73,10 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     san_p.add_argument("--seed", type=int, default=0, help="base seed")
     san_p.add_argument(
-        "--runs", type=int, default=200, help="number of fuzz cases"
+        "--runs", type=positive_int, default=200, help="number of fuzz cases"
     )
     san_p.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
+        "--time-budget", type=positive_float, default=None, metavar="SECONDS",
         help="stop starting new cases after this much wall-clock time",
     )
     san_p.add_argument(
@@ -87,12 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true", help="print per-case progress"
     )
     san_p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for the fuzz campaign (default 1 = serial; "
         "the simulations run are identical for any N)",
     )
     san_p.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=positive_float, default=None, metavar="SECONDS",
         help="per-simulation wall-clock budget (--jobs >= 2 only); a hung "
         "case becomes a campaign failure instead of a stall",
     )
@@ -112,144 +119,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument("--host", default=None, help="TCP bind address")
     serve_p.add_argument(
-        "--port", type=int, default=0, help="TCP port (0 = ephemeral)"
+        "--port", type=listen_port, default=0, help="TCP port (0 = ephemeral)"
     )
+    for policy_p in (run_p, serve_p):
+        policy_p.add_argument(
+            "--policy", type=policy_by_name, default=None,
+            help="default | strict | compromise[:factor]",
+        )
     serve_p.add_argument(
-        "--policy", type=policy_by_name, default=None,
-        help="default | strict | compromise[:factor]",
-    )
-    serve_p.add_argument(
-        "--fifo", action="store_true",
-        help="strict arrival-order waitlist draining (head-of-line blocking)",
-    )
-    serve_p.add_argument(
-        "--capacity-mb", type=float, default=None, metavar="MB",
+        "--capacity-mb", type=finite_positive_float, default=None,
+        metavar="MB",
         help="override the managed LLC capacity (default: Table 1 machine)",
     )
-    serve_p.add_argument(
-        "--max-pending", type=positive_int, default=1024, metavar="N",
-        help="parked-admission bound; beyond it pp_begin gets RETRY_AFTER",
-    )
-    serve_p.add_argument(
-        "--park-timeout", type=positive_float, default=30.0,
-        metavar="SECONDS",
-        help="queue-sojourn bound on parked admissions: past it the period "
-        "is cancelled with PARK_TIMEOUT and a retry hint (default 30)",
-    )
-    serve_p.add_argument(
-        "--retry-hint-floor", type=positive_float, default=0.05,
-        metavar="SECONDS",
-        help="lower clamp of RETRY_AFTER hints, which scale with live "
-        "queue occupancy and admission latency (default 0.05; floor == "
-        "cap is a constant hint)",
-    )
-    serve_p.add_argument(
-        "--retry-hint-cap", type=positive_float, default=0.05,
-        metavar="SECONDS",
-        help="upper clamp of RETRY_AFTER hints (default 0.05; raised to "
-        "the floor if below it)",
-    )
-    serve_p.add_argument(
-        "--max-pending-per-client", type=positive_int, default=None,
-        metavar="N",
-        help="per-client parked-admission quota; beyond it pp_begin gets "
-        "RETRY_AFTER even while the global queue has room (default: off)",
-    )
-    serve_p.add_argument(
-        "--write-timeout", type=positive_float, default=None,
-        metavar="SECONDS",
-        help="disconnect a session whose reply write stalls this long "
-        "(slow-consumer defense; default: wait forever)",
-    )
-    serve_p.add_argument(
-        "--idle-timeout", type=positive_float, default=None,
-        metavar="SECONDS",
-        help="disconnect a client idle this long (default: never)",
-    )
-    serve_p.add_argument(
-        "--drain-grace", type=non_negative_float, default=5.0,
-        metavar="SECONDS",
-        help="drain waits this long for running periods before closing",
-    )
-    serve_p.add_argument(
-        "--metrics-json", default=None, metavar="PATH",
-        help="periodically dump the live metrics snapshot to this file",
-    )
-    serve_p.add_argument(
-        "--metrics-interval", type=positive_float, default=2.0,
-        metavar="SECONDS",
-    )
-    serve_p.add_argument(
-        "--sanitize", action="store_true",
-        help="attach the online invariant checker; exit 1 on any violation",
-    )
-    serve_p.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="crash-safe admission journal; replayed on startup so admitted "
-        "periods survive a server crash",
-    )
-    serve_p.add_argument(
-        "--journal-fsync", type=non_negative_float, default=0.0,
-        metavar="SECONDS",
-        help="fsync batching window for the journal (0 = fsync per event)",
-    )
-    serve_p.add_argument(
-        "--journal-compact-every", type=positive_int, default=1000,
-        metavar="N",
-        help="compact the journal after this many appended events",
-    )
-    serve_p.add_argument(
-        "--lease-ttl", type=positive_float, default=10.0, metavar="SECONDS",
-        help="client lease time-to-live; a silent client's periods are "
-        "reclaimed after this",
-    )
-    serve_p.add_argument(
-        "--lease-check", type=positive_float, default=0.25,
-        metavar="SECONDS",
-        help="lease reaper sweep interval",
-    )
-    serve_p.add_argument(
-        "--predict", action="store_true",
-        help="online demand prediction + elastic re-admission: admit on "
-        "max(predicted, floor) once the per-key estimator is confident, "
-        "detect mispredictions at close and resize running reservations "
-        "(default: off — admission is byte-identical without it)",
-    )
-    serve_p.add_argument(
-        "--predict-error-band", type=positive_float, default=0.25,
-        metavar="FRACTION",
-        help="relative-error band beyond which a close counts as a "
-        "misprediction (default 0.25)",
-    )
-    serve_p.add_argument(
-        "--predict-min-samples", type=positive_int, default=3, metavar="N",
-        help="observations per (client, key) before the estimator may "
-        "override the declared demand (default 3)",
-    )
-    serve_p.add_argument(
-        "--predict-history", type=positive_int, default=32, metavar="N",
-        help="demand samples retained per key (default 32)",
-    )
-    serve_p.add_argument(
-        "--predict-hysteresis", type=positive_int, default=2, metavar="N",
-        help="consecutive same-direction mispredictions before an elastic "
-        "resize (default 2)",
-    )
+    add_options(serve_p, ServeConfig)
     serve_p.add_argument(
         "--shards", type=positive_int, default=1, metavar="N",
         help="run N admission shards behind a demand-aware placer "
         "front-end on --socket (shard i listens on <socket>.shard<i>; "
         "capacity/journal options apply per shard)",
     )
-    serve_p.add_argument(
-        "--placer-seed", type=int, default=0, metavar="SEED",
-        help="tie-break seed of the cluster placer (with --shards > 1)",
-    )
-    serve_p.add_argument(
-        "--rebalance-fragmentation", type=positive_float, default=0.5,
-        metavar="RATIO",
-        help="with --shards > 1: trigger proactive parked-client rebalance "
-        "when free-capacity fragmentation reaches this ratio (default 0.5)",
+    add_options(
+        serve_p, ClusterConfig, "rebalance_fragmentation", seed="--placer-seed"
     )
     serve_p.add_argument(
         "--no-supervise", action="store_true",
@@ -271,15 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one shard as name=unix-socket-path or name=host:port "
         "(repeatable; at least one required)",
     )
-    place_p.add_argument("--seed", type=int, default=0)
-    place_p.add_argument(
-        "--no-migration", action="store_true",
-        help="disable parked-client migration between shards",
-    )
-    place_p.add_argument(
-        "--metrics-json", default=None, metavar="PATH",
-        help="periodically dump the placer metrics snapshot to this file",
-    )
+    add_options(place_p, ClusterConfig, "seed", "migration", "metrics_json")
 
     load_p = sub.add_parser(
         "loadgen", help="drive a running admission server with replayed load"
@@ -288,109 +170,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket", default=None, metavar="PATH", help="server unix socket"
     )
     load_p.add_argument("--host", default=None, help="server TCP address")
-    load_p.add_argument(
-        "--port", type=positive_int, default=None, help="server TCP port"
-    )
+    load_p.add_argument("--port", type=port, default=None, help="server TCP port")
     load_p.add_argument(
         "--workload", default="fig4",
         help="suite workload to replay, or 'fig4' for the synthetic "
         f"single-period sessions (suite: {', '.join(WORKLOAD_NAMES)})",
     )
     load_p.add_argument(
-        "--mode", choices=("closed", "open"), default="closed",
-        help="closed = N persistent clients; open = Poisson arrivals",
-    )
-    load_p.add_argument(
-        "--clients", type=positive_int, default=4,
-        help="closed loop: concurrent clients",
-    )
-    load_p.add_argument(
-        "--rate", type=positive_float, default=20.0,
-        help="open loop: mean session arrivals per second",
-    )
-    load_p.add_argument(
-        "--sessions", type=positive_int, default=None,
-        help="total sessions to run (default: bounded by --duration)",
-    )
-    load_p.add_argument(
-        "--duration", type=positive_float, default=None, metavar="SECONDS",
-        help="stop starting new sessions after this much wall time",
-    )
-    load_p.add_argument(
         "--time-scale", type=non_negative_float, default=None,
         help="multiply scripted hold times (default 1e-4 for suite "
         "workloads, 1.0 for fig4)",
     )
-    load_p.add_argument("--seed", type=int, default=0)
     load_p.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-    load_p.add_argument(
-        "--drain", action="store_true",
-        help="ask the server to drain once the run finishes",
-    )
-    load_p.add_argument(
-        "--resilient", action="store_true",
-        help="use lease-bound resilient clients that survive server "
-        "restarts and flaky transports",
-    )
-    load_p.add_argument(
-        "--binary", action="store_true",
-        help="negotiate the length-prefixed binary framing in each "
-        "client's hello (resilient clients re-negotiate on reconnect)",
-    )
-    load_p.add_argument(
-        "--cluster", action="store_true",
-        help="target is a placer front-end: use resilient clients that "
-        "follow REDIRECT replies to their assigned shard",
-    )
-    load_p.add_argument(
-        "--overdeclare", type=positive_float, default=1.0, metavar="FACTOR",
-        help="declare each call's demand at this multiple of the scripted "
-        "working set (models annotation error; default 1.0 = honest)",
-    )
-    load_p.add_argument(
-        "--observe", action="store_true",
-        help="report the scripted (true) working set as observed_bytes on "
-        "every pp_end, feeding a serve --predict estimator",
-    )
-    _add_resilient_client_options(load_p)
+    add_options(load_p, LoadgenConfig)
 
     chaos_p = sub.add_parser(
         "chaos",
         help="fault-injection campaign: kill and restart a journaled server "
         "under load through a frame-mangling proxy, then verify recovery",
     )
-    chaos_p.add_argument("--seed", type=int, default=0)
-    chaos_p.add_argument(
-        "--duration", type=positive_float, default=6.0, metavar="SECONDS",
-        help="load phase wall-clock budget",
-    )
-    chaos_p.add_argument(
-        "--clients", type=positive_int, default=4,
-        help="concurrent resilient clients",
-    )
-    chaos_p.add_argument(
-        "--kills", type=non_negative_int, default=2,
-        help="SIGKILL/restart cycles during the load",
-    )
-    chaos_p.add_argument(
-        "--kill-interval", type=non_negative_float, default=1.5,
-        metavar="SECONDS",
-        help="gap between kills",
-    )
-    chaos_p.add_argument(
-        "--policy", default="strict",
-        help="admission policy name passed to the server (default strict)",
-    )
-    chaos_p.add_argument(
-        "--capacity-mb", type=positive_float, default=8.0, metavar="MB",
-        help="managed LLC capacity of the chaos server",
-    )
-    chaos_p.add_argument(
-        "--lease-ttl", type=positive_float, default=1.5, metavar="SECONDS",
-        help="client lease time-to-live on the chaos server",
-    )
+    add_options(chaos_p, ChaosConfig)
     chaos_p.add_argument(
         "--workdir", default=None, metavar="DIR",
         help="directory for sockets and the journal (default: a temp dir)",
@@ -404,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shards behind a placer front-end instead of the single server",
     )
     chaos_p.add_argument(
-        "--shards", type=positive_int, default=3, metavar="N",
-        help="shard count for --cluster / --rolling (default 3)",
-    )
-    chaos_p.add_argument(
         "--supervise", action="store_true",
         help="--cluster: let the front-end supervisor restart killed "
         "shards from their journals instead of the harness",
@@ -418,32 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
         "a supervised cluster under live load, asserting zero lost periods",
     )
     chaos_p.add_argument(
-        "--rolling-grace", type=positive_float, default=3.0,
-        metavar="SECONDS",
-        help="--rolling: per-shard drain grace before a forced restart "
-        "(default 3.0)",
-    )
-    chaos_p.add_argument(
         "--overload", action="store_true",
         help="overload campaign: open-loop arrival storm plus slow "
         "consumers against a server with the overload defenses armed "
         "(adaptive retry hints, park deadlines, quotas, write budget)",
     )
-    chaos_p.add_argument(
-        "--storm-rate", type=positive_float, default=150.0, metavar="RATE",
-        help="--overload: mean session arrivals per second (default 150)",
-    )
-    chaos_p.add_argument(
-        "--slowloris", type=non_negative_int, default=2, metavar="N",
-        help="--overload: concurrent slow consumers that never read "
-        "replies (default 2)",
-    )
-    chaos_p.add_argument(
-        "--p99-bound", type=positive_float, default=5.0, metavar="SECONDS",
-        help="--overload: admitted calls must keep p99 admission latency "
-        "under this (default 5.0)",
-    )
-    _add_resilient_client_options(chaos_p)
 
     sweep_p = sub.add_parser(
         "sweep", help="figures 7-10: every workload under every policy"
@@ -487,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"fleet result cache directory (default {DEFAULT_CACHE_DIR!r})",
     )
     bench_p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=positive_int, default=None, metavar="N",
         help="fleet worker processes (default: serial)",
     )
     bench_p.add_argument(
@@ -496,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metric regressing beyond --tolerance",
     )
     bench_p.add_argument(
-        "--tolerance", type=float, default=0.30, metavar="FRACTION",
+        "--tolerance", type=tolerance, default=0.30, metavar="FRACTION",
         help="allowed relative regression for gated metrics (default 0.30)",
     )
 
@@ -510,31 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_resilient_client_options(parser: argparse.ArgumentParser) -> None:
-    """Resilient-client tuning shared by ``loadgen`` and ``chaos``."""
-    parser.add_argument(
-        "--backoff-cap", type=positive_float, default=None,
-        metavar="SECONDS",
-        help="resilient clients: transport-retry backoff ceiling "
-        "(default: the client's own 1.0 s)",
-    )
-    parser.add_argument(
-        "--breaker-threshold", type=positive_int, default=None, metavar="N",
-        help="resilient clients: open the circuit breaker after N "
-        "consecutive connect failures (default: breaker disabled)",
-    )
-    parser.add_argument(
-        "--breaker-reset", type=positive_float, default=None,
-        metavar="SECONDS",
-        help="resilient clients: breaker reset window before the "
-        "half-open probe (default 1.0, or 0.2 under chaos --overload)",
-    )
-
-
 def _add_grid_options(parser: argparse.ArgumentParser) -> None:
     """Parallel-fleet options shared by the grid-shaped commands."""
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for the experiment grid (default 1 = serial; "
         "results are identical for any N)",
     )
@@ -547,7 +302,7 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
         help="recompute every run; neither read nor write the cache",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=positive_float, default=None, metavar="SECONDS",
         help="per-run wall-clock budget (--jobs >= 2 only); an overrunning "
         "run becomes a failure record instead of stalling the grid",
     )
@@ -642,57 +397,15 @@ def _machine_with_capacity(capacity_mb: Optional[float]):
     return replace(machine, llc=replace(machine.llc, capacity_bytes=capacity))
 
 
-def _predict_settings_problem(args) -> Optional[str]:
-    """Why the ``--predict-*`` flags cannot build an estimator, or None."""
-    from .predict import OnlineWssEstimator
-
-    try:
-        OnlineWssEstimator(
-            history=args.predict_history,
-            min_samples=args.predict_min_samples,
-            error_band=args.predict_error_band,
-        )
-    except ValueError as exc:
-        return f"bad --predict-history/--predict-min-samples: {exc}"
-    return None
-
-
-def _cmd_serve(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_serve(args) -> int:
     import asyncio
 
-    from .serve import ServeConfig
-
-    problem = _predict_settings_problem(args)
-    if problem is not None:
-        parser.error(f"serve: {problem}")  # exits 2 before any bind
     socket_path = args.socket
     if socket_path is None and args.host is None:
         socket_path = "repro-serve.sock"
-    cfg = ServeConfig(
-        policy=args.policy,
+    cfg = from_args(
+        ServeConfig, args, policy=args.policy,
         machine=_machine_with_capacity(args.capacity_mb),
-        strict_fifo=args.fifo,
-        max_pending=args.max_pending,
-        park_timeout_s=args.park_timeout,
-        retry_hint_floor_s=args.retry_hint_floor,
-        retry_hint_cap_s=args.retry_hint_cap,
-        max_pending_per_client=args.max_pending_per_client,
-        write_timeout_s=args.write_timeout,
-        idle_timeout_s=args.idle_timeout,
-        drain_grace_s=args.drain_grace,
-        sanitize=args.sanitize,
-        metrics_json=args.metrics_json,
-        metrics_interval_s=args.metrics_interval,
-        journal_path=args.journal,
-        journal_fsync_s=args.journal_fsync,
-        journal_compact_every=args.journal_compact_every,
-        lease_ttl_s=args.lease_ttl,
-        lease_check_s=args.lease_check,
-        predict=args.predict,
-        predict_error_band=args.predict_error_band,
-        predict_min_samples=args.predict_min_samples,
-        predict_history=args.predict_history,
-        predict_hysteresis=args.predict_hysteresis,
     )
 
     async def run() -> int:
@@ -768,16 +481,16 @@ def _parse_shard_spec(spec: str):
     name, sep, addr = spec.partition("=")
     if not sep or not name or not addr:
         raise ValueError(f"bad shard spec {spec!r}: expected name=addr")
-    host, sep, port = addr.rpartition(":")
-    if sep and port.isdigit() and "/" not in addr:
-        return ShardAddress(name=name, host=host, port=int(port))
+    host, sep, port_text = addr.rpartition(":")
+    if sep and port_text.isdigit() and "/" not in addr:
+        return ShardAddress(name=name, host=host, port=int(port_text))
     return ShardAddress(name=name, unix_path=addr)
 
 
 def _cmd_place(args) -> int:
     import asyncio
 
-    from .serve.cluster import ClusterConfig, ClusterFrontend
+    from .serve.cluster import ClusterFrontend
 
     try:
         shards = tuple(_parse_shard_spec(spec) for spec in args.shard)
@@ -787,12 +500,7 @@ def _cmd_place(args) -> int:
     if not shards:
         print("place: need at least one --shard name=addr", file=sys.stderr)
         return 2
-    cfg = ClusterConfig(
-        shards=shards,
-        seed=args.seed,
-        migration=not args.no_migration,
-        metrics_json=args.metrics_json,
-    )
+    cfg = from_args(ClusterConfig, args, shards=shards)
 
     async def run() -> int:
         frontend = ClusterFrontend(cfg)
@@ -813,7 +521,7 @@ def _cmd_place(args) -> int:
 def _cmd_loadgen(args) -> int:
     import json as json_mod
 
-    from .serve import LoadgenConfig, fig4_scripts, run_loadgen_sync
+    from .serve.loadgen import fig4_scripts, run_loadgen_sync
     from .workloads.export import export_pp_sequences
 
     if args.socket is None and args.host is None:
@@ -835,25 +543,8 @@ def _cmd_loadgen(args) -> int:
     sessions = args.sessions
     if sessions is None and args.duration is None:
         sessions = len(scripts)
-    cfg = LoadgenConfig(
-        mode=args.mode,
-        clients=args.clients,
-        rate=args.rate,
-        sessions=sessions,
-        duration_s=args.duration,
-        time_scale=time_scale,
-        drain=args.drain,
-        resilient=args.resilient,
-        binary=args.binary,
-        cluster=args.cluster,
-        client_backoff_cap_s=args.backoff_cap,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=(
-            args.breaker_reset if args.breaker_reset is not None else 1.0
-        ),
-        overdeclare=args.overdeclare,
-        report_observed=args.observe,
-        seed=args.seed,
+    cfg = from_args(
+        LoadgenConfig, args, sessions=sessions, time_scale=time_scale
     )
     try:
         report = run_loadgen_sync(
@@ -874,7 +565,7 @@ def _cmd_chaos(args) -> int:
     import json as json_mod
     import tempfile
 
-    from .serve.chaos import ChaosConfig, run_chaos
+    from .serve.chaos import run_chaos
 
     exclusive = [
         flag for flag in ("overload", "cluster", "rolling")
@@ -889,33 +580,14 @@ def _cmd_chaos(args) -> int:
     if args.supervise and not args.cluster:
         print("chaos: --supervise needs --cluster", file=sys.stderr)
         return 2
-    cfg = ChaosConfig(
-        kind=(
-            "overload" if args.overload
-            else "rolling" if args.rolling
-            else "supervised" if args.supervise
-            else "cluster" if args.cluster
-            else "server"
-        ),
-        seed=args.seed,
-        duration_s=args.duration,
-        clients=args.clients,
-        kills=args.kills,
-        kill_interval_s=args.kill_interval,
-        policy=args.policy,
-        capacity_mb=args.capacity_mb,
-        lease_ttl_s=args.lease_ttl,
-        shards=args.shards,
-        rolling_grace_s=args.rolling_grace,
-        storm_rate=args.storm_rate,
-        slowloris=args.slowloris,
-        p99_bound_s=args.p99_bound,
-        backoff_cap_s=args.backoff_cap,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=(
-            args.breaker_reset if args.breaker_reset is not None else 0.2
-        ),
+    kind = (
+        "overload" if args.overload
+        else "rolling" if args.rolling
+        else "supervised" if args.supervise
+        else "cluster" if args.cluster
+        else "server"
     )
+    cfg = from_args(ChaosConfig, args, kind=kind)
     try:
         if args.workdir is not None:
             report = asyncio.run(run_chaos(cfg, args.workdir))
@@ -1068,41 +740,36 @@ def _cmd_fig(args) -> int:
     return 0
 
 
+def _cmd_table(args) -> int:
+    from .experiments import figures
+
+    if args.command == "table1":
+        print(figures.table1_machine())
+        return 0
+    for row in figures.table2_rows():
+        print(
+            f"{row['workload']:<10} procs={row['n_processes']:<3} "
+            f"thr/proc={row['threads_per_proc']}  wss={row['wss_mb']} MB  "
+            f"reuse={row['reuses']}"
+        )
+    return 0
+
+
+_COMMANDS = {
+    "table1": _cmd_table, "table2": _cmd_table, "run": _cmd_run,
+    "sanitize": _cmd_sanitize, "serve": _cmd_serve, "place": _cmd_place,
+    "loadgen": _cmd_loadgen, "chaos": _cmd_chaos, "sweep": _cmd_sweep,
+    "bench": _cmd_bench, "fig": _cmd_fig,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("table1", "table2"):
-        from .experiments import figures
-
-        if args.command == "table1":
-            print(figures.table1_machine())
-            return 0
-        for row in figures.table2_rows():
-            print(
-                f"{row['workload']:<10} procs={row['n_processes']:<3} "
-                f"thr/proc={row['threads_per_proc']}  wss={row['wss_mb']} MB  "
-                f"reuse={row['reuses']}"
-            )
-        return 0
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sanitize":
-        return _cmd_sanitize(args)
-    if args.command == "serve":
-        return _cmd_serve(args, parser)
-    if args.command == "place":
-        return _cmd_place(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "fig":
-        return _cmd_fig(args)
-    raise AssertionError("unreachable")
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:  # a config refused a value: exit 2, unbound
+        parser.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,11 +29,11 @@ _EXPORTS = {
     "AdmissionServer": "server",
     "AdmissionService": "server",
     "AdmitRecord": "journal",
-    "ChaosConfig": "chaos",
+    "ChaosConfig": "config",
     "ChaosProxy": "chaos",
     "ChaosReport": "chaos",
     "ClientRecord": "leases",
-    "ClusterConfig": "cluster",
+    "ClusterConfig": "config",
     "ClusterError": "placer",
     "ClusterFrontend": "cluster",
     "Counter": "metrics",
@@ -43,7 +43,7 @@ _EXPORTS = {
     "Histogram": "metrics",
     "JournalState": "journal",
     "LeaseTable": "leases",
-    "LoadgenConfig": "loadgen",
+    "LoadgenConfig": "config",
     "LoadgenReport": "loadgen",
     "LocalCluster": "cluster",
     "MAX_FRAME_BYTES": "protocol",
@@ -52,7 +52,7 @@ _EXPORTS = {
     "Request": "protocol",
     "ResilientServeClient": "resilient",
     "ServeClient": "client",
-    "ServeConfig": "server",
+    "ServeConfig": "config",
     "ServeReplyError": "client",
     "ShardAddress": "placer",
     "ShardState": "placer",

@@ -48,8 +48,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ReproError, ServeError
 from .client import ServeClient
-from .cluster import ClusterConfig, ClusterFrontend
-from .loadgen import LoadgenConfig, LoadgenReport, fig4_scripts, run_loadgen
+from .cluster import ClusterFrontend
+from .config import CAMPAIGN_KINDS, ChaosConfig, ClusterConfig, LoadgenConfig
+from .loadgen import LoadgenReport, fig4_scripts, run_loadgen
 from .placer import ShardAddress
 
 __all__ = [
@@ -62,84 +63,8 @@ __all__ = [
     "run_chaos",
 ]
 
-#: campaign kinds, one per CI chaos job
-CAMPAIGN_KINDS = ("server", "cluster", "supervised", "rolling", "overload")
-
 #: fault kinds the proxy can inject, in threshold order
 FAULT_KINDS = ("drop", "delay", "duplicate", "truncate", "sever")
-
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """One chaos campaign."""
-
-    #: which campaign (see :data:`CAMPAIGN_KINDS` and the module doc)
-    kind: str = "server"
-    #: RNG seed for the proxy's fault schedule and the load
-    seed: int = 0
-    #: wall-clock budget for the load phase
-    duration_s: float = 6.0
-    #: concurrent resilient clients
-    clients: int = 4
-    #: total sessions (None = bounded by duration only)
-    sessions: Optional[int] = None
-    #: SIGKILL/restart cycles to inflict during the load
-    kills: int = 2
-    #: gap between kills (first kill fires this long after start)
-    kill_interval_s: float = 1.5
-    #: per-line fault probabilities (applied in both directions)
-    drop_rate: float = 0.01
-    delay_rate: float = 0.05
-    delay_max_s: float = 0.01
-    duplicate_rate: float = 0.01
-    truncate_rate: float = 0.003
-    sever_rate: float = 0.002
-    #: synthetic session shape (figure-4 single-period sessions)
-    demand_mb: float = 2.0
-    hold_s: float = 0.01
-    #: server shape
-    policy: str = "strict"
-    capacity_mb: float = 8.0
-    lease_ttl_s: float = 1.5
-    lease_check_s: float = 0.1
-    park_timeout_s: float = 2.0
-    journal_fsync_s: float = 0.0
-    #: how long recovery may take to reach quiescence after the load
-    settle_timeout_s: float = 15.0
-    #: how long one server (re)start may take
-    server_start_timeout_s: float = 15.0
-    #: cluster, supervised and rolling campaigns: admission shards
-    #: behind the placer front-end
-    shards: int = 3
-    #: rolling campaign: per-shard grace for running periods
-    rolling_grace_s: float = 3.0
-    #: overload campaign: server-side overload knobs, passed to ``serve``
-    #: only when set — the classic campaigns add no extra flags, and the
-    #: overload campaign fills in tight defaults for unset ones
-    max_pending: Optional[int] = None
-    retry_hint_floor_s: Optional[float] = None
-    retry_hint_cap_s: Optional[float] = None
-    max_pending_per_client: Optional[int] = None
-    write_timeout_s: Optional[float] = None
-    #: overload campaign: open-loop storm arrivals per second
-    storm_rate: float = 150.0
-    #: overload campaign: concurrent slow consumers that never read replies
-    slowloris: int = 2
-    #: overload campaign: admitted calls must keep p99 latency under this
-    p99_bound_s: float = 5.0
-    #: overload campaign: storm clients' transport backoff ceiling
-    #: (None keeps the resilient client's own default)
-    backoff_cap_s: Optional[float] = None
-    #: overload campaign: storm clients' circuit-breaker threshold/reset
-    breaker_threshold: Optional[int] = None
-    breaker_reset_s: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.kind not in CAMPAIGN_KINDS:
-            raise ServeError(
-                f"unknown chaos campaign {self.kind!r} (expected one of "
-                f"{', '.join(CAMPAIGN_KINDS)})"
-            )
 
 
 class ChaosProxy:
@@ -783,7 +708,7 @@ class _Campaign:
                     os.path.join(workdir, f"shard{i}-journal.ndjson"),
                     cfg,
                 )
-                for i in range(max(1, cfg.shards))
+                for i in range(cfg.shards)
             ]
             self.entry = os.path.join(workdir, "placer.sock")
             self.frontend = ClusterFrontend(ClusterConfig(

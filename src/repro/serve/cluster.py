@@ -47,11 +47,12 @@ from typing import Any, Awaitable, Dict, List, Optional, Tuple, Union
 
 from . import protocol
 from .client import ServeClient
+from .config import ClusterConfig, ServeConfig
 from .listener import Listener, Session
 from .metrics import MetricsRegistry
 from .placer import ClusterError, DemandAwarePlacer, ShardAddress, ShardState
 from .protocol import ErrorCode
-from .server import AdmissionServer, ServeConfig
+from .server import AdmissionServer
 
 __all__ = [
     "ClusterConfig",
@@ -65,63 +66,6 @@ def _connect_kwargs(address: ShardAddress) -> Dict[str, Any]:
     if address.unix_path is not None:
         return {"unix_path": address.unix_path}
     return {"host": address.host, "port": address.port}
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Tunables of one cluster front-end instance."""
-
-    #: the admission shards this front-end places over
-    shards: Tuple[ShardAddress, ...] = ()
-    #: tie-break seed — placement is deterministic given (seed, demands,
-    #: capacities); see repro.serve.placer
-    seed: int = 0
-    #: period of the shard health/usage probe loop
-    health_interval_s: float = 0.25
-    #: per-probe connect+query budget
-    probe_timeout_s: float = 1.0
-    #: period of the parked-client migration sweep
-    balance_interval_s: float = 0.1
-    #: a pp_begin must be parked this long before it may migrate
-    migrate_after_s: float = 0.25
-    #: master switch for parked-client migration
-    migration: bool = True
-    #: hint attached to RETRY_AFTER when no shard is alive
-    retry_after_s: float = 0.25
-    #: brownout mode: when no live shard can fit the observed peak demand
-    #: AND the fragmentation gauge holds at/above this threshold for
-    #: ``brownout_sweeps`` consecutive health sweeps, *new* clients are
-    #: shed with a typed OVERLOAD error (None = brownout disabled)
-    brownout_fragmentation: Optional[float] = None
-    #: consecutive saturated health sweeps before brownout engages
-    brownout_sweeps: int = 3
-    #: cluster-wide retry hint carried by OVERLOAD sheds
-    brownout_retry_s: float = 0.5
-    #: proactive rebalance: when the fragmentation gauge sits at/above
-    #: this threshold the ``migrate_after_s`` age gate is waived and
-    #: parked clients may move immediately (None = age-gated only)
-    rebalance_fragmentation: Optional[float] = 0.5
-    #: supervisor poll period (only matters once restarters registered)
-    supervise_interval_s: float = 0.1
-    #: base restart backoff; doubles per crash-loop streak entry
-    restart_backoff_s: float = 0.2
-    #: ceiling on the exponential restart backoff
-    restart_backoff_cap_s: float = 5.0
-    #: a shard death within this window of its last supervised restart
-    #: counts as a crash loop
-    crash_loop_window_s: float = 10.0
-    #: crash-loop streak length that quarantines the shard
-    quarantine_after: int = 3
-    #: budget for a restarted shard to answer its first probe
-    restart_ready_timeout_s: float = 15.0
-    #: rolling restart: grace for a draining shard's running periods
-    shard_drain_grace_s: float = 5.0
-    #: largest accepted request frame
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    #: flat file the cluster metrics snapshot is dumped to
-    metrics_json: Optional[str] = None
-    #: dump interval for ``metrics_json``
-    metrics_interval_s: float = 2.0
 
 
 class ClusterFrontend(Listener):

@@ -33,6 +33,7 @@ from ..latency import LatencySummary, summarize_samples
 from ..workloads.export import PpCall, SessionScript
 from . import protocol
 from .client import ServeClient, ServeReplyError
+from .config import LoadgenConfig
 from .protocol import ErrorCode
 from .resilient import ResilientServeClient, backoff_sleep_s
 
@@ -43,67 +44,6 @@ __all__ = [
     "run_loadgen",
     "run_loadgen_sync",
 ]
-
-
-@dataclass(frozen=True)
-class LoadgenConfig:
-    """One load-generation run."""
-
-    #: "closed" (N persistent clients) or "open" (Poisson arrivals)
-    mode: str = "closed"
-    #: closed loop: number of concurrent clients
-    clients: int = 4
-    #: open loop: mean session arrivals per second
-    rate: float = 20.0
-    #: total sessions to run (None = bounded by duration only)
-    sessions: Optional[int] = None
-    #: wall-clock budget; arrivals/new sessions stop after this (None = no cap)
-    duration_s: Optional[float] = None
-    #: multiply every scripted hold time (simulated phase durations are
-    #: minutes long; 1e-4 turns them into sub-second holds)
-    time_scale: float = 1e-4
-    #: clamp one call's hold to this many seconds
-    max_hold_s: float = 0.25
-    #: give up a call after this many RETRY_AFTER rounds
-    max_retries: int = 200
-    #: first RETRY_AFTER backoff step (doubles per attempt, jittered)
-    backoff_base_s: float = 0.02
-    #: RETRY_AFTER backoff ceiling
-    backoff_cap_s: float = 0.5
-    #: use :class:`~repro.serve.resilient.ResilientServeClient` — clients
-    #: survive server restarts and flaky transports (lease + token re-issue)
-    resilient: bool = False
-    #: resilient clients: per-attempt bound on non-begin calls (silence
-    #: past it means a lost frame → reconnect and re-issue)
-    call_timeout_s: Optional[float] = 5.0
-    #: resilient clients: per-attempt bound on ``pp_begin``; None waits for
-    #: the server's park timeout — set one under lossy transports, where
-    #: silence can mean a dropped frame rather than a parked period
-    begin_timeout_s: Optional[float] = None
-    #: send ``drain`` once the run finishes (lets a CI server exit cleanly)
-    drain: bool = False
-    #: negotiate the length-prefixed binary framing in each client's hello
-    #: (resilient clients re-negotiate it on every reconnect)
-    binary: bool = False
-    #: target is a cluster front-end: clients are resilient and follow
-    #: REDIRECT replies to their assigned shard
-    cluster: bool = False
-    #: resilient clients: override the transport-retry backoff ceiling
-    #: (None keeps the client's own default)
-    client_backoff_cap_s: Optional[float] = None
-    #: resilient clients: open the circuit breaker after this many
-    #: consecutive connect/hello failures (None = breaker disabled)
-    breaker_threshold: Optional[int] = None
-    #: resilient clients: breaker reset window (half-open probe after)
-    breaker_reset_s: float = 1.0
-    #: declare each call's demand at this multiple of the scripted (true)
-    #: working set — models annotation error; 1.0 = honest clients
-    overdeclare: float = 1.0
-    #: report the scripted demand as ``observed_bytes`` on every pp_end,
-    #: feeding a ``serve --predict`` server's online estimator
-    report_observed: bool = False
-    #: RNG seed (arrival gaps, script order)
-    seed: int = 0
 
 
 @dataclass
@@ -259,8 +199,6 @@ class _Runner:
     ) -> None:
         if not scripts:
             raise ServeError("loadgen needs at least one session script")
-        if cfg.mode not in ("closed", "open"):
-            raise ServeError(f"unknown loadgen mode {cfg.mode!r}")
         if cfg.sessions is None and cfg.duration_s is None:
             raise ServeError("bound the run: set sessions and/or duration_s")
         self.scripts = list(scripts)

@@ -53,12 +53,10 @@ import asyncio
 import contextlib
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Any, Awaitable, Dict, List, Optional, Tuple
 
-from ..config import MachineConfig, default_machine_config
 from ..core.admission import AdmissionCore
-from ..core.policy import AlwaysAdmitPolicy, SchedulingPolicy
+from ..core.policy import AlwaysAdmitPolicy
 from ..core.progress_period import (
     PeriodRequest,
     PeriodState,
@@ -71,6 +69,7 @@ from ..errors import ProgressPeriodError
 from ..predict import ElasticController, MispredictDetector, OnlineWssEstimator
 from ..predict.estimator import EstimatorKey
 from . import protocol
+from .config import ServeConfig
 from .journal import AdmissionJournal, AdmitRecord
 from .leases import ClientRecord, LeaseTable
 from .listener import Listener, Session
@@ -134,79 +133,6 @@ def quota_admits(
     if max_pending_per_client is None:
         return True
     return waiting_by_client.get(client, 0) < max_pending_per_client
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Tunables of one admission-control server instance."""
-
-    #: admission policy; ``None`` = Always Admit (the Linux-default analogue)
-    policy: Optional[SchedulingPolicy] = None
-    #: machine description — the managed LLC capacity comes from here
-    machine: MachineConfig = field(default_factory=default_machine_config)
-    #: strict arrival-order waitlist draining (head-of-line blocking)
-    strict_fifo: bool = False
-    #: bound on parked admissions; beyond it pp_begin gets RETRY_AFTER
-    max_pending: int = 1024
-    #: bounds of the retry hint shed replies carry: it scales with queue
-    #: occupancy and observed admission latency within [floor, cap]
-    #: (:func:`adaptive_retry_hint_s`); floor == cap is a constant hint
-    retry_hint_floor_s: float = 0.05
-    retry_hint_cap_s: float = 0.05
-    #: sojourn bound on parked pp_begins: past it the period is cancelled
-    #: with a typed PARK_TIMEOUT error carrying a retry hint (None = park
-    #: until admitted, drained or disconnected)
-    park_timeout_s: Optional[float] = 30.0
-    #: per-client bound on parked admissions, so one storm client cannot
-    #: occupy the whole pending queue (None = no per-client bound)
-    max_pending_per_client: Optional[int] = None
-    #: slow-consumer defense: disconnect a session whose writer.drain()
-    #: stalls past this deadline (None = wait forever, legacy behavior)
-    write_timeout_s: Optional[float] = None
-    #: per-connection read idle timeout (None = wait forever)
-    idle_timeout_s: Optional[float] = None
-    #: period of the background starvation-guard sweep
-    starvation_check_s: float = 0.25
-    #: how long drain waits for running periods before force-closing
-    drain_grace_s: float = 5.0
-    #: largest accepted request frame
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    #: check the sanitizer's conservation and demand-bound invariants at
-    #: every charge, release and resize (the serve analogue of --sanitize)
-    sanitize: bool = False
-    #: flat file the metrics snapshot is dumped to (None = stats verb only)
-    metrics_json: Optional[str] = None
-    #: dump interval for ``metrics_json``
-    metrics_interval_s: float = 2.0
-    #: how long after its last frame a hello-bound client's admitted
-    #: periods survive before the lease reaper reclaims them
-    lease_ttl_s: float = 10.0
-    #: period of the lease-reaper sweep
-    lease_check_s: float = 0.25
-    #: crash-safe admission journal path (None = in-memory ledger only)
-    journal_path: Optional[str] = None
-    #: journal fsync batching window (0 = fsync every record)
-    journal_fsync_s: float = 0.0
-    #: journal events between snapshot+truncate compactions
-    journal_compact_every: int = 1000
-    #: cluster shard label surfaced in query snapshots (None = standalone)
-    shard_name: Optional[str] = None
-    #: online demand prediction + elastic re-admission (repro.predict);
-    #: default-off — admission behavior is byte-identical when False
-    predict: bool = False
-    #: relative-error band beyond which a closed period counts as a
-    #: misprediction (|charged − observed| / observed)
-    predict_error_band: float = 0.25
-    #: observations per (client, key) before the estimator may override
-    #: the declared demand
-    predict_min_samples: int = 3
-    #: ring-buffer length of retained demand samples per key
-    predict_history: int = 32
-    #: consecutive same-direction mispredictions before an elastic resize
-    predict_hysteresis: int = 2
-    #: predicted admissions are floored at this fraction of the declared
-    #: demand, bounding how far a confident model can undercut a declaration
-    predict_floor_frac: float = 0.25
 
 
 class AdmissionService(AdmissionCore):

@@ -218,6 +218,29 @@ class TestOverloadFlags:
         ["loadgen", "--duration", "nan"],
         ["loadgen", "--port", "0"],
         ["loadgen", "--time-scale", "-1"],
+        ["serve", "--port", "-1"],
+        ["serve", "--port", "65536"],
+        ["serve", "--port", "70000"],
+        ["loadgen", "--port", "-1"],
+        ["loadgen", "--port", "65536"],
+        ["loadgen", "--port", "70000"],
+        ["serve", "--capacity-mb", "nan"],
+        ["serve", "--capacity-mb", "inf"],
+        ["serve", "--capacity-mb", "0"],
+        ["serve", "--capacity-mb", "-4"],
+        ["sanitize", "--runs", "-3"],
+        ["sanitize", "--runs", "0"],
+        ["sanitize", "--jobs", "0"],
+        ["sanitize", "--time-budget", "0"],
+        ["sanitize", "--timeout", "nan"],
+        ["sweep", "--jobs", "-2"],
+        ["sweep", "--timeout", "0"],
+        ["fig", "11", "--jobs", "0"],
+        ["fig", "11", "--timeout", "-1"],
+        ["bench", "--jobs", "0"],
+        ["bench", "--tolerance", "nan"],
+        ["bench", "--tolerance", "-0.1"],
+        ["bench", "--tolerance", "1"],
     ])
     def test_nonpositive_tuning_values_are_rejected(self, argv):
         with pytest.raises(SystemExit):
@@ -341,3 +364,29 @@ class TestPredictFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--predict-" in err
+
+
+class TestRangeEdges:
+    """Ports, capacities and fractions: the edges parse, past them exits 2."""
+
+    def test_values_at_the_edges_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--port", "0"]).port == 0
+        assert parser.parse_args(["serve", "--port", "65535"]).port == 65535
+        assert parser.parse_args(["loadgen", "--port", "1"]).port == 1
+        assert parser.parse_args(["loadgen", "--port", "65535"]).port == 65535
+        assert parser.parse_args(["serve", "--capacity-mb", "0.5"]).capacity_mb == 0.5
+        assert parser.parse_args(["bench", "--tolerance", "0"]).tolerance == 0.0
+        assert parser.parse_args(["bench", "--tolerance", "0.99"]).tolerance == 0.99
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_a_port_out_of_range_exits_2_before_anything_binds(
+        self, command, tmp_path, capsys
+    ):
+        # a socket in a missing directory: a port that got past the parser
+        # would fail to bind or connect, not serve
+        sock = str(tmp_path / "missing" / "s.sock")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--socket", sock, "--port", "70000"])
+        assert exc.value.code == 2
+        assert "must be a port" in capsys.readouterr().err
