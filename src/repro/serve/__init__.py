@@ -64,7 +64,7 @@ _EXPORTS = {
     "fig4_scripts": "loadgen",
     "ok_reply": "protocol",
     "parse_request": "protocol",
-    "quota_admits": "server",
+    "quota_refusal": "server",
     "replay_journal": "journal",
     "run_chaos": "chaos",
     "run_loadgen": "loadgen",

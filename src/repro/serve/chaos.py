@@ -624,8 +624,7 @@ _CLUSTER_COUNTERS = (
 
 
 async def _call(socket_path: str, op: str) -> Dict[str, Any]:
-    """One request on a fresh connection.  A timed-out round trip leaves
-    its connection desynchronized, so no probe ever reuses one."""
+    """One request on a fresh connection."""
     client = await ServeClient.connect(unix_path=socket_path, timeout=5.0)
     try:
         return await client.call(op, timeout=10.0)

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..cliutil import (
     check_fields,
+    finite_positive_float,
     fraction,
     integer,
     non_negative_float,
@@ -396,7 +397,7 @@ class ChaosConfig:
         "%(default)s)",
     )
     capacity_mb: float = option(
-        8.0, "--capacity-mb", positive_float, metavar="MB",
+        8.0, "--capacity-mb", finite_positive_float, metavar="MB",
         help="managed LLC capacity of the chaos server",
     )
     lease_ttl_s: float = option(

@@ -5,7 +5,7 @@ cluster front-end (:class:`~repro.serve.cluster.ClusterFrontend`) speak
 one wire protocol, so they share one transport layer.  :class:`Listener`
 binds the unix and TCP listeners, owns the drain request, the signal
 handlers, the metrics dump and shutdown, and runs one frame loop per
-connection over its :class:`~repro.serve.protocol.Framer`:
+connection over its :class:`~repro.serve.framer.Framer`:
 
 1. take the next frame the framer split off (an NDJSON line, or a
    length-prefixed binary frame), under the optional idle timeout;
@@ -36,6 +36,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional
 
 from ..errors import ProtocolError, ServeError
 from . import protocol
+from .framer import Framer
 from .metrics import MetricsRegistry
 from .protocol import ErrorCode
 
@@ -45,7 +46,7 @@ __all__ = ["Listener", "Session"]
 class Session:
     """One connection, on its framer."""
 
-    def __init__(self, listener: "Listener", framer: protocol.Framer) -> None:
+    def __init__(self, listener: "Listener", framer: Framer) -> None:
         self.listener = listener
         self.framer = framer
         self.closed = False
@@ -166,7 +167,7 @@ class Listener:
         await self._before_bind()
         loop = asyncio.get_running_loop()
         accept = functools.partial(
-            protocol.Framer, self.cfg.max_frame_bytes, self._serve_connection
+            Framer, self.cfg.max_frame_bytes, self._serve_connection
         )
         if unix_path is not None:
             if os.path.exists(unix_path):
@@ -235,7 +236,7 @@ class Listener:
     # ------------------------------------------------------------------
     # the frame loop
     # ------------------------------------------------------------------
-    async def _serve_connection(self, framer: protocol.Framer) -> None:
+    async def _serve_connection(self, framer: Framer) -> None:
         session = self.session_class(self, framer)
         self.sessions.add(session)
         try:

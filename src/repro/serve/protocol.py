@@ -33,16 +33,17 @@ verb-specific fields, or ``"ok": false`` with a typed error::
 A ``REDIRECT`` error names the shard to speak to instead in
 ``error.shard``; :func:`redirect_address` turns it into connect arguments.
 
+This module is the codec alone and loads no asyncio; the connection
+framer is :mod:`repro.serve.framer`.
+
 See ``docs/SERVE.md`` for the full specification.
 """
 
 from __future__ import annotations
 
-import asyncio
-import collections
 import json
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Deque, Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..core.progress_period import ResourceKind, ReuseLevel
 from ..errors import ProtocolError
@@ -63,8 +64,6 @@ __all__ = [
     "parse_binary_header",
     "decode_binary_frame",
     "decode_any_frame",
-    "MAX_BUFFERED_FRAMES",
-    "Framer",
     "shard_address",
     "redirect_address",
     "ok_reply",
@@ -239,198 +238,6 @@ def decode_any_frame(
     if buf[:1] == bytes((BINARY_MAGIC,)):
         return decode_binary_frame(buf, max_bytes)
     return decode_frame(buf, max_bytes)
-
-
-# ----------------------------------------------------------------------
-# the connection framer (server sessions and clients alike)
-# ----------------------------------------------------------------------
-#: whole frames a connection holds unread before its framer stops reading
-MAX_BUFFERED_FRAMES = 64
-
-
-def _expire(waiter: "asyncio.Future[None]") -> None:
-    if not waiter.done():
-        waiter.set_exception(asyncio.TimeoutError())
-
-
-class Framer(asyncio.Protocol):
-    """One connection's bytes, split into frames as they arrive.
-
-    A frame whose first byte is :data:`BINARY_MAGIC` is binary and read by
-    its length header; any other frame is an NDJSON line, and a line of
-    whitespace only is dropped.  Once :attr:`binary` is set, every frame
-    must be binary and :meth:`send` encodes binary.  At most
-    :data:`MAX_BUFFERED_FRAMES` whole frames queue; past that the socket
-    is not read until :meth:`read` takes one.  A frame the stream cannot
-    be re-synchronized after (over ``max_bytes``, or not binary in binary
-    mode) ends the framing: :meth:`read` raises its :class:`ProtocolError`
-    after the frames before it.  ``on_connect`` runs as the connection's task.
-    """
-
-    def __init__(
-        self,
-        max_bytes: int = MAX_FRAME_BYTES,
-        on_connect: Optional[Callable[["Framer"], Awaitable[None]]] = None,
-    ) -> None:
-        self.max_bytes = max_bytes
-        #: length-prefixed binary framing, negotiated in "hello": every
-        #: frame sent and received is binary
-        self.binary = False
-        self.frames: Deque[bytes] = collections.deque()
-        #: set on EOF, on connection loss and on a framing error
-        self.ended = False
-        self.error: Optional[ProtocolError] = None
-        self.transport: Any = None
-        self.task: Optional["asyncio.Task[None]"] = None
-        self._on_connect = on_connect
-        #: received bytes not yet framed start at ``_buf[_pos]``
-        self._buf = b""
-        self._pos = 0
-        #: resolved by the next frame or the end of the connection
-        self._waiter: Optional["asyncio.Future[None]"] = None
-        #: resolved when a paused transport takes writes again
-        self._drained: Optional["asyncio.Future[None]"] = None
-        #: resolved once the connection is gone
-        self.gone: Optional["asyncio.Future[None]"] = None
-
-    # -- asyncio.Protocol ------------------------------------------------
-    def connection_made(self, transport: Any) -> None:
-        self.transport = transport
-        loop = asyncio.get_running_loop()
-        self.gone = loop.create_future()
-        if self._on_connect is not None:
-            self.task = loop.create_task(self._on_connect(self))
-
-    def data_received(self, data: bytes) -> None:
-        if self.error is not None:
-            return  # the stream is beyond re-synchronizing: drop it
-        if self._pos < len(self._buf):
-            data = self._buf[self._pos:] + data
-        self._buf, self._pos = data, 0
-        self._split()
-
-    def eof_received(self) -> bool:
-        self.ended = True
-        self._wake()
-        return True  # keep the write side open for the last replies
-
-    def connection_lost(self, exc: Optional[BaseException]) -> None:
-        self.eof_received()
-        self.resume_writing()
-        if not self.gone.done():
-            self.gone.set_result(None)
-
-    def pause_writing(self) -> None:
-        self._drained = asyncio.get_running_loop().create_future()
-
-    def resume_writing(self) -> None:
-        drained, self._drained = self._drained, None
-        if drained is not None and not drained.done():
-            drained.set_result(None)
-
-    # -- framing ---------------------------------------------------------
-    def _split(self) -> None:
-        """Move whole frames from the received bytes to :attr:`frames`,
-        up to the bound, and pause or resume reading to hold it."""
-        buf, pos, frames = self._buf, self._pos, self.frames
-        end = len(buf)
-        max_bytes = self.max_bytes
-        try:
-            while pos < end and len(frames) < MAX_BUFFERED_FRAMES:
-                if buf[pos] == BINARY_MAGIC:
-                    if end - pos < BINARY_HEADER_BYTES:
-                        break
-                    stop = pos + BINARY_HEADER_BYTES + parse_binary_header(
-                        buf[pos:pos + BINARY_HEADER_BYTES], max_bytes
-                    )
-                    if stop > end:
-                        break
-                elif self.binary:
-                    # raises: the first byte is not the magic
-                    parse_binary_header(buf[pos:pos + BINARY_HEADER_BYTES])
-                else:
-                    stop = buf.find(b"\n", pos, pos + max_bytes) + 1
-                    if not stop:
-                        if end - pos < max_bytes:
-                            break
-                        raise ProtocolError(
-                            ErrorCode.FRAME_TOO_LARGE,
-                            f"frame exceeds the {max_bytes}-byte limit",
-                        )
-                frame = buf[pos:stop]
-                pos = stop
-                if not frame.isspace():
-                    frames.append(frame)
-        except ProtocolError as exc:
-            self.error = exc
-            self.ended = True
-            pos = end
-        if pos == end:
-            self._buf, self._pos = b"", 0
-        else:
-            self._pos = pos
-        if frames or self.ended:
-            self._wake()
-        if len(frames) >= MAX_BUFFERED_FRAMES:
-            self.transport.pause_reading()
-        elif not self.transport.is_reading():
-            self.transport.resume_reading()
-
-    def _wake(self) -> None:
-        waiter, self._waiter = self._waiter, None
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    def arrival(self) -> "asyncio.Future[None]":
-        """A future resolved by the next frame or the end of the
-        connection; it does not take the frame."""
-        if self._waiter is None or self._waiter.done():
-            self._waiter = asyncio.get_running_loop().create_future()
-        return self._waiter
-
-    async def read(self, timeout: Optional[float] = None) -> bytes:
-        """The next whole frame; ``b""`` once the connection has ended.
-
-        ``timeout`` bounds the wait with one timer and raises
-        :class:`asyncio.TimeoutError` when it expires.
-        """
-        frames = self.frames
-        while not frames:
-            if self.error is not None:
-                raise self.error
-            if self.ended:
-                return b""
-            waiter = self.arrival()
-            if timeout is None:
-                await waiter
-                continue
-            timer = waiter.get_loop().call_later(timeout, _expire, waiter)
-            try:
-                await waiter
-            finally:
-                timer.cancel()
-        frame = frames.popleft()
-        if not self.transport.is_reading():
-            self._split()
-        return frame
-
-    # -- writing -----------------------------------------------------------
-    async def send(
-        self, obj: Dict[str, Any], timeout: Optional[float] = None
-    ) -> None:
-        """Encode one frame in the connection's framing and write it.  Waits
-        only after ``pause_writing`` fired, raising
-        :class:`asyncio.TimeoutError` after ``timeout`` seconds; a closed
-        connection raises :class:`ConnectionResetError`."""
-        if self.transport.is_closing():
-            raise ConnectionResetError("connection lost")
-        self.transport.write(
-            encode_binary_frame(obj) if self.binary else encode_frame(obj)
-        )
-        if self._drained is not None:
-            done, _ = await asyncio.wait({self._drained}, timeout=timeout)
-            if not done:
-                raise asyncio.TimeoutError()
 
 
 # ----------------------------------------------------------------------

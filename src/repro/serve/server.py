@@ -70,6 +70,7 @@ from ..predict import ElasticController, MispredictDetector, OnlineWssEstimator
 from ..predict.estimator import EstimatorKey
 from . import protocol
 from .config import ServeConfig
+from .framer import Framer
 from .journal import AdmissionJournal, AdmitRecord
 from .leases import ClientRecord, LeaseTable
 from .listener import Listener, Session
@@ -81,7 +82,7 @@ __all__ = [
     "AdmissionService",
     "AdmissionServer",
     "adaptive_retry_hint_s",
-    "quota_admits",
+    "quota_refusal",
 ]
 
 #: most movable parked clients one ``query`` reply lists, so a probe
@@ -115,24 +116,28 @@ def adaptive_retry_hint_s(
     return min(cap_s, max(floor_s, base * (1.0 + 3.0 * occupancy)))
 
 
-def quota_admits(
-    waiting_by_client: Dict[str, int],
-    client: str,
+def quota_refusal(
+    waiting: int,
+    client_waiting: int,
     max_pending: int,
     max_pending_per_client: Optional[int],
-) -> bool:
-    """Would one more parked admission from ``client`` be within quota?
+) -> Optional[str]:
+    """Which pending bound refuses one more parked admission, if any.
 
-    True iff the aggregate pending queue stays within ``max_pending`` AND
-    the client stays within ``max_pending_per_client`` (None = unbounded).
-    Pure so the fairness math is property-testable apart from the server.
+    ``waiting`` periods are parked in all, ``client_waiting`` of them by
+    the asking client.  ``"max_pending"`` when the aggregate queue is
+    full, else ``"max_pending_per_client"`` when the client is at its
+    quota (None = unbounded), else None: the begin may park.  Pure, so the
+    fairness math the server runs is property-testable apart from it.
     """
-    total = sum(waiting_by_client.values())
-    if total >= max_pending:
-        return False
-    if max_pending_per_client is None:
-        return True
-    return waiting_by_client.get(client, 0) < max_pending_per_client
+    if waiting >= max_pending:
+        return "max_pending"
+    if (
+        max_pending_per_client is not None
+        and client_waiting >= max_pending_per_client
+    ):
+        return "max_pending_per_client"
+    return None
 
 
 class AdmissionService(AdmissionCore):
@@ -588,7 +593,7 @@ class ShardSession(Session):
     _ids = iter(range(1, 1 << 62))
 
     def __init__(
-        self, listener: "AdmissionServer", framer: protocol.Framer
+        self, listener: "AdmissionServer", framer: Framer
     ) -> None:
         super().__init__(listener, framer)
         self.id = next(self._ids)
@@ -782,32 +787,37 @@ class AdmissionServer(Listener):
         service.demand_peak_bytes = max(
             service.demand_peak_bytes, request.demand_bytes
         )
-        # Overload backpressure: the pending-admission queue is bounded.
-        if len(service.waitlist) >= self.cfg.max_pending:
-            service.c_retry_after.inc()
-            return protocol.error_reply(
-                request.id, ErrorCode.RETRY_AFTER,
-                f"pending-admission queue is full "
-                f"({self.cfg.max_pending} waiter(s))",
-                retry_after_s=self._retry_hint_s(),
-            )
-        # Fairness: the bounded queue is also bounded *per client*, so one
-        # storm client cannot occupy the whole waitlist.
-        if self.cfg.max_pending_per_client is not None:
+        # Overload backpressure: the pending-admission queue is bounded,
+        # and per client too, so one storm client cannot occupy all of it.
+        cfg = self.cfg
+        waiting = 0
+        if cfg.max_pending_per_client is not None:
             waiting = sum(
                 1
                 for pp_id in record.api.open_ids()
                 if record.api.period(pp_id).state is PeriodState.WAITING
             )
-            if waiting >= self.cfg.max_pending_per_client:
-                service.c_quota_rejects.inc()
-                service.c_retry_after.inc()
-                return protocol.error_reply(
-                    request.id, ErrorCode.RETRY_AFTER,
-                    f"client has {waiting} parked admission(s), at the "
-                    f"per-client quota of {self.cfg.max_pending_per_client}",
-                    retry_after_s=self._retry_hint_s(),
+        refusal = quota_refusal(
+            len(service.waitlist), waiting, cfg.max_pending,
+            cfg.max_pending_per_client,
+        )
+        if refusal is not None:
+            service.c_retry_after.inc()
+            if refusal == "max_pending":
+                message = (
+                    f"pending-admission queue is full "
+                    f"({cfg.max_pending} waiter(s))"
                 )
+            else:
+                service.c_quota_rejects.inc()
+                message = (
+                    f"client has {waiting} parked admission(s), at the "
+                    f"per-client quota of {cfg.max_pending_per_client}"
+                )
+            return protocol.error_reply(
+                request.id, ErrorCode.RETRY_AFTER, message,
+                retry_after_s=self._retry_hint_s(),
+            )
         sharing_key = (
             ("serve", request.sharing_key) if request.sharing_key is not None else None
         )

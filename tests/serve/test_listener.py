@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import default_machine_config
 from repro.core.policy import StrictPolicy
-from repro.serve import protocol
+from repro.serve import framer, protocol
 from repro.serve.client import ServeClient
 from repro.serve.cluster import start_local_cluster
 from repro.serve.protocol import VERBS, ErrorCode
@@ -361,10 +361,10 @@ def test_frames_pipelined_behind_a_parked_begin_are_bounded(tmp_path):
         for _ in range(50):
             held_frames.append(len(session.framer.frames))
             await asyncio.sleep(0.01)
-        assert max(held_frames) == protocol.MAX_BUFFERED_FRAMES
+        assert max(held_frames) == framer.MAX_BUFFERED_FRAMES
         assert not session.framer.transport.is_reading()
         # the frames taken in while parked renewed the lease
-        assert renewals and renewals[-1] == protocol.MAX_BUFFERED_FRAMES
+        assert renewals and renewals[-1] == framer.MAX_BUFFERED_FRAMES
         parked_renewals = len(renewals)
         await holder.pp_end(held["pp_id"])
         admitted = await read_reply(reader, False)
@@ -377,7 +377,7 @@ def test_frames_pipelined_behind_a_parked_begin_are_bounded(tmp_path):
         assert ids == list(range(2, 2 + queries))
         # ... and so did every frame served after the park
         assert len(renewals) == parked_renewals + queries
-        assert max(renewals) <= protocol.MAX_BUFFERED_FRAMES
+        assert max(renewals) <= framer.MAX_BUFFERED_FRAMES
         leases.renew = renew
         await end_period(reader, writer, admitted["pp_id"], False)
         writer.close()

@@ -33,7 +33,7 @@ from repro.serve.server import (
     AdmissionServer,
     ServeConfig,
     adaptive_retry_hint_s,
-    quota_admits,
+    quota_refusal,
 )
 
 
@@ -156,15 +156,14 @@ class TestAdaptiveHintFunction:
 
 class TestQuotaFunction:
     def test_global_bound_wins_even_for_a_new_client(self):
-        assert not quota_admits({"a": 2, "b": 2}, "c", 4, None)
+        assert quota_refusal(4, 0, 4, None) == "max_pending"
 
     def test_per_client_bound_binds_before_the_global_one(self):
-        waiting = {"a": 2}
-        assert not quota_admits(waiting, "a", 8, 2)
-        assert quota_admits(waiting, "b", 8, 2)
+        assert quota_refusal(2, 2, 8, 2) == "max_pending_per_client"
+        assert quota_refusal(2, 0, 8, 2) is None
 
     def test_none_per_client_is_unbounded(self):
-        assert quota_admits({"a": 7}, "a", 8, None)
+        assert quota_refusal(7, 7, 8, None) is None
 
     @given(
         arrivals=st.lists(st.sampled_from("abcd"), max_size=40),
@@ -177,7 +176,10 @@ class TestQuotaFunction:
     ):
         waiting = {}
         for client in arrivals:
-            if quota_admits(waiting, client, max_pending, per_client):
+            if quota_refusal(
+                sum(waiting.values()), waiting.get(client, 0), max_pending,
+                per_client,
+            ) is None:
                 waiting[client] = waiting.get(client, 0) + 1
         assert sum(waiting.values()) <= max_pending
         if per_client is not None:

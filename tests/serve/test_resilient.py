@@ -166,6 +166,78 @@ class TestResilience:
         asyncio.run(scenario())
 
 
+class TestParkedClientKeepsItsPlace:
+    """Heartbeats are frames: the server renews the lease as one arrives,
+    and a parked begin holds its reply back without costing the client
+    its connection or its place in the waitlist."""
+
+    def test_parked_past_the_lease_ttl_on_one_connection(self, tmp_path):
+        async def scenario():
+            sock = str(tmp_path / "serve.sock")
+            server = AdmissionServer(
+                server_cfg(tmp_path, lease_ttl_s=0.6, lease_check_s=0.05)
+            )
+            await server.start(unix_path=sock)
+            holder = ResilientServeClient(unix_path=sock, client_id="holder")
+            held = await holder.pp_begin(MB(3))
+            parked = ResilientServeClient(unix_path=sock, client_id="parked")
+            conn = (await parked.connect())._conn
+            begin = asyncio.ensure_future(parked.pp_begin(MB(3)))
+            await asyncio.sleep(2.0)
+            assert not begin.done()
+            assert parked.reconnects == 0 and parked.retries == 0
+            assert parked._conn is conn
+            service = server.service
+            assert service.c_disconnect_cancel.value == 0
+            assert service.c_leases_reclaimed.value == 0
+
+            await holder.pp_end(held["pp_id"])
+            reply = await asyncio.wait_for(begin, 3.0)
+            assert reply["admitted"] is True and reply["waited_s"] >= 1.9
+            assert parked.reconnects == 0 and parked._conn is conn
+            await parked.pp_end(reply["pp_id"])
+            await holder.close()
+            await parked.close()
+            await server.abort()
+            assert service.c_disconnect_cancel.value == 0
+            assert service.sanitizer.ok
+
+        asyncio.run(scenario())
+
+    def test_parked_first_is_admitted_first(self, tmp_path):
+        async def scenario():
+            sock = str(tmp_path / "serve.sock")
+            server = AdmissionServer(
+                server_cfg(tmp_path, lease_ttl_s=0.6, lease_check_s=0.05)
+            )
+            await server.start(unix_path=sock)
+            holder = ResilientServeClient(unix_path=sock, client_id="holder")
+            held = await holder.pp_begin(MB(3))
+            early = ResilientServeClient(unix_path=sock, client_id="early")
+            first = asyncio.ensure_future(early.pp_begin(MB(3)))
+            while len(server.service.waitlist) < 1:
+                await asyncio.sleep(0.005)
+            late = await ServeClient.connect(unix_path=sock)
+            second = asyncio.ensure_future(late.pp_begin(MB(3)))
+            while len(server.service.waitlist) < 2:
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(2.0)  # past three lease TTLs
+
+            await holder.pp_end(held["pp_id"])
+            reply = await asyncio.wait_for(first, 3.0)
+            assert reply["admitted"] is True
+            assert not second.done()
+            await early.pp_end(reply["pp_id"])
+            other = await asyncio.wait_for(second, 3.0)
+            await late.pp_end(other["pp_id"])
+            for client in (holder, early, late):
+                await client.close()
+            await server.abort()
+            assert server.service.sanitizer.ok
+
+        asyncio.run(scenario())
+
+
 class TestBinaryResilience:
     def test_binary_framing_survives_a_mid_stream_kill(self, tmp_path):
         """Regression: binary + resilient used to be mutually exclusive.
@@ -232,14 +304,14 @@ class TestClusterFallback:
         return await asyncio.wait_for(cluster.run_until_drained(), 20.0)
 
     def test_shard_death_resets_the_redirect_budget(self, tmp_path):
-        """max_redirects=1 must still survive a shard death: falling
-        back to the front-end is a re-placement, not a redirect hop, so
-        the budget resets with it."""
+        """The redirect hop limit must still survive a shard death:
+        falling back to the front-end is a re-placement, not a redirect
+        hop, so each fallback's hello starts a fresh budget."""
         async def scenario():
             cluster, sock = await self._cluster(tmp_path)
             client = ResilientServeClient(
                 unix_path=sock, client_id="hopper",
-                backoff_base_s=0.01, max_attempts=40, max_redirects=1,
+                backoff_base_s=0.01, max_attempts=40,
             )
             begun = await client.pp_begin(MB(1))
             assert begun["admitted"] is True
@@ -272,7 +344,7 @@ class TestClusterFallback:
             cluster, sock = await self._cluster(tmp_path)
             client = ResilientServeClient(
                 unix_path=sock, client_id="hopper",
-                backoff_base_s=0.01, max_attempts=40, max_redirects=1,
+                backoff_base_s=0.01, max_attempts=40,
             )
             begun = await client.pp_begin(MB(1))
             assert begun["admitted"] is True

@@ -211,6 +211,7 @@ class TestOverloadFlags:
         ["chaos", "--kill-interval", "-1"],
         ["chaos", "--slowloris", "-3"],
         ["chaos", "--capacity-mb", "0"],
+        ["chaos", "--capacity-mb", "inf"],
         ["chaos", "--lease-ttl", "0"],
         ["loadgen", "--clients", "0"],
         ["loadgen", "--sessions", "-5"],

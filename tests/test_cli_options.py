@@ -349,6 +349,22 @@ def test_out_of_bound_values_are_refused_by_api_and_cli(
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cls, name, argv", [
+    # the serve each campaign spawns refuses an infinite capacity
+    (ChaosConfig, "capacity_mb", [
+        "chaos", "--capacity-mb", "inf", "--duration", "1", "--kills", "0",
+        "--clients", "1",
+    ]),
+])
+def test_finite_bounds_refuse_infinity(cls, name, argv, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=name):
+        cls(**{name: math.inf})
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workdir", str(tmp_path / "missing")])
+    assert exc.value.code == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_serve_placer_seed_is_any_integer_but_not_nan(tmp_path):
     args = build_parser().parse_args(["serve", "--placer-seed", "-7"])
     assert args.placer_seed == -7

@@ -124,6 +124,20 @@ def test_the_load_generator_and_the_chaos_driver_load_no_numpy(module):
     assert json.loads(out) == [False, []]
 
 
+def test_building_the_cli_parser_loads_no_asyncio():
+    """A batch command's parser reads the service's configs, and through
+    them ``repro.serve.protocol``, the codec; the asyncio framer lives in
+    ``repro.serve.framer``."""
+    out = run_python(
+        "import json, sys\n"
+        "import repro.cli\n"
+        "repro.cli.build_parser()\n"
+        "print(json.dumps(['asyncio' in sys.modules,"
+        " 'repro.serve.protocol' in sys.modules]))\n"
+    )
+    assert json.loads(out) == [False, True]
+
+
 def test_experiments_metrics_re_exports_the_latency_helpers():
     import repro.latency
     from repro.experiments import metrics
