@@ -20,7 +20,8 @@ Design points:
 * **One cached closed-form fit per key.**  The least-squares line over
   the ring is computed in pure Python on the first prediction after an
   ``observe`` and reused until the next one; a request evaluates one
-  ``math.log``.  The fit is a function of the ring alone (no running
+  ``math.log``, and a refit none (each sample keeps its
+  ``ln(declared)``).  The fit is a function of the ring alone (no running
   sums), so a clone re-fed from :meth:`~OnlineWssEstimator.export_samples`
   predicts the same bytes.  Against the profiler's
   :func:`~repro.profiler.regression.fit_log_regression` it is equal on
@@ -31,6 +32,10 @@ Design points:
   observations — or while recent predictions have mostly fallen outside
   the error band — ``predict`` returns ``None`` and the caller falls back
   to the declared demand.
+* **Placement hints re-score only what changed.**  Each key keeps the
+  value it last contributed to its client's ``hello`` hint; ``observe``
+  and ``note_error`` mark it stale, and a hint re-scores the stale keys
+  alone.
 * **Bounded predictions.**  The regression output is clamped to the
   ``[min(observed), max(observed)]`` range of the current window: a
   log-curve extrapolated far outside its support is noise, and the clamp
@@ -56,8 +61,14 @@ EstimatorKey = Tuple[str, str]
 #: clamped to the ring's observed range ``[lo, hi]``
 _Fit = Tuple[float, float, int, int]
 
+#: one ring sample: (declared, observed, ln(declared))
+_Sample = Tuple[int, int, float]
 
-def _fit_ring(ring: Deque[Tuple[int, int]]) -> _Fit:
+#: a key's hint value before its first scoring, and after a change
+_STALE = object()
+
+
+def _fit_ring(ring: Deque[_Sample]) -> _Fit:
     """Least-squares ``wss = a + b·ln(declared)`` over one ring.
 
     A ring whose ``ln(declared)`` spread is within
@@ -65,8 +76,8 @@ def _fit_ring(ring: Deque[Tuple[int, int]]) -> _Fit:
     flat line through the mean; the mean of integer samples is exact.
     """
     n = len(ring)
-    ts = [math.log(x) for x, _ in ring]
-    ys = [y for _, y in ring]
+    ts = [t for _, _, t in ring]
+    ys = [y for _, y, _ in ring]
     mean_t = sum(ts) / n
     mean_y = sum(ys) / n
     b = 0.0
@@ -109,13 +120,16 @@ class OnlineWssEstimator:
         self.error_band = error_band
         self.confidence_window = confidence_window
         self.min_confidence = min_confidence
-        self._samples: Dict[EstimatorKey, Deque[Tuple[int, int]]] = {}
+        self._samples: Dict[EstimatorKey, Deque[_Sample]] = {}
         #: rolling record of recent |relative error| per key, fed back by
         #: the misprediction detector via note_error()
         self._errors: Dict[EstimatorKey, Deque[float]] = {}
         #: client id -> {key: newest declared demand that got a
         #: prediction} — the input to hello placement hints
         self._last_declared: Dict[str, Dict[EstimatorKey, int]] = {}
+        #: each hinted key's confident value at its newest declared demand
+        #: (``None``: not confident); absent while stale
+        self._hints: Dict[EstimatorKey, Optional[int]] = {}
         #: cached fit per key, dropped by observe()
         self._fits: Dict[EstimatorKey, _Fit] = {}
 
@@ -139,8 +153,10 @@ class OnlineWssEstimator:
         ring = self._samples.get(key)
         if ring is None:
             ring = self._samples[key] = deque(maxlen=self.history)
-        ring.append((int(declared_bytes), int(observed_bytes)))
+        declared = int(declared_bytes)
+        ring.append((declared, int(observed_bytes), math.log(declared)))
         self._fits.pop(key, None)
+        self._hints.pop(key, None)
 
     def note_error(self, key: EstimatorKey, rel_error: float) -> None:
         """Feed back a prediction's relative error (from the detector)."""
@@ -148,6 +164,7 @@ class OnlineWssEstimator:
         if ring is None:
             ring = self._errors[key] = deque(maxlen=self.confidence_window)
         ring.append(abs(rel_error))
+        self._hints.pop(key, None)
 
     # ----------------------------------------------------------------- predict
 
@@ -179,6 +196,7 @@ class OnlineWssEstimator:
         value = self._confident_value(key, declared)
         if value is not None:
             self._last_declared.setdefault(key[0], {})[key] = declared
+            self._hints[key] = value
         return value
 
     def _confident_value(
@@ -208,11 +226,16 @@ class OnlineWssEstimator:
 
         Feeds the ``hello`` reply's placement hint: a frontend placing
         this client wants its peak expected footprint.  Each key is
-        evaluated at the newest declared demand it was predicted for.
+        evaluated at the newest declared demand it was predicted for; only
+        keys observed or scored since their last evaluation are
+        re-evaluated.
         """
+        hints = self._hints
         best: Optional[int] = None
         for key, declared in self._last_declared.get(client_id, {}).items():
-            value = self._confident_value(key, declared)
+            value = hints.get(key, _STALE)
+            if value is _STALE:
+                value = hints[key] = self._confident_value(key, declared)
             if value is not None and (best is None or value > best):
                 best = value
         return best
@@ -222,7 +245,7 @@ class OnlineWssEstimator:
     def export_samples(self) -> Iterator[Tuple[EstimatorKey, int, int]]:
         """All retained samples in per-key insertion order (for snapshots)."""
         for key, ring in self._samples.items():
-            for declared, observed in ring:
+            for declared, observed, _ in ring:
                 yield key, declared, observed
 
     def load_samples(

@@ -40,6 +40,8 @@ class CfsScheduler:
         self.n_cores = n_cores
         self.queue = RunQueue()
         self._min_vruntime = 0.0
+        #: runnable count -> quantum, a pure function of the two
+        self._slices: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -86,6 +88,11 @@ class CfsScheduler:
         Mirrors CFS: each thread gets an equal share of the scheduling
         latency per core, floored at the minimum granularity.
         """
-        per_core = max(1.0, n_running / self.n_cores)
-        quantum = SCHED_LATENCY_S / per_core
-        return max(self.config.min_granularity_s, min(self.config.timeslice_s, quantum))
+        quantum = self._slices.get(n_running)
+        if quantum is None:
+            per_core = max(1.0, n_running / self.n_cores)
+            quantum = self._slices[n_running] = max(
+                self.config.min_granularity_s,
+                min(self.config.timeslice_s, SCHED_LATENCY_S / per_core),
+            )
+        return quantum

@@ -66,11 +66,13 @@ __all__ = ["AdmissionDecision", "SchedulingExtension", "Kernel"]
 _EPS_INSTR = 1e-6
 _EPS_TIME = 1e-12
 
-# counters _accrue folds in once per event rather than once per busy core
+# counters _accrue folds in once per event rather than once per busy core,
+# and the one _dispatch bumps per migration
 _INSTRUCTIONS = HwCounter.INSTRUCTIONS
 _FP_OPS = HwCounter.FP_OPS
 _LLC_REFERENCES = HwCounter.LLC_REFERENCES
 _CYCLES = HwCounter.CYCLES
+_MIGRATIONS = HwCounter.MIGRATIONS
 
 
 class AdmissionDecision(enum.Enum):
@@ -136,8 +138,11 @@ class Kernel:
         if extension is not None:
             extension.attach(self)
         self.cores = [_CoreState(i) for i in range(self.config.cpu.n_cores)]
-        #: the one pending core event (see the module docstring)
+        #: the one pending core event (see the module docstring), and the
+        #: core and time _recompute_rates found for _reschedule_all to arm
         self._core_event_handle: Optional[EventHandle] = None
+        self._next_core: Optional[_CoreState] = None
+        self._next_time = 0.0
         self.processes: list[Process] = []
         self._barriers: Dict[tuple[int, int], WaitQueue] = {}
         self._last_accrual = self.engine.now
@@ -152,13 +157,13 @@ class Kernel:
         # kernel's lifetime.
         self._rate_cache: Dict[tuple, tuple] = {}
         self._RATE_CACHE_MAX = 4096
-        # Behind it, on a miss: each thread's uncapped rate, keyed on
-        # (id(phase), hot fraction, freq_scale) — the only inputs
-        # ExecutionModel.rate reads.  Ordered many-core sets rarely repeat,
-        # but one phase sees few distinct hot fractions.  The contention
-        # model and the bandwidth cap still run on every miss, since both
-        # depend on the whole set.
-        self._phase_rate_cache: Dict[tuple, ExecRate] = {}
+        # Behind it, on a miss: each thread's uncapped rate and its
+        # (spi, dpi, lpi) triple, keyed on (id(phase), hot fraction,
+        # freq_scale) — the only inputs ExecutionModel.rate reads.  Ordered
+        # many-core sets rarely repeat, but one phase sees few distinct hot
+        # fractions.  The contention model and the bandwidth cap still run
+        # on every miss, since both depend on the whole set.
+        self._phase_rate_cache: Dict[tuple, tuple[ExecRate, tuple]] = {}
         #: each (id(phase), pid)'s LLC demand, built once
         self._demands: Dict[tuple, LlcDemand] = {}
         #: (id(phase), LLC share) -> (seconds, DRAM accesses) of the cold
@@ -454,27 +459,23 @@ class Kernel:
                     stats.llc_refs += llc
                     stats.dram_accesses += dram
                     total_dram += dram
-                    if n < 0 or flops < 0 or llc < 0:
-                        raise _decremented(
-                            (_INSTRUCTIONS, n), (_FP_OPS, flops), (_LLC_REFERENCES, llc)
-                        )
+                    # n >= 0: a positive interval over a positive rate,
+                    # capped by a clamped remainder
+                    if flops < 0 or llc < 0:
+                        raise _decremented((_FP_OPS, flops), (_LLC_REFERENCES, llc))
                     instructions += n
                     fp_ops += flops
                     llc_refs += llc
-                if core_cycles < 0:
-                    raise _decremented((_CYCLES, core_cycles))
                 cycles += core_cycles
+            if active and core_cycles < 0:
+                raise _decremented((_CYCLES, core_cycles))
             values[_INSTRUCTIONS] = instructions
             values[_FP_OPS] = fp_ops
             values[_LLC_REFERENCES] = llc_refs
             values[_CYCLES] = cycles
             self._busy_core_seconds = busy
         self.machine.accrue_interval(
-            now,
-            active,
-            total_dram,
-            self._pending_switches,
-            freq_scale=self.freq_scale,
+            now, active, total_dram, self._pending_switches, self.freq_scale
         )
         self._pending_switches = 0
         self._last_accrual = now
@@ -498,51 +499,56 @@ class Kernel:
         if not idle:
             return []
         placed: list[tuple[_CoreState, Thread, bool]] = []
+        now = self.engine.now
+        tracing = self.tracer is not None or bool(self.observers)
+        # one quantum for every placement: the runnable count includes the
+        # threads about to be placed already
         n_runnable = self.cfs.n_queued + len(self.cores) - len(idle)
+        quantum_end = now + self.cfs.timeslice(n_runnable)
         for core in idle:
             thread = self.cfs.pick_next()
             if thread is None:
                 break
-            n_runnable_here = n_runnable  # count includes this thread already
             core.thread = thread
             thread.core = core.idx
-            thread.set_state(ThreadState.RUNNING, self.engine.now)
-            self._emit(TraceKind.DISPATCH, thread)
+            thread.set_state(ThreadState.RUNNING, now)
+            if tracing:
+                self._emit(TraceKind.DISPATCH, thread)
             switched = core.last_tid != thread.tid
             if switched and core.last_tid is not None:
                 self._pending_switches += 1
                 thread.stats.context_switches += 1
             if thread.last_core is not None and thread.last_core != core.idx:
                 thread.stats.migrations += 1
-                self.machine.counters.add(HwCounter.MIGRATIONS, 1)
+                self.machine.counters._values[_MIGRATIONS] += 1
             thread.last_core = core.idx
             core.last_tid = thread.tid
-            core.quantum_end = self.engine.now + self.cfs.timeslice(n_runnable_here)
+            core.quantum_end = quantum_end
             placed.append((core, thread, switched))
         return placed
 
     def _recompute_rates(
         self, placed: Sequence[tuple[_CoreState, Thread, bool]] = ()
     ) -> None:
-        """Re-derive every running thread's rate from the co-running set."""
-        running = [c.thread for c in self.cores if c.thread is not None]
-        if not running:
+        """Re-derive every running thread's rate and find the next deadline.
+
+        Charges the placed threads' reloads first, then sets each running
+        thread's rate and computes its core's deadline in one pass over the
+        busy cores, recording the earliest for :meth:`_reschedule_all`.
+        """
+        busy = [c for c in self.cores if c.thread is not None]
+        self._next_core = None
+        if not busy:
             return
-        keys = tuple([t.rate_key for t in running])
+        keys = tuple([c.thread.rate_key for c in busy])
         key = (self.freq_scale, keys)
         cached = self._rate_cache.get(key)
         if cached is None:
-            cached = self._rates_for(running, keys)
+            cached = self._rates_for([c.thread for c in busy], keys)
             if len(self._rate_cache) >= self._RATE_CACHE_MAX:
                 self._rate_cache.clear()
             self._rate_cache[key] = cached
         rate_triples, points = cached
-        for t, (spi, dpi, lpi) in zip(running, rate_triples):
-            t.seconds_per_instr = spi
-            t.dram_per_instr = dpi
-            t.llc_refs_per_instr = lpi
-        if not placed:
-            return
         # Charge switch + cold-reload cost to threads that just landed on a
         # core previously running someone else (figure 1's reload effect).
         reloads = self._reloads
@@ -553,7 +559,7 @@ class Kernel:
             if self.config.scheduler.model_cache_reload:
                 phase = thread.phase
                 assert phase is not None
-                point = points[running.index(thread)]
+                point = points[busy.index(core)]
                 reload_key = (id(phase), point.share_bytes)
                 reload = reloads.get(reload_key)
                 if reload is None:
@@ -563,83 +569,22 @@ class Kernel:
                     reload = reloads[reload_key] = (cost.seconds, cost.dram_accesses)
                 thread.stall_remaining_s += reload[0]
                 thread.stall_dram_total += reload[1]
-
-    def _rates_for(self, running: Sequence[Thread], keys: tuple) -> tuple:
-        """Slow path: derive (rate triples, cache points) for a co-running set.
-
-        ``keys`` are the running threads' rate keys, in order.
-        """
-        demands = []
-        phases: list[Phase] = []
-        known = self._demands
-        for t, rate_key in zip(running, keys):
-            phase = t.phase
-            phases.append(phase)
-            demand = known.get(rate_key)
-            if demand is None:
-                assert phase is not None and phase.kind is PhaseKind.COMPUTE
-                pid = t.process.pid
-                demand = known[rate_key] = LlcDemand(
-                    wss_bytes=phase.wss_bytes,
-                    reuse=phase.reuse,
-                    sharing_key=phase.sharing_scope(pid),
-                )
-            demands.append(demand)
-        points = self.machine.llc_model.resolve(demands)
-        memo = self._phase_rate_cache
-        freq_scale = self.freq_scale
-        rates = []
-        for phase, point in zip(phases, points):
-            memo_key = (id(phase), point.hot_fraction, freq_scale)
-            rate = memo.get(memo_key)
-            if rate is None:
-                if len(memo) >= self._RATE_CACHE_MAX:
-                    memo.clear()
-                rate = memo[memo_key] = self._uncapped_rate(phase, point)
-            rates.append(rate)
-        rates = self.machine.exec_model.apply_bandwidth_cap(rates)
-        return (
-            tuple([
-                (r.seconds_per_instr, r.dram_per_instr, r.llc_refs_per_instr)
-                for r in rates
-            ]),
-            tuple(points),
-        )
-
-    def _uncapped_rate(self, phase: Phase, point: ContentionPoint) -> ExecRate:
-        """One thread's rate at a contention point, before the bandwidth cap."""
-        exec_model = self.machine.exec_model
-        base = exec_model.rate(phase, point, freq_scale=self.freq_scale)
-        overhead = 0.0
-        if self.extension is not None and phase.pp is not None:
-            overhead = exec_model.pp_overhead_fraction(phase, base.seconds_per_instr)
-        return exec_model.rate(phase, point, overhead, freq_scale=self.freq_scale)
-
-    def _reschedule_all(self) -> None:
-        """Re-arm the single pending core event at the earliest deadline."""
-        engine = self.engine
-        now = engine.now
-        if self._core_event_handle is not None:
-            engine.cancel(self._core_event_handle)
-            self._core_event_handle = None
+        now = self.engine.now
         first: Optional[_CoreState] = None
         first_time = now
-        for core in self.cores:
+        for core, (spi, dpi, lpi) in zip(busy, rate_triples):
             thread = core.thread
-            if thread is None:
-                continue
-            spi = thread.seconds_per_instr
+            thread.seconds_per_instr = spi
+            thread.dram_per_instr = dpi
+            thread.llc_refs_per_instr = lpi
             if spi <= 0.0:
-                raise SimulationError(
-                    f"thread {thread.tid} has no execution rate"
-                )
+                raise SimulationError(f"thread {thread.tid} has no execution rate")
             # instr_remaining() and min/max inlined, as in _accrue
             left = thread.phase.instructions - thread.instr_done
             left = left if left > 0.0 else 0.0
-            t_done = now + thread.stall_remaining_s + left * spi
-            if t_done <= now and (
-                left > _EPS_INSTR or thread.stall_remaining_s > _EPS_TIME
-            ):
+            stall = thread.stall_remaining_s
+            t_done = now + stall + left * spi
+            if t_done <= now and (left > _EPS_INSTR or stall > _EPS_TIME):
                 # A remainder below the clock's resolution at ``now``: the
                 # deadline rounds to ``now``, accrual would see dt = 0 and
                 # the event would re-fire forever.  One ulp later, accrual
@@ -656,9 +601,79 @@ class Kernel:
             if first is None or t_event < first_time:
                 first = core
                 first_time = t_event
+        self._next_core = first
+        self._next_time = first_time
+
+    def _rates_for(self, running: Sequence[Thread], keys: tuple) -> tuple:
+        """Slow path: derive (rate triples, cache points) for a co-running set.
+
+        ``keys`` are the running threads' rate keys, in order.
+        """
+        known = self._demands
+        try:
+            demands = [known[rate_key] for rate_key in keys]
+        except KeyError:
+            # first sight of some (phase, pid): build its demand once
+            for t, rate_key in zip(running, keys):
+                if rate_key not in known:
+                    phase = t.phase
+                    assert phase is not None and phase.kind is PhaseKind.COMPUTE
+                    known[rate_key] = LlcDemand(
+                        wss_bytes=phase.wss_bytes,
+                        reuse=phase.reuse,
+                        sharing_key=phase.sharing_scope(t.process.pid),
+                    )
+            demands = [known[rate_key] for rate_key in keys]
+        points = self.machine.llc_model.resolve(demands)
+        memo = self._phase_rate_cache
+        freq_scale = self.freq_scale
+        rates = []
+        triples = []
+        for t, point in zip(running, points):
+            phase = t.phase
+            memo_key = (id(phase), point.hot_fraction, freq_scale)
+            entry = memo.get(memo_key)
+            if entry is None:
+                if len(memo) >= self._RATE_CACHE_MAX:
+                    memo.clear()
+                rate = self._uncapped_rate(phase, point)
+                triple = (
+                    rate.seconds_per_instr,
+                    rate.dram_per_instr,
+                    rate.llc_refs_per_instr,
+                )
+                entry = memo[memo_key] = (rate, triple)
+            rates.append(entry[0])
+            triples.append(entry[1])
+        capped = self.machine.exec_model.apply_bandwidth_cap(rates)
+        if capped is not rates:
+            # the cap bound: its rates, not the memo's uncapped ones
+            triples = [
+                (r.seconds_per_instr, r.dram_per_instr, r.llc_refs_per_instr)
+                for r in capped
+            ]
+        return tuple(triples), tuple(points)
+
+    def _uncapped_rate(self, phase: Phase, point: ContentionPoint) -> ExecRate:
+        """One thread's rate at a contention point, before the bandwidth cap."""
+        exec_model = self.machine.exec_model
+        base = exec_model.rate(phase, point, freq_scale=self.freq_scale)
+        overhead = 0.0
+        if self.extension is not None and phase.pp is not None:
+            overhead = exec_model.pp_overhead_fraction(phase, base.seconds_per_instr)
+        return exec_model.rate(phase, point, overhead, freq_scale=self.freq_scale)
+
+    def _reschedule_all(self) -> None:
+        """Re-arm the single pending core event at the deadline found by
+        :meth:`_recompute_rates`."""
+        engine = self.engine
+        if self._core_event_handle is not None:
+            engine.cancel(self._core_event_handle)
+            self._core_event_handle = None
+        first = self._next_core
         if first is not None:
             self._core_event_handle = engine.schedule_at(
-                first_time, self._core_event, first
+                self._next_time, self._core_event, first
             )
 
     # ==================================================================
@@ -672,16 +687,18 @@ class Kernel:
         if thread is None:  # pragma: no cover - cancelled races
             self._refresh()
             return
-        phase_done = (
-            thread.stall_remaining_s <= _EPS_TIME
-            and thread.instr_remaining() <= _EPS_INSTR
-        )
+        # instr_remaining() and max inlined, as in _accrue
+        left = thread.phase.instructions - thread.instr_done
+        phase_done = thread.stall_remaining_s <= _EPS_TIME and (
+            left if left > 0.0 else 0.0
+        ) <= _EPS_INSTR
         if phase_done:
             self._complete_phase(core)
         elif now + _EPS_TIME >= core.quantum_end:
             if self.cfs.n_queued > 0:
                 # Preempt: back of the fairness queue, core picks next.
-                self._emit(TraceKind.PREEMPT, thread)
+                if self.tracer is not None or self.observers:
+                    self._emit(TraceKind.PREEMPT, thread)
                 thread.set_state(ThreadState.READY, now)
                 thread.core = None
                 core.thread = None

@@ -190,6 +190,34 @@ class TestPlacementHint:
                 ]
                 assert hint == (max(confident) if confident else None)
 
+    def test_hint_after_one_observe_rescores_one_key(self, monkeypatch):
+        # a client with many keys: a hello after one observe re-scores
+        # that key alone, and a hello after none re-scores nothing
+        est = OnlineWssEstimator(min_samples=2)
+        labels = [f"phase{i}" for i in range(27)]
+        for i, label in enumerate(labels):
+            feed(est, [(1000, 100 + i)] * 3, key=("c", label))
+            assert est.predict(("c", label), 1000) == 100 + i
+        scored = []
+        real = OnlineWssEstimator._confident_value
+
+        def spy(self, key, declared):
+            scored.append(key)
+            return real(self, key, declared)
+
+        monkeypatch.setattr(OnlineWssEstimator, "_confident_value", spy)
+        assert est.predicted_for_client("c") == 126
+        assert scored == []
+        est.observe(("c", "phase3"), 1000, 107)
+        assert est.predicted_for_client("c") == 126
+        assert scored == [("c", "phase3")]
+        assert est.predict(("c", "phase3"), 1000) == 104
+        scored.clear()
+        for _ in range(est.confidence_window):
+            est.note_error(("c", "phase26"), 10.0)
+        assert est.predicted_for_client("c") == 125
+        assert scored == [("c", "phase26")]
+
 
 class TestPersistence:
     def test_export_load_roundtrip(self):

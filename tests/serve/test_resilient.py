@@ -423,6 +423,7 @@ class TestThinClientBounds:
             # a server that accepts and then says nothing
             async def mute(reader, writer):
                 await reader.read()
+                writer.close()
 
             sock = str(tmp_path / "mute.sock")
             server = await asyncio.start_unix_server(mute, path=sock)
