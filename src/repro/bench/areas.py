@@ -760,7 +760,7 @@ _PROFILER_SUBJECTS = (
 _PROFILER_ACCESSES = 2_000_000
 _PROFILER_WINDOW = 1_000_000  # instructions: the paper's window
 #: passes over the 16 traces per timed rep; one pass (93 windows) is about
-#: 0.15-0.2 s of window statistics on a 2-vCPU VM
+#: 0.14 s of window statistics on a 2-vCPU VM
 _PROFILER_PASSES = 4
 
 

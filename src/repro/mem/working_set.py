@@ -74,12 +74,15 @@ def window_stats(
 
     As the paper's profiler does, a window is counted in an array: one
     slot per line between the window's lowest and highest line, holding
-    that line's access count.  When that span exceeds
-    :data:`DENSE_SPAN_PER_ACCESS` slots per access (a window that straddles
-    distant regions), the lines are sorted and each run of equal lines is
-    counted instead.  Either way the nonzero counts are the ones
-    ``np.unique(lines, return_counts=True)`` gives, in line order, so both
-    paths return identical statistics.
+    that line's access count.  The footprint is the number of nonzero
+    slots, the working set the number of slots at ``min_accesses`` or
+    more, and the reuse ratio the accesses over the footprint: the mean
+    of the nonzero counts, whose float64 sum is exact.  When the span
+    exceeds :data:`DENSE_SPAN_PER_ACCESS` slots per access (a window that
+    straddles distant regions), the lines are sorted and each run of
+    equal lines is counted instead.  Either way the counts are the ones
+    ``np.unique(lines, return_counts=True)`` gives, so both paths return
+    identical statistics.
 
     Args:
         addresses: virtual byte addresses of the load/store instructions
@@ -94,29 +97,36 @@ def window_stats(
     """
     check_window_options(granularity_bytes, min_accesses)
     arr = np.asarray(addresses, dtype=np.int64)
-    if arr.size == 0:
+    n = int(arr.size)
+    if n == 0:
         return WindowStats(0, 0, 0, 0.0)
-    lines = arr // granularity_bytes  # a fresh array: safe to shift or sort
+    # a fresh array either way: safe to shift or sort.  For a power-of-two
+    # granularity the arithmetic shift is the floor division, negatives too
+    if (granularity_bytes & (granularity_bytes - 1)) == 0:
+        lines = arr >> (int(granularity_bytes).bit_length() - 1)
+    else:
+        lines = arr // granularity_bytes
     low = int(lines.min())
     # a Python int: the span of an int64 window can exceed int64
-    if int(lines.max()) - low <= DENSE_SPAN_PER_ACCESS * lines.size:
+    if int(lines.max()) - low <= DENSE_SPAN_PER_ACCESS * n:
         lines -= low
         counts = np.bincount(lines)
-        counts = counts[counts != 0]
+        footprint = int(np.count_nonzero(counts))
     else:
         lines.sort()
         # each run of equal sorted lines is one unique line; its length is
         # that line's access count
         starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
-        counts = np.diff(starts, append=lines.size)
-    footprint = int(counts.size) * granularity_bytes
-    wss = int((counts >= min_accesses).sum()) * granularity_bytes
-    reuse_ratio = float(counts.mean())
+        counts = np.diff(starts, append=n)
+        footprint = int(counts.size)
+    wss = int(np.count_nonzero(counts >= min_accesses))
     return WindowStats(
-        n_accesses=int(arr.size),
-        footprint_bytes=footprint,
-        wss_bytes=wss,
-        reuse_ratio=reuse_ratio,
+        n_accesses=n,
+        footprint_bytes=footprint * granularity_bytes,
+        wss_bytes=wss * granularity_bytes,
+        # the mean count: n is the counts' sum, and n / footprint rounds
+        # the exact quotient once, as counts.mean() does
+        reuse_ratio=n / footprint,
     )
 
 

@@ -31,6 +31,8 @@ hello included, goes through a ``ServeClient``:
   while a ``pp_begin`` is parked: the server renews it as the frame
   arrives, and the reply, deferred until the park ends, is dropped by its
   request id.  The parked client keeps its connection and its place.
+  ``heartbeat()`` writes its frame the same way while a call waits on
+  the connection.
 * **Tolerant pp_end.**  A period the lease reaper already reclaimed (the
   client was silent past the TTL) yields a ``lost`` marker instead of an
   exception, and is counted in :attr:`lost_periods`.
@@ -367,6 +369,30 @@ class ResilientServeClient(ServeVerbs):
                         f"{op} failed after {attempt} transport retries"
                     ) from exc
                 await asyncio.sleep(self._backoff(attempt))
+
+    async def heartbeat(self) -> Dict[str, Any]:
+        """Renew the lease.
+
+        While a call waits on the live connection (a parked ``pp_begin``),
+        the server holds every reply on it back until the park ends, so
+        the heartbeat is written as a frame, as the heartbeat loop writes
+        it, and its reply is not awaited: the reply returned has
+        ``"awaited": False`` and ``None`` for the lease and period counts
+        the server's reply would carry.  Awaiting it would time out and
+        hang up the parked begin's connection.  A frame that cannot be
+        written (the connection is going) falls back to the awaited verb,
+        which reconnects and retries.
+        """
+        conn = self._conn
+        if conn is not None and conn.framer.calls:
+            with contextlib.suppress(OSError, ProtocolError):
+                await conn.send("heartbeat")
+                return {
+                    "ok": True, "client": self.client_id,
+                    "lease_remaining_s": None, "open_periods": None,
+                    "awaited": False,
+                }
+        return await super().heartbeat()
 
     async def pp_begin(
         self,

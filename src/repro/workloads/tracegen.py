@@ -42,13 +42,21 @@ _DEFAULT_ACCESSES = 2_000_000
 def _stencil(region: Region, center: np.ndarray, row_bytes: int) -> np.ndarray:
     """5-point stencil reads of each 8-byte point, points in row order.
 
-    Per point: centre, north, south, west, east.  Each neighbour is written
-    straight into its column of the one output array, so only one
-    neighbour's addresses are alive at a time.
+    Per point: centre, north, south, west, east, each neighbour's absolute
+    address added straight into its column of the one output array.  The
+    callers' centres skip the region's first and last rows, so every
+    neighbour lies in the region; that is checked once, from the centre's
+    range.
     """
-    out = np.empty(center.shape + (5,), dtype=np.int64)
-    for k, delta in enumerate((0, -row_bytes, row_bytes, -8, 8)):
-        out[..., k] = region.addr(center + delta)
+    deltas = (0, -row_bytes, row_bytes, -8, 8)
+    if center.size and not (
+        0 <= int(center.min()) + min(deltas)
+        and int(center.max()) + max(deltas) < region.size
+    ):
+        raise ProfilerError(f"a stencil neighbour leaves region {region.name!r}")
+    out = np.empty(center.shape + (len(deltas),), dtype=np.int64)
+    for k, delta in enumerate(deltas):
+        np.add(center, region.base + delta, out=out[..., k])
     return out.reshape(-1)
 
 
@@ -139,12 +147,19 @@ def water_pp1_trace(
     pairs_per_row = slab
     rows = max(1, n_accesses // (4 * pairs_per_row))
     i = np.arange(rows, dtype=np.int64)[:, None]
-    j_idx = (i + np.arange(slab, dtype=np.int64)) % n_molecules
-    j_addrs = mol.element_addr(j_idx, _MOL_BYTES)
-    i_addrs = np.broadcast_to(mol.element_addr(i, _MOL_BYTES), j_addrs.shape)
-    # position read, velocity read, force write per partner record, row by row
-    per_pair = (j_addrs, j_addrs + 64, j_addrs + 128, i_addrs)
-    addrs = np.stack(per_pair, axis=-1).reshape(-1)[:n_accesses]
+    # position read, velocity read, force write per partner record, then
+    # the row molecule's record, row by row: each column built in place
+    out = np.empty((rows, slab, 4), dtype=np.int64)
+    j_addrs = out[..., 0]
+    np.add(i, np.arange(slab, dtype=np.int64), out=j_addrs)
+    # a partner index is below n_molecules, so its record is in the region
+    np.remainder(j_addrs, n_molecules, out=j_addrs)
+    np.multiply(j_addrs, _MOL_BYTES, out=j_addrs)
+    np.add(j_addrs, mol.base, out=j_addrs)
+    np.add(j_addrs, 64, out=out[..., 1])
+    np.add(j_addrs, 128, out=out[..., 2])
+    out[..., 3] = mol.element_addr(i, _MOL_BYTES)
+    addrs = out.reshape(-1)[:n_accesses]
     return MemoryTrace(
         addrs,
         label=f"wnsq.pp1[{n_molecules}]",
@@ -200,7 +215,7 @@ def ocean_pp1_trace(
     row = np.arange(dim, dtype=np.int64)
     i = np.arange(1, _rows_needed(n_accesses, 5 * dim) + 1, dtype=np.int64)
     r = i % (dim - 2) + 1
-    center = (r[:, None] * dim + row) * 8
+    center = (r * (dim * 8))[:, None] + row * 8
     addrs = _stencil(grid, center, dim * 8)[:n_accesses]
     return MemoryTrace(
         addrs,
@@ -227,7 +242,7 @@ def ocean_pp2_trace(
     i = np.arange(1, _rows_needed(n_accesses, 5 * cols.size) + 1, dtype=np.int64)
     r = i % (side - 2) + 1
     parity = (i // (side - 2)) % 2
-    center = ((r * side)[:, None] + cols + parity[:, None]) * 8
+    center = ((r * side + parity) * 8)[:, None] + cols * 8
     addrs = _stencil(field, center, side * 8)[:n_accesses]
     return MemoryTrace(
         addrs,

@@ -2,14 +2,16 @@
 
 import asyncio
 import json
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import default_machine_config
 from repro.core.api import MB
 from repro.core.policy import StrictPolicy
-from repro.errors import ServeError
+from repro.errors import ProtocolError, ServeError
 from repro.serve import protocol
 from repro.serve.client import MAX_REDIRECT_HOPS, ServeClient, ServeReplyError
 from repro.serve.protocol import ErrorCode
@@ -236,6 +238,81 @@ class TestParkedClientKeepsItsPlace:
             assert server.service.sanitizer.ok
 
         asyncio.run(scenario())
+
+    def test_heartbeat_while_parked_keeps_the_connection(self, tmp_path):
+        # the server holds the heartbeat's reply back until the park ends:
+        # awaited under call_timeout_s, it would time out and hang up the
+        # parked begin's connection
+        async def scenario():
+            sock = str(tmp_path / "serve.sock")
+            server = AdmissionServer(server_cfg(tmp_path))
+            await server.start(unix_path=sock)
+            holder = ResilientServeClient(unix_path=sock, client_id="holder")
+            held = await holder.pp_begin(MB(3))
+            parked = ResilientServeClient(
+                unix_path=sock, client_id="parked", call_timeout_s=0.3,
+            )
+            conn = (await parked.connect())._conn
+            begin = asyncio.ensure_future(parked.pp_begin(MB(3)))
+            while len(server.service.waitlist) < 1:
+                await asyncio.sleep(0.005)
+            parked_at = time.monotonic()
+
+            beat = await asyncio.wait_for(parked.heartbeat(), 1.0)
+            assert beat["ok"] is True and beat.get("awaited") is False
+            await asyncio.sleep(1.0)  # past three call timeouts
+            assert not begin.done()
+            assert parked.reconnects == 0 and parked.retries == 0
+            assert parked._conn is conn
+            service = server.service
+            assert service.c_disconnect_cancel.value == 0
+
+            parked_for = time.monotonic() - parked_at
+            await holder.pp_end(held["pp_id"])
+            reply = await asyncio.wait_for(begin, 3.0)
+            assert reply["admitted"] is True and reply["waited_s"] >= parked_for
+            assert parked.reconnects == 0 and parked.retries == 0
+            assert parked._conn is conn
+            await parked.pp_end(reply["pp_id"])
+            # nothing waits on the connection now: an awaited heartbeat,
+            # whose reply carries the fields the unawaited one fills in
+            awaited = await parked.heartbeat()
+            assert awaited["client"] == "parked" and "awaited" not in awaited
+            assert set(beat) - {"awaited"} == set(awaited) - {"v", "id"}
+            await holder.close()
+            await parked.close()
+            await server.abort()
+            assert service.c_disconnect_cancel.value == 0
+            assert service.sanitizer.ok
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("error", [
+        ConnectionResetError("connection lost"),
+        ProtocolError(ErrorCode.BAD_FRAME, "unreadable frame"),
+    ], ids=["reset", "protocol"])
+    def test_heartbeat_frame_not_written_falls_back_to_the_call(self, error):
+        # a call waits on a connection that is going: the frame cannot be
+        # written, so the awaited verb (reconnect and retry) renews instead
+        class Going:
+            framer = SimpleNamespace(calls={1: None})
+
+            async def send(self, op, **fields):
+                raise error
+
+        calls = []
+
+        async def call(op, timeout=None, **fields):
+            calls.append(op)
+            return {"ok": True, "client": "c", "lease_remaining_s": 9.5,
+                    "open_periods": 1}
+
+        client = ResilientServeClient(unix_path="unused.sock", client_id="c")
+        client._conn = Going()
+        client.call = call
+        reply = asyncio.run(client.heartbeat())
+        assert calls == ["heartbeat"]
+        assert reply["lease_remaining_s"] == 9.5 and "awaited" not in reply
 
 
 class TestBinaryResilience:
