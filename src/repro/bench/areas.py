@@ -24,7 +24,9 @@ quick and full runs of one configuration remain comparable.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import random
+import tempfile
 import time
 from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
@@ -599,17 +601,24 @@ def _fleet_requests(seed: int) -> List[RunRequest]:
 def bench_fleet(
     seed: int, cache_dir: Optional[str] = None, jobs: Optional[int] = None
 ) -> List[BenchRecord]:
+    """Time the fleet grid through a result cache in ``cache_dir``.
+
+    With no directory the grid runs in a fresh temporary one, so every
+    run executes and the rate is that of cold execution; a given
+    directory is timed as it is, warm entries included.
+    """
     requests = _fleet_requests(seed)
     digest = config_digest({
         "area": "fleet",
         "run_keys": [run_key(r) for r in requests],
         "seed": seed,
     })
-    cache = ResultCache(cache_dir) if cache_dir else ResultCache()
-
-    t0 = time.perf_counter()
-    outcomes = run_grid(requests, jobs=jobs, cache=cache)
-    wall = time.perf_counter() - t0
+    directory = (tempfile.TemporaryDirectory(prefix="repro-bench-fleet-")
+                 if not cache_dir else contextlib.nullcontext(cache_dir))
+    with directory as root:
+        t0 = time.perf_counter()
+        outcomes = run_grid(requests, jobs=jobs, cache=ResultCache(root))
+        wall = time.perf_counter() - t0
 
     successes = [o for o in outcomes if isinstance(o, RunSuccess)]
     failures = len(outcomes) - len(successes)

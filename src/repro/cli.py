@@ -259,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark areas to run (default: all)",
     )
     bench_p.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-        help=f"fleet result cache directory (default {DEFAULT_CACHE_DIR!r})",
+        "--cache-dir", default=None, metavar="DIR",
+        help="fleet result cache directory (default: a fresh temporary "
+        "directory, so the fleet times cold execution)",
     )
     bench_p.add_argument(
         "--jobs", type=positive_int, default=None, metavar="N",

@@ -5,21 +5,25 @@ Used to validate the analytical contention model of
 synthetic address traces.  Single-level; :mod:`repro.mem.hierarchy` stacks
 several instances into an L1/L2/LLC hierarchy.
 
-The state is plain Python: one list of tags per set, plus the replacement
-policy's per-set lists (:mod:`repro.mem.replacement`), so one access costs
-a few list operations and no numpy call.  A numpy trace is turned into
-Python ints once per :meth:`Cache.access_trace`, not once per address.
+The state is plain Python: one list of tags per set, so one access costs
+a few list operations, no numpy call and, on a hit, no policy call.  Under
+LRU a set's list is kept least recent first and that order is the whole
+replacement state: a hit moves its tag to the end, and a fill into a full
+set drops the first tag.  Under FIFO and random each tag stays in its way,
+and the policy (:mod:`repro.mem.replacement`) is asked only for the way a
+fill into a full set replaces.  A numpy trace is turned into Python ints
+once per :meth:`Cache.access_trace`, not once per address.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from ..config import CacheConfig
-from .replacement import ReplacementState, make_replacement
+from .replacement import make_replacement
 
 __all__ = ["Cache", "CacheStats", "ReplacementPolicy"]
 
@@ -77,13 +81,17 @@ class Cache:
         self.n_sets = config.n_sets
         self.n_ways = config.associativity
         self._line_shift = self.line_bytes.bit_length() - 1
-        # _sets[s] holds the tags of set s's valid ways, way 0 first.  A fill
-        # takes the first empty way and only invalidate_all() empties a way,
-        # so the valid ways are always 0..len-1: the first empty way is
-        # len(_sets[s]), and no marker value can alias a real tag.
+        # _sets[s] holds the tags of set s's valid lines, and no marker value
+        # can alias a real tag.  A fill into a set that is not full appends,
+        # and only invalidate_all() empties a set.  Under LRU the list is in
+        # recency order, least recent first; under FIFO and random tag k
+        # sits in way k, and a full set's fill overwrites the victim's way.
         self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
-        self._repl: ReplacementState = make_replacement(
-            replacement, self.n_sets, self.n_ways, seed=seed
+        repl = make_replacement(replacement, self.n_sets, self.n_ways, seed=seed)
+        #: the policy's victim choice; None under LRU, which keeps its order
+        #: in the lists
+        self._victim: Optional[Callable[[int], int]] = (
+            None if repl is None else repl.victim
         )
         self.stats = CacheStats()
 
@@ -102,18 +110,22 @@ class Cache:
         stats = self.stats
         stats.accesses += 1
         if tag in ways:
-            self._repl.on_access(set_idx, ways.index(tag))
+            if self._victim is None:  # LRU: the tag becomes the most recent
+                ways.remove(tag)
+                ways.append(tag)
             stats.hits += 1
             return True
         stats.misses += 1
         if len(ways) < self.n_ways:
-            way = len(ways)
+            ways.append(tag)
+            return False
+        stats.evictions += 1
+        victim = self._victim
+        if victim is None:  # LRU: the least recent tag is the first
+            del ways[0]
             ways.append(tag)
         else:
-            way = self._repl.victim(set_idx)
-            stats.evictions += 1
-            ways[way] = tag
-        self._repl.on_access(set_idx, way)
+            ways[victim(set_idx)] = tag
         return False
 
     def access_trace(self, addresses: Iterable[int]) -> CacheStats:

@@ -1,12 +1,14 @@
 """Replacement policies for the set-associative cache simulator.
 
-Policies operate per cache set.  A policy tracks access order metadata and
-answers "which way should be evicted".  The metadata lives in plain Python
-lists, indexed by set, so the cache's per-access path makes no numpy call:
-``on_access`` is one list store (LRU) or nothing (FIFO, random), and
-``victim`` scans one set's row (LRU), bumps one pointer (FIFO) or pops a
-pre-drawn way (random).  The choices are those of the numpy arrays these
-lists replaced, bit for bit (DESIGN.md §3, "Trace-driven path").
+Policies operate per cache set.  Under LRU the cache keeps each set's tag
+list in recency order, least recent first, and that order is the whole
+replacement state: :func:`make_replacement` returns no state object for
+it.  FIFO and random keep each tag in its way and are asked only for a
+victim, when a full set takes a fill: FIFO bumps one per-set pointer and
+random pops a pre-drawn way.  The state lives in plain Python lists, so
+the cache's per-access path makes no numpy call and no policy call on a
+hit.  The choices are those of the numpy arrays these lists replaced, bit
+for bit (DESIGN.md §3, "Trace-driven path").
 """
 
 from __future__ import annotations
@@ -16,53 +18,30 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["ReplacementState", "LruState", "FifoState", "RandomState", "make_replacement"]
+__all__ = ["ReplacementState", "FifoState", "RandomState", "make_replacement"]
 
 
 class ReplacementState(ABC):
-    """Per-set replacement metadata for all sets of one cache."""
+    """Per-set victim choice for all sets of one cache."""
 
     def __init__(self, n_sets: int, n_ways: int) -> None:
         self.n_sets = n_sets
         self.n_ways = n_ways
 
     @abstractmethod
-    def on_access(self, set_idx: int, way: int) -> None:
-        """Record a hit (or fill) of ``way`` in ``set_idx``."""
-
-    @abstractmethod
     def victim(self, set_idx: int) -> int:
-        """Return the way to evict from ``set_idx``."""
-
-
-class LruState(ReplacementState):
-    """True LRU via a per-set monotonically increasing timestamp row."""
-
-    def __init__(self, n_sets: int, n_ways: int) -> None:
-        super().__init__(n_sets, n_ways)
-        self._stamp = [[0] * n_ways for _ in range(n_sets)]
-        self._clock = 0
-
-    def on_access(self, set_idx: int, way: int) -> None:
-        self._clock += 1
-        self._stamp[set_idx][way] = self._clock
-
-    def victim(self, set_idx: int) -> int:
-        # the first way holding the oldest stamp, as np.argmin picks it
-        stamps = self._stamp[set_idx]
-        return stamps.index(min(stamps))
+        """Return the way to evict from the full set ``set_idx``."""
 
 
 class FifoState(ReplacementState):
-    """First-in first-out: a round-robin fill pointer per set."""
+    """First-in first-out: a round-robin fill pointer per set.
+
+    Hits leave the pointer alone; only evictions advance it.
+    """
 
     def __init__(self, n_sets: int, n_ways: int) -> None:
         super().__init__(n_sets, n_ways)
         self._ptr = [0] * n_sets
-
-    def on_access(self, set_idx: int, way: int) -> None:
-        # FIFO ignores hits; only fills advance the pointer, handled in victim.
-        pass
 
     def victim(self, set_idx: int) -> int:
         way = self._ptr[set_idx]
@@ -89,9 +68,6 @@ class RandomState(ReplacementState):
         #: drawn victims, next one last
         self._drawn: list[int] = []
 
-    def on_access(self, set_idx: int, way: int) -> None:
-        pass
-
     def victim(self, set_idx: int) -> int:
         if not self._drawn:
             self._drawn = self._rng.integers(self.n_ways, size=self.BATCH).tolist()
@@ -101,11 +77,15 @@ class RandomState(ReplacementState):
 
 def make_replacement(
     name: str, n_sets: int, n_ways: int, seed: Optional[int] = None
-) -> ReplacementState:
-    """Factory: ``"lru"``, ``"fifo"`` or ``"random"``."""
+) -> Optional[ReplacementState]:
+    """Factory: ``"lru"``, ``"fifo"`` or ``"random"`` (any case).
+
+    ``"lru"`` returns ``None``: the cache keeps each set's recency order in
+    the set's own tag list.  An unknown name raises ``ValueError``.
+    """
     lowered = name.lower()
     if lowered == "lru":
-        return LruState(n_sets, n_ways)
+        return None
     if lowered == "fifo":
         return FifoState(n_sets, n_ways)
     if lowered == "random":

@@ -13,8 +13,9 @@ of the window
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -57,12 +58,30 @@ class WindowStats:
 DENSE_SPAN_PER_ACCESS = 4
 
 
-def check_window_options(granularity_bytes: int, min_accesses: int) -> None:
-    """Raise :class:`ProfilerError` unless both window options are >= 1."""
-    if granularity_bytes < 1:
-        raise ProfilerError(f"granularity must be >= 1 byte, got {granularity_bytes}")
-    if min_accesses < 1:
-        raise ProfilerError(f"min_accesses must be >= 1, got {min_accesses}")
+def _positive_int(value: object, name: str) -> int:
+    """``value`` as a Python int >= 1; :class:`ProfilerError` otherwise."""
+    # bool is an int subclass, but True is no byte count or threshold
+    if isinstance(value, bool):
+        raise ProfilerError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ProfilerError(f"{name} must be an integer, got {value!r}") from None
+    if number < 1:
+        raise ProfilerError(f"{name} must be >= 1, got {number}")
+    return number
+
+
+def check_window_options(granularity_bytes: int, min_accesses: int) -> Tuple[int, int]:
+    """Both window options as Python ints.
+
+    Raises :class:`ProfilerError` unless each is an integer (anything
+    ``operator.index`` takes, ``bool`` excepted) of at least 1.
+    """
+    return (
+        _positive_int(granularity_bytes, "granularity_bytes"),
+        _positive_int(min_accesses, "min_accesses"),
+    )
 
 
 def window_stats(
@@ -93,9 +112,12 @@ def window_stats(
             at least this many times (the paper's "pre-configured number").
 
     Raises:
-        ProfilerError: ``granularity_bytes`` or ``min_accesses`` is below 1.
+        ProfilerError: ``granularity_bytes`` or ``min_accesses`` is not an
+            integer, or is below 1.
     """
-    check_window_options(granularity_bytes, min_accesses)
+    granularity_bytes, min_accesses = check_window_options(
+        granularity_bytes, min_accesses
+    )
     arr = np.asarray(addresses, dtype=np.int64)
     n = int(arr.size)
     if n == 0:
@@ -103,7 +125,7 @@ def window_stats(
     # a fresh array either way: safe to shift or sort.  For a power-of-two
     # granularity the arithmetic shift is the floor division, negatives too
     if (granularity_bytes & (granularity_bytes - 1)) == 0:
-        lines = arr >> (int(granularity_bytes).bit_length() - 1)
+        lines = arr >> (granularity_bytes.bit_length() - 1)
     else:
         lines = arr // granularity_bytes
     low = int(lines.min())

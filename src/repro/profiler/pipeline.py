@@ -83,11 +83,11 @@ class ProfilerPipeline:
     ) -> None:
         if window_instructions <= 0:
             raise ProfilerError("window size must be positive")
-        check_window_options(granularity_bytes, min_accesses)
+        self.granularity_bytes, self.min_accesses = check_window_options(
+            granularity_bytes, min_accesses
+        )
         self.window_instructions = window_instructions
         self.detector = detector or DetectorConfig()
-        self.granularity_bytes = granularity_bytes
-        self.min_accesses = min_accesses
 
     # ------------------------------------------------------------------
     def profile(

@@ -356,3 +356,30 @@ class TestBenchFleetCache:
                 # counts and totals are simulation outputs — exact reuse
                 assert a.value == b.value, metric
         assert cold["failures"].value == 0.0
+
+
+class TestBenchFleetCold:
+    def test_no_cache_dir_executes_every_run_each_time(
+        self, tmp_path, monkeypatch
+    ):
+        """With no cache directory, each fleet pass times cold execution:
+        a second call executes every run again, and nothing is left in
+        the working directory."""
+        from repro.bench.areas import _fleet_requests, bench_fleet
+
+        monkeypatch.chdir(tmp_path)
+        executed = []
+        execute = parallel._execute
+
+        def counting(request):
+            executed.append(request)
+            return execute(request)
+
+        monkeypatch.setattr(parallel, "_execute", counting)
+        runs = len(_fleet_requests(7))
+        for calls in (1, 2):
+            records = {r.metric: r for r in bench_fleet(7, jobs=1)}
+            assert len(executed) == calls * runs
+            assert records["runs_total"].value == runs
+            assert records["failures"].value == 0.0
+        assert list(tmp_path.iterdir()) == []

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from repro.config import CacheConfig, MachineConfig
 from repro.mem.cache import Cache, CacheStats
 from repro.mem.hierarchy import CacheHierarchy, HierarchyStats
-from repro.mem.replacement import FifoState, LruState, RandomState, make_replacement
+from repro.mem.replacement import FifoState, RandomState, make_replacement
 
 
 # ----------------------------------------------------------------------
@@ -279,21 +279,15 @@ class TestCacheEquivalence:
 # ----------------------------------------------------------------------
 class TestReplacementEquivalence:
     @settings(max_examples=100, deadline=None)
-    @given(name=st.sampled_from(("lru", "fifo")),
-           n_sets=st.integers(min_value=1, max_value=8),
+    @given(n_sets=st.integers(min_value=1, max_value=8),
            n_ways=st.integers(min_value=1, max_value=20),
-           steps=st.lists(st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 19)),
-                          max_size=200))
-    def test_same_victims(self, name, n_sets, n_ways, steps):
-        state = make_replacement(name, n_sets, n_ways)
-        ref = ref_replacement(name, n_sets, n_ways)
-        for is_victim, set_idx, way in steps:
+           steps=st.lists(st.integers(0, 7), max_size=200))
+    def test_same_victims(self, n_sets, n_ways, steps):
+        state = make_replacement("fifo", n_sets, n_ways)
+        ref = ref_replacement("fifo", n_sets, n_ways)
+        for set_idx in steps:
             set_idx %= n_sets
-            if is_victim:
-                assert state.victim(set_idx) == ref.victim(set_idx)
-            else:
-                state.on_access(set_idx, way % n_ways)
-                ref.on_access(set_idx, way % n_ways)
+            assert state.victim(set_idx) == ref.victim(set_idx)
 
     @settings(max_examples=60, deadline=None)
     @given(n_ways=st.sampled_from((1, 2, 3, 4, 5, 7, 8, 12, 16, 20, 128)),
@@ -307,7 +301,6 @@ class TestReplacementEquivalence:
         ]
 
     def test_factory_classes_are_the_production_ones(self):
-        assert isinstance(make_replacement("lru", 1, 2), LruState)
         assert isinstance(make_replacement("fifo", 1, 2), FifoState)
         assert isinstance(make_replacement("random", 1, 2), RandomState)
 

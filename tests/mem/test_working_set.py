@@ -56,6 +56,24 @@ class TestWindowStats:
         with pytest.raises(ProfilerError, match="min_accesses"):
             window_stats([0, 64, 128, 64], min_accesses=min_accesses)
 
+    @pytest.mark.parametrize("option", [
+        # 64.0 raised a bare TypeError from numpy, 1.5 acted as 2, and True
+        # as a 1-byte granularity or a threshold of 1
+        {"granularity_bytes": 64.0}, {"granularity_bytes": True},
+        {"granularity_bytes": "64"}, {"granularity_bytes": np.float64(64)},
+        {"min_accesses": 1.5}, {"min_accesses": 2.0}, {"min_accesses": True},
+    ])
+    def test_non_integer_option_rejected(self, option):
+        name = next(iter(option))
+        with pytest.raises(ProfilerError, match=name):
+            window_stats([0, 64, 128, 64], **option)
+
+    @pytest.mark.parametrize("granularity", [np.int64(64), np.uint16(64)])
+    def test_integer_options_give_python_ints(self, granularity):
+        s = window_stats([0, 64, 128, 64], granularity, np.int32(2))
+        assert s == WindowStats(4, 3 * 64, 64, 4 / 3)
+        assert type(s.footprint_bytes) is int and type(s.wss_bytes) is int
+
 
 class TestSimilarity:
     def make(self, wss, reuse):

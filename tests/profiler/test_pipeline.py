@@ -1,5 +1,6 @@
 """ProfilerPipeline (end-to-end §2.4) tests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ProfilerError
@@ -68,6 +69,21 @@ class TestProfile:
         # rejected up front, before any trace is sampled
         with pytest.raises(ProfilerError):
             ProfilerPipeline(**option)
+
+    @pytest.mark.parametrize("option", [
+        {"granularity_bytes": 64.0}, {"granularity_bytes": True},
+        {"min_accesses": 1.5}, {"min_accesses": True},
+    ])
+    def test_non_integer_granularity_or_threshold_rejected(self, option):
+        with pytest.raises(ProfilerError, match=next(iter(option))):
+            ProfilerPipeline(**option)
+
+    def test_integer_options_are_kept_as_python_ints(self):
+        pipeline = ProfilerPipeline(granularity_bytes=np.int64(128),
+                                    min_accesses=np.uint8(3))
+        assert (pipeline.granularity_bytes, pipeline.min_accesses) == (128, 3)
+        assert type(pipeline.granularity_bytes) is int
+        assert type(pipeline.min_accesses) is int
 
 
 class TestScalingStudy:

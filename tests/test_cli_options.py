@@ -148,7 +148,7 @@ INVENTORY = {
             "sim", "serve", "fleet", "cluster", "serve_overload",
             "serve_predict", "mem", "profiler",
         )),
-        ("--cache-dir", "cache_dir", ".repro-cache"),
+        ("--cache-dir", "cache_dir", None),
         ("--jobs", "jobs", None),
         ("--compare-to", "compare_to", None),
         ("--tolerance", "tolerance", 0.3),
