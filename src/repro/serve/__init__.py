@@ -37,6 +37,7 @@ _EXPORTS = {
     "ClusterError": "placer",
     "ClusterFrontend": "cluster",
     "Counter": "metrics",
+    "Decision": "server",
     "DemandAwarePlacer": "placer",
     "ErrorCode": "protocol",
     "Gauge": "metrics",

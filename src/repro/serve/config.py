@@ -101,8 +101,6 @@ class ServeConfig:
         None, "--idle-timeout", positive_float, metavar="SECONDS",
         help="disconnect a client idle this long (default: never)",
     )
-    #: period of the background starvation-guard sweep
-    starvation_check_s: float = option(0.25, bound=positive_float)
     drain_grace_s: float = option(
         5.0, "--drain-grace", non_negative_float, metavar="SECONDS",
         help="drain waits this long for running periods before closing",

@@ -21,7 +21,7 @@ from .protocol import ErrorCode, parse_binary_header
 
 __all__ = ["MAX_BUFFERED_FRAMES", "Framer"]
 
-#: whole frames a connection holds unread before its framer stops reading
+#: whole frames a connection holds unread (its byte bound: see Framer)
 MAX_BUFFERED_FRAMES = 64
 
 
@@ -37,12 +37,14 @@ class Framer(asyncio.Protocol):
     is binary and read by its length header; any other frame is an NDJSON
     line, and a line of whitespace only is dropped.  Once :attr:`binary`
     is set, every frame must be binary and :meth:`send` encodes binary.
-    At most :data:`MAX_BUFFERED_FRAMES` whole frames queue; past that the
-    socket is not read until :meth:`read` takes one.  A frame the stream
-    cannot be re-synchronized after (over ``max_bytes``, or not binary in
-    binary mode) ends the framing: :meth:`read` raises its
-    :class:`ProtocolError` after the frames before it.  ``on_connect``
-    runs as the connection's task.
+    At most :data:`MAX_BUFFERED_FRAMES` whole frames queue, and behind
+    them the socket is read on until ``max_bytes`` wait unframed (so an EOF
+    behind a shorter pipeline is seen), then not until :meth:`read` takes
+    a frame: a connection holds at most that many frames, ``max_bytes``
+    and one read.  A frame the stream cannot be re-synchronized after
+    (over ``max_bytes``, or not binary in binary mode) ends the framing:
+    :meth:`read` raises its :class:`ProtocolError` after the frames before
+    it.  ``on_connect`` runs as the connection's task.
     """
 
     def __init__(
@@ -115,7 +117,7 @@ class Framer(asyncio.Protocol):
 
     def _split(self) -> None:
         """Deliver whole frames from the received bytes, up to the bound
-        of queued ones, and pause or resume reading to hold it."""
+        of queued ones, and pause or resume reading to hold the bounds."""
         buf, pos, frames = self._buf, self._pos, self.frames
         end = len(buf)
         max_bytes = self.max_bytes
@@ -156,7 +158,7 @@ class Framer(asyncio.Protocol):
             self._pos = pos
         if frames or self.ended:
             self._wake()
-        if len(frames) >= MAX_BUFFERED_FRAMES:
+        if len(frames) >= MAX_BUFFERED_FRAMES and end - pos >= max_bytes:
             self.transport.pause_reading()
         elif not self.transport.is_reading():
             self.transport.resume_reading()
@@ -194,8 +196,9 @@ class Framer(asyncio.Protocol):
                 await waiter
             finally:
                 timer.cancel()
+        full = len(frames) >= MAX_BUFFERED_FRAMES
         frame = frames.popleft()
-        if not self.transport.is_reading():
+        if full:  # the split stopped at the bound: frame what waits behind
             self._split()
         return frame
 

@@ -22,7 +22,6 @@ their periods live and die with the connection, and no lease applies.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from ..core.api import ProgressPeriodApi
@@ -81,11 +80,7 @@ class ClientRecord:
 class LeaseTable:
     """Named client records keyed by identity, plus lease bookkeeping."""
 
-    def __init__(
-        self,
-        ttl_s: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, ttl_s: float, clock: Callable[[], float]) -> None:
         self.ttl_s = ttl_s
         self.clock = clock
         self.records: Dict[str, ClientRecord] = {}
@@ -120,9 +115,9 @@ class LeaseTable:
             return None
         return max(0.0, record.lease_deadline - self.clock())
 
-    def expired(self, now: Optional[float] = None) -> List[ClientRecord]:
+    def expired(self) -> List[ClientRecord]:
         """Named records whose lease deadline has lapsed."""
-        now = self.clock() if now is None else now
+        now = self.clock()
         return [
             r
             for r in self.records.values()

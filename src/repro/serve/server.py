@@ -10,10 +10,13 @@ of :mod:`repro.serve.protocol` over TCP or a Unix socket.
 
 Design points:
 
-* **Single writer.**  Every mutation of the admission state happens on the
-  event loop, and no handler holds an ``await`` point inside a mutation
-  sequence, so the core stack needs no locks — the asyncio loop plays the
-  role of the kernel's run-queue lock.
+* **Decisions as values, on a single writer.**  :class:`AdmissionService`
+  decides every verb and every event that is not a verb (a park, session
+  or lease that ends) in one synchronous method, on one clock, returning
+  a :class:`Decision`.  :class:`AdmissionServer` only carries frames,
+  parked futures and timers, and runs each decision on its event loop
+  with no ``await`` inside, so the core stack needs no locks — the asyncio
+  loop plays the role of the kernel's run-queue lock.
 * **Denied periods park the connection.**  A ``pp_begin`` the policy
   rejects does not get an immediate "no": the reply is deferred until a
   completing period frees capacity (the waitlist admits it), the per-client
@@ -26,9 +29,9 @@ Design points:
   :class:`~repro.core.admission.AdmissionCore`, as the simulator's
   :class:`~repro.core.rda.RdaScheduler` is, so both run one implementation
   of the paper's admission layer.  Its starvation guard force-admits a
-  waiting period whenever its resource is completely idle: inline at
-  begin and after every release, with a periodic sweep as a safety net,
-  so a mis-annotated client is slow instead of deadlocked.
+  waiting period whenever its resource is completely idle, inline at
+  begin and after every release, so a mis-annotated client is slow
+  instead of deadlocked.
 * **Graceful drain.**  SIGTERM (or the ``drain`` verb) stops admissions,
   wakes parked clients with a ``DRAINING`` error, waits up to the grace
   budget for running periods to end, then closes.
@@ -53,7 +56,8 @@ import asyncio
 import contextlib
 import os
 import time
-from typing import Any, Awaitable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, NamedTuple
+from typing import Optional, Sequence, Tuple
 
 from ..core.admission import AdmissionCore
 from ..core.policy import AlwaysAdmitPolicy
@@ -74,13 +78,14 @@ from .framer import Framer
 from .journal import AdmissionJournal, AdmitRecord
 from .leases import ClientRecord, LeaseTable
 from .listener import Listener, Session
-from .metrics import MetricsRegistry
+from .metrics import Counter, MetricsRegistry
 from .protocol import ErrorCode
 
 __all__ = [
     "ServeConfig",
     "AdmissionService",
     "AdmissionServer",
+    "Decision",
     "adaptive_retry_hint_s",
     "quota_refusal",
 ]
@@ -140,21 +145,45 @@ def quota_refusal(
     return None
 
 
+class Decision(NamedTuple):
+    """One decision, as a value: the ``reply`` (None when nobody is left to
+    answer, or while ``park`` waits), the begin to ``park``, and the parked
+    begins ``woken`` now: those admitted off the waitlist (journaled) and
+    one moved to another shard."""
+
+    reply: Optional[Dict[str, Any]]
+    park: Optional[ProgressPeriod] = None
+    woken: Sequence[ProgressPeriod] = ()
+
+
 class AdmissionService(AdmissionCore):
     """The admission state machine, independent of any transport.
+
+    One method per verb, reached through :meth:`decide`, and one per event
+    that is not a verb (:meth:`park_ended`, :meth:`end_session`,
+    :meth:`reap`), each returning a :class:`Decision`.  A *session* is the
+    connection a request came on: its ``record``, its ``closed`` and
+    ``movable`` flags and ``close()``.  ``clock`` times periods and leases.
 
     All methods must be called from a single thread/event loop (the
     single-writer discipline); they never block.
     """
 
-    def __init__(self, cfg: ServeConfig) -> None:
+    def __init__(
+        self, cfg: ServeConfig, clock: Callable[[], float] = time.monotonic
+    ) -> None:
         super().__init__(
             cfg.policy if cfg.policy is not None else AlwaysAdmitPolicy(),
             cfg.machine.llc_capacity,
-            time.monotonic,
+            clock,
             strict_fifo=cfg.strict_fifo,
         )
         self.cfg = cfg
+        self.clock = clock
+        #: draining: begins are refused, parked ones answered DRAINING
+        self.draining = False
+        #: pp_id of a parked begin moved away -> the shard its REDIRECT names
+        self._moved: Dict[int, Dict[str, Any]] = {}
         #: largest demand a pp_begin declared since boot (the cluster
         #: front-end's brownout yardstick)
         self.demand_peak_bytes = 0
@@ -163,7 +192,7 @@ class AdmissionService(AdmissionCore):
             from ..sanitizer import KernelSanitizer, default_checkers
             checkers = default_checkers(["conservation", "demand-bound"])
             self.sanitizer = KernelSanitizer(checkers).attach_core(self)
-        self.leases = LeaseTable(cfg.lease_ttl_s)
+        self.leases = LeaseTable(cfg.lease_ttl_s, clock)
         self.journal: Optional[AdmissionJournal] = None
         self.replayed_periods = 0
         self.estimator: Optional[OnlineWssEstimator] = None
@@ -221,6 +250,8 @@ class AdmissionService(AdmissionCore):
         self.c_draining_rejects = m.counter(
             "draining_rejects_total", "pp_begin rejected because draining"
         )
+        #: invalid begins and ends; a server counts them with its bad frames
+        self.c_protocol_errors = Counter("protocol_errors_total")
         m.gauge("open_periods", fn=lambda: len(self.registry))
         m.gauge("waiting", fn=lambda: len(self.waitlist))
         m.gauge("usage_bytes", fn=lambda: self.llc.usage_bytes)
@@ -356,7 +387,7 @@ class AdmissionService(AdmissionCore):
                 request=request,
                 owner=record,
                 pp_id=rec.pp_id,
-                begin_time=time.monotonic(),
+                begin_time=self.clock(),
             )
             # forced must be set before restore() so the sanitizer's
             # demand-bound check sees the exemption on the replay charge
@@ -417,22 +448,6 @@ class AdmissionService(AdmissionCore):
             return request.demand_bytes, False
         floor = int(request.demand_bytes * self.cfg.predict_floor_frac)
         return max(predicted, floor, 1), True
-
-    def track_open(
-        self,
-        pp_id: int,
-        record: ClientRecord,
-        request: protocol.Request,
-        admit_bytes: int,
-    ) -> None:
-        """Remember an open period's declared/charged demand (predict on)."""
-        if self.estimator is None:
-            return
-        key = self.predict_key(record, request)
-        self._predictions[pp_id] = (key, request.demand_bytes, admit_bytes)
-
-    def forget_prediction(self, pp_id: int) -> None:
-        self._predictions.pop(pp_id, None)
 
     def observe_close(
         self, pp_id: int, charged_bytes: int, observed_bytes: Optional[int]
@@ -538,7 +553,7 @@ class AdmissionService(AdmissionCore):
         self.c_forced.inc()
 
     def rescue_starved(self) -> List[ProgressPeriod]:
-        rescued = super().rescue_starved()
+        rescued = self._journaled(super().rescue_starved())
         if rescued:
             self.note_usage()
         return rescued
@@ -581,6 +596,492 @@ class AdmissionService(AdmissionCore):
             }
         return snap
 
+    # ------------------------------------------------------------------
+    # the verbs
+    # ------------------------------------------------------------------
+    def decide(self, session: Any, request: protocol.Request) -> Decision:
+        """Decide one well-formed request with its verb's method below
+        (``request.op`` is one of :data:`~repro.serve.protocol.VERBS`)."""
+        self.alive(session)
+        return getattr(self, request.op)(session, request)
+
+    def alive(self, session: Any) -> None:
+        """A frame arrived on ``session``: any well-formed frame, or one
+        pipelined behind a parked begin before it is parsed, proves the
+        client alive, so its lease is renewed."""
+        self.leases.renew(session.record)
+
+    def hello(self, session: Any, request: protocol.Request) -> Decision:
+        """Bind this connection to a durable, lease-holding client identity."""
+        record = session.record
+        for flag in ("binary", "redirect"):
+            if not isinstance(request.raw.get(flag, False), bool):
+                return Decision(protocol.error_reply(
+                    request.id, ErrorCode.BAD_REQUEST,
+                    f"{flag!r} must be a boolean when present",
+                ))
+        if not record.anonymous and record.client_id != request.client:
+            return Decision(protocol.error_reply(
+                request.id, ErrorCode.BAD_REQUEST,
+                f"connection is already bound to client "
+                f"{record.client_id!r}; open a new connection to speak for "
+                f"{request.client!r}",
+            ))
+        resumed = True  # a re-hello is a plain renewal
+        if record.anonymous:
+            if record.api.open_count:
+                return Decision(protocol.error_reply(
+                    request.id, ErrorCode.BAD_REQUEST,
+                    "'hello' must precede pp_begin on a connection "
+                    "(anonymous periods cannot be adopted by an identity)",
+                ))
+            record, resumed = self.leases.get_or_create(
+                request.client, self.make_record
+            )
+            old = record.session
+            if old is not None and old is not session and not old.closed:
+                # Connection takeover: the newest socket speaks for the
+                # client (the old one is typically a zombie behind a dead
+                # NAT/proxy).
+                old.close()
+            record.session = session
+            session.record = record
+            self.c_hello.inc()
+        session.movable = request.raw.get("redirect", False)
+        self.leases.renew(record)
+        open_periods = []
+        for pp_id in record.api.open_ids():
+            period = record.api.period(pp_id)
+            if period.state is PeriodState.RUNNING:
+                open_periods.append({
+                    "pp_id": pp_id,
+                    "token": record.token_of(pp_id),
+                    "demand_bytes": period.demand_bytes,
+                    "label": period.request.label,
+                    "forced": period.forced,
+                })
+        reply = protocol.ok_reply(
+            request.id,
+            client=record.client_id,
+            resumed=resumed,
+            lease_ttl_s=self.leases.ttl_s,
+            open=open_periods,
+        )
+        if request.raw.get("binary"):
+            reply["binary"] = True  # the listener switches the framing
+        # Learned peak demand doubles as a cluster placement hint: the
+        # client forwards it as `hello demand_bytes` on its next connect.
+        hint = self.predicted_for_client(record.client_id)
+        if hint is not None:
+            reply["predicted_demand_bytes"] = hint
+        return Decision(reply)
+
+    def heartbeat(self, session: Any, request: protocol.Request) -> Decision:
+        record = session.record
+        if record.anonymous:
+            return Decision(protocol.error_reply(
+                request.id, ErrorCode.NOT_BOUND,
+                "heartbeat requires a client identity; send 'hello' first",
+            ))
+        self.c_heartbeats.inc()
+        return Decision(protocol.ok_reply(
+            request.id,
+            client=record.client_id,
+            lease_remaining_s=self.leases.remaining_s(record),
+            open_periods=record.api.open_count,
+        ))
+
+    def pp_begin(self, session: Any, request: protocol.Request) -> Decision:
+        self.c_begin.inc()
+        record = session.record
+        # Idempotent re-issue: a token that already names an open admitted
+        # period returns that period instead of charging twice — the
+        # resilient client re-sends pp_begin after a lost reply.
+        if request.token is not None:
+            known = record.tokens.get(request.token)
+            if known is not None:
+                try:
+                    period = record.api.period(known)
+                except ProgressPeriodError:
+                    record.drop_token(known)
+                    period = None
+                if period is not None and period.state is PeriodState.RUNNING:
+                    self.c_idempotent.inc()
+                    return Decision(
+                        self._admitted_reply(request.id, period, deduped=True)
+                    )
+                if period is not None and period.state is PeriodState.WAITING:
+                    # A stale parked period from a taken-over connection:
+                    # supersede it rather than park the same token twice.
+                    # It holds no charge, so cancelling it admits nobody.
+                    self._cancel(record, known)
+        if self.draining:
+            self.c_draining_rejects.inc()
+            return Decision(protocol.error_reply(
+                request.id, ErrorCode.DRAINING, "server is draining"
+            ))
+        if not self.resources.known(request.resource):
+            self.c_protocol_errors.inc()
+            return Decision(protocol.error_reply(
+                request.id, ErrorCode.BAD_REQUEST,
+                f"resource {request.resource} is not managed by this server",
+            ))
+        self.demand_peak_bytes = max(self.demand_peak_bytes, request.demand_bytes)
+        # Overload backpressure: the pending-admission queue is bounded,
+        # and per client too, so one storm client cannot occupy all of it.
+        cfg = self.cfg
+        waiting = 0
+        if cfg.max_pending_per_client is not None:
+            waiting = sum(
+                1
+                for pp_id in record.api.open_ids()
+                if record.api.period(pp_id).state is PeriodState.WAITING
+            )
+        refusal = quota_refusal(
+            len(self.waitlist), waiting, cfg.max_pending,
+            cfg.max_pending_per_client,
+        )
+        if refusal is not None:
+            self.c_retry_after.inc()
+            if refusal == "max_pending":
+                message = (
+                    f"pending-admission queue is full "
+                    f"({cfg.max_pending} waiter(s))"
+                )
+            else:
+                self.c_quota_rejects.inc()
+                message = (
+                    f"client has {waiting} parked admission(s), at the "
+                    f"per-client quota of {cfg.max_pending_per_client}"
+                )
+            return Decision(protocol.error_reply(
+                request.id, ErrorCode.RETRY_AFTER, message,
+                retry_after_s=self._retry_hint_s(),
+            ))
+        sharing_key = (
+            ("serve", request.sharing_key) if request.sharing_key is not None else None
+        )
+        # With --predict, a confident learned estimate replaces the
+        # declared demand: admit on max(predicted, floor).
+        admit_bytes, used_prediction = self.predicted_demand(record, request)
+        if used_prediction:
+            self.c_predicted_admits.inc()
+        pp_id = record.api.pp_begin(
+            request.resource,
+            admit_bytes,
+            request.reuse,
+            label=request.label,
+            sharing_key=sharing_key,
+        )
+        if self.estimator is not None:  # remember declared and charged
+            self._predictions[pp_id] = (
+                self.predict_key(record, request), request.demand_bytes,
+                admit_bytes,
+            )
+        period = record.api.period(pp_id)
+        # Bind the token *before* any admission so the journaling of an
+        # after-park admission can read it off the owner record.
+        record.bind_token(request.token, pp_id)
+        self.force_if_idle(period)
+        self.note_usage()
+        if period.state is PeriodState.WAITING:
+            return Decision(None, park=period)
+        self.c_immediate.inc()
+        self.journal_admit(period)
+        return Decision(self._admitted_reply(request.id, period))
+
+    def _retry_hint_s(self) -> float:
+        """The retry hint carried by shed replies: live queue occupancy
+        and the observed median admission latency, clamped to the
+        configured bounds (:func:`adaptive_retry_hint_s`)."""
+        cfg = self.cfg
+        occupancy = (
+            len(self.waitlist) / cfg.max_pending if cfg.max_pending else 1.0
+        )
+        p50 = (
+            self.h_admission.percentile(50.0) if self.h_admission.count else 0.0
+        )
+        return adaptive_retry_hint_s(
+            occupancy, p50, cfg.retry_hint_floor_s, cfg.retry_hint_cap_s
+        )
+
+    def _admitted_reply(
+        self,
+        request_id: Optional[int],
+        period: ProgressPeriod,
+        deduped: bool = False,
+    ) -> Dict[str, Any]:
+        if not deduped:
+            self.h_admission.observe(max(0.0, self.clock() - period.begin_time))
+        reply = protocol.ok_reply(
+            request_id,
+            pp_id=period.pp_id,
+            admitted=True,
+            waited_s=period.waited_s,
+            forced=period.forced,
+        )
+        if deduped:
+            reply["deduped"] = True
+        return reply
+
+    def pp_end(self, session: Any, request: protocol.Request) -> Decision:
+        record = session.record
+        try:
+            period = record.api.period(request.pp_id)
+        except ProgressPeriodError:
+            self.c_protocol_errors.inc()
+            return Decision(protocol.error_reply(
+                request.id, ErrorCode.UNKNOWN_PERIOD,
+                f"pp_id {request.pp_id} is not an open period of this "
+                "connection (already ended, cancelled, or never begun)",
+            ))
+        # WAL discipline: the release hits the log before the ledger, so a
+        # crash in between replays a *closed* period as closed (the client
+        # saw no reply and will retry pp_end, which is tolerated).
+        record.drop_token(request.pp_id)
+        charged = period.request.demand_bytes
+        self.journal_close(request.pp_id)
+        admitted = self._journaled(record.api.pp_end(request.pp_id))
+        self.c_end.inc()
+        if period.admit_time is not None and period.end_time is not None:
+            self.h_service.observe(period.end_time - period.admit_time)
+        # Demand prediction: ingest the client's observed working set,
+        # detect mispredictions and elastically resize the key's peers.
+        woken = admitted + self._journaled(
+            self.observe_close(request.pp_id, charged, request.observed_bytes)
+        ) + self.rescue_starved()
+        return Decision(protocol.ok_reply(
+            request.id, pp_id=request.pp_id, released=True,
+            admitted_waiters=len(admitted),
+        ), woken=woken)
+
+    def query(self, session: Any, request: protocol.Request) -> Decision:
+        snapshot = self.snapshot()
+        snapshot["draining"] = self.draining
+        snapshot["parked"] = self._movable_parked()
+        if request.pp_id is not None:
+            try:
+                period = session.record.api.period(request.pp_id)
+            except ProgressPeriodError:
+                return Decision(protocol.error_reply(
+                    request.id, ErrorCode.UNKNOWN_PERIOD,
+                    f"pp_id {request.pp_id} is not an open period of this "
+                    "connection",
+                ))
+            snapshot["period"] = {
+                "pp_id": period.pp_id,
+                "state": period.state.value,
+                "demand_bytes": period.demand_bytes,
+                "queue_position": self.waitlist.position(period),
+                "waited_s": (
+                    period.waited_s
+                    if period.admit_time is not None
+                    else self.clock() - period.begin_time
+                ),
+                "forced": period.forced,
+            }
+        return Decision(protocol.ok_reply(request.id, **snapshot))
+
+    def _movable(self, period: ProgressPeriod) -> bool:
+        """Is ``period`` a parked begin a front-end may move?  Its client
+        is connected, follows REDIRECT and has no other open period, and
+        the shard is not draining (a drain answers every parked begin)."""
+        session = period.owner.session
+        return (
+            period.state is PeriodState.WAITING and not self.draining
+            and session is not None and session.movable and not session.closed
+            and period.owner.api.open_count == 1
+        )
+
+    def _movable_parked(self) -> List[Dict[str, Any]]:
+        """Movable parked begins, longest-parked first, at most
+        :data:`MAX_PARKED_LISTED`."""
+        now = self.clock()
+        parked = sorted(
+            filter(self._movable, self.registry.waiting()),
+            key=lambda p: p.begin_time,
+        )
+        return [
+            {
+                "client": p.owner.client_id,
+                "resource": p.resource.value,
+                "demand_bytes": p.demand_bytes,
+                "parked_s": now - p.begin_time,
+            }
+            for p in parked[:MAX_PARKED_LISTED]
+        ]
+
+    def migrate(self, session: Any, request: protocol.Request) -> Decision:
+        """Move a client's parked begin to the shard the request names:
+        ``moved`` is 1 when the begin will be answered with REDIRECT."""
+        record = self.leases.get(request.client)
+        open_ids = record.api.open_ids() if record is not None else []
+        period = record.api.period(open_ids[0]) if len(open_ids) == 1 else None
+        if period is None or not self._movable(period):
+            return Decision(protocol.ok_reply(request.id, moved=0))
+        # Cancel now, so no admission can land on the period before its
+        # parked begin is woken to answer with the REDIRECT.
+        woken = self._cancel(record, period.pp_id)
+        self._moved[period.pp_id] = request.raw["shard"]
+        return Decision(
+            protocol.ok_reply(request.id, moved=1), woken=[*woken, period]
+        )
+
+    def stats(self, session: Any, request: protocol.Request) -> Decision:
+        stats = self.metrics.snapshot()
+        sanitizer = self.sanitizer
+        stats["sanitizer"] = (
+            None
+            if sanitizer is None
+            else {"ok": sanitizer.ok, "violations": len(sanitizer.violations)}
+        )
+        return Decision(protocol.ok_reply(request.id, stats=stats))
+
+    def drain(self, session: Any, request: protocol.Request) -> Decision:
+        # The listener starts the drain once this reply is written, so the
+        # caller always hears back.
+        return Decision(protocol.ok_reply(
+            request.id,
+            draining=True,
+            open_periods=len(self.registry),
+            waiting=len(self.waitlist),
+        ))
+
+    # ------------------------------------------------------------------
+    # events that are not verbs, and the release path
+    # ------------------------------------------------------------------
+    def park_ended(
+        self,
+        session: Any,
+        request: protocol.Request,
+        period: ProgressPeriod,
+        disconnected: bool,
+    ) -> Decision:
+        """The verdict on a parked begin once its wait ends: the client
+        went away (``disconnected``), or the period's state tells whether
+        it was admitted, moved, drained or timed out."""
+        self.h_sojourn.observe(max(0.0, self.clock() - period.begin_time))
+        moved_to = self._moved.pop(period.pp_id, None)
+        if disconnected:
+            # Client vanished while parked (or sent a frame the stream
+            # cannot be re-synchronized after).  Anonymous periods are
+            # cancelled outright; a lease-bound client may be reconnecting,
+            # so its parked period is cancelled (the reply target is gone)
+            # but re-issue by token is safe.
+            session.closed = True
+            self.c_disconnect_cancel.inc()
+        elif moved_to is not None:  # migrate already cancelled the period
+            return Decision(protocol.error_reply(
+                request.id, ErrorCode.REDIRECT,
+                f"moved to shard {moved_to.get('name')}; re-issue the begin",
+                shard=moved_to,
+            ))
+        elif period.admit_time is not None:
+            self.c_after_park.inc()
+            self.h_park.observe(period.waited_s)
+            self.note_usage()
+            return Decision(self._admitted_reply(request.id, period))
+        woken = self._cancel(session.record, period.pp_id) + self.rescue_starved()
+        if disconnected:
+            return Decision(None, woken=woken)  # no one left to reply to
+        if self.draining:
+            return Decision(protocol.error_reply(
+                request.id, ErrorCode.DRAINING,
+                "server drained while the period was parked; period cancelled",
+            ), woken=woken)
+        # The park timeout: the wait is shed, not failed — the period is
+        # cancelled and the reply carries a retry hint.
+        self.c_park_timeout.inc()
+        park_timeout_s = self.cfg.park_timeout_s
+        return Decision(protocol.error_reply(
+            request.id, ErrorCode.PARK_TIMEOUT,
+            f"parked past the {park_timeout_s} s park timeout; "
+            "period cancelled",
+            waited_s=park_timeout_s,
+            retry_after_s=self._retry_hint_s(),
+        ), woken=woken)
+
+    def end_session(self, session: Any) -> Decision:
+        """Connection gone: settle what dies with it, keep what is leased.
+
+        Anonymous records keep the original semantics — every period is
+        cancelled, demand released, waiters admitted (the kernel's
+        thread-exit path, `abandon_owner`).  A lease-bound record keeps
+        its RUNNING periods alive under the lease (the client may be
+        reconnecting); only parked periods are cancelled, because their
+        deferred reply has no destination any more.
+        """
+        record = session.record
+        if record.session is session:
+            record.session = None
+        cancelled, woken = self._cancel_open(
+            record, lambda p: record.anonymous or p.state is PeriodState.WAITING
+        )
+        self.c_disconnect_cancel.inc(cancelled)
+        return Decision(None, woken=woken + self.rescue_starved())
+
+    def reap(self) -> Decision:
+        """One reaper pass over every expired lease.
+
+        A dead client (no live connection) is fully reclaimed: all of its
+        periods are cancelled and the record forgotten.  A *live* but
+        silent client — a wedged proxy can hold a TCP session open long
+        after the process died — loses its RUNNING periods (parked ones
+        are already bounded by the park timeout) but keeps its record, so
+        a late frame still speaks for a known identity.
+        """
+        woken: List[ProgressPeriod] = []
+        for record in self.leases.expired():
+            dead = record.session is None or record.session.closed
+            reclaimed, admitted = self._cancel_open(
+                record, lambda p: dead or p.state is PeriodState.RUNNING
+            )
+            woken += admitted
+            if reclaimed:
+                self.c_leases_reclaimed.inc()
+                self.c_lease_periods.inc(reclaimed)
+            if dead:
+                self.leases.forget(record)
+            else:
+                self.leases.renew(record)  # one reclaim per lapse, not per pass
+        return Decision(None, woken=woken + self.rescue_starved())
+
+    def _cancel_open(
+        self, record: ClientRecord, doomed: Callable[[ProgressPeriod], bool]
+    ) -> Tuple[int, List[ProgressPeriod]]:
+        """Cancel the record's open periods that ``doomed`` picks, oldest
+        first, each judged as it is reached (a release may admit a later
+        one); returns how many, and the waiters their releases admitted."""
+        cancelled, woken = 0, []
+        for pp_id in record.api.open_ids():
+            if doomed(record.api.period(pp_id)):
+                cancelled += 1
+                woken += self._cancel(record, pp_id)
+        return cancelled, woken
+
+    def _cancel(self, record: ClientRecord, pp_id: int) -> List[ProgressPeriod]:
+        """Cancel one period with full bookkeeping: token, prediction,
+        journal, charge; returns the waiters its release admitted.
+
+        Tolerates a period that is already gone (e.g. a takeover cancelled
+        it just before the old connection's EOF path runs) — cancellation
+        paths race by design and the loser must be a no-op.
+        """
+        record.drop_token(pp_id)
+        self._predictions.pop(pp_id, None)
+        try:
+            record.api.period(pp_id)
+        except ProgressPeriodError:
+            return []
+        self.journal_close(pp_id)
+        return self._journaled(record.api.pp_cancel(pp_id))
+
+    def _journaled(self, admitted: List[ProgressPeriod]) -> List[ProgressPeriod]:
+        """Write ahead admissions off the waitlist before their wake."""
+        for period in admitted:
+            self.journal_admit(period)
+        return admitted
+
 
 class ShardSession(Session):
     """A shard connection plus the client record speaking on it.
@@ -607,8 +1108,16 @@ class ShardSession(Session):
         return f"<session #{self.id}>"
 
 
+def _resolve(future: "asyncio.Future[None]") -> None:
+    if not future.done():
+        future.set_result(None)
+
+
 class AdmissionServer(Listener):
-    """One admission shard: parking, timeouts, leases, drain."""
+    """One admission shard: it carries each request to its
+    :class:`AdmissionService` and each :class:`Decision` back (the reply,
+    a begin parked on a future, the parked begins to wake), and runs the
+    lease reaper's timer.  It holds sockets, futures and timers only."""
 
     session_class = ShardSession
 
@@ -620,45 +1129,35 @@ class AdmissionServer(Listener):
             idle_timeout_s=cfg.idle_timeout_s,
             write_timeout_s=cfg.write_timeout_s,
         )
-        #: pp_id -> future resolved with "admitted" | "drained", or with
-        #: the shard address a migrated begin is redirected to
-        self._parked: Dict[int, asyncio.Future] = {}
+        self.service.c_protocol_errors = self.c_protocol_errors
+        #: pp_id -> the future a parked begin waits on
+        self._parked: Dict[int, "asyncio.Future[None]"] = {}
         #: True once abort() ran — a supervisor restarting this shard
         #: must skip the graceful drain (the journal handle is already
         #: abandoned and the transports are gone)
         self.aborted = False
-        self.verbs = {
-            "hello": self._op_hello,
-            "heartbeat": self._op_heartbeat,
-            "pp_begin": self._op_pp_begin,
-            "pp_end": self._op_pp_end,
-            "query": self._op_query,
-            "stats": self._op_stats,
-            "drain": self._op_drain,
-            "migrate": self._op_migrate,
-        }
+        self.verbs = dict.fromkeys(protocol.VERBS, self._decide)
 
     # ------------------------------------------------------------------
     # listener hooks
     # ------------------------------------------------------------------
     def _background_loops(self) -> List[Awaitable[None]]:
-        return [self._guard_loop(), self._lease_loop()]
+        return [self._lease_loop()]
 
-    async def _dispatch(
-        self, session: ShardSession, request: protocol.Request
-    ) -> Optional[Dict[str, Any]]:
-        # Any well-formed frame proves the client is alive.
-        self.service.leases.renew(session.record)
-        return await super()._dispatch(session, request)
+    def _end_session(self, session: ShardSession) -> None:
+        self._carry(self.service.end_session(session))
 
     async def _wind_down(self) -> None:
-        """Wake every parked client with DRAINING, then give running
-        periods the grace budget to pp_end naturally."""
-        for future in list(self._parked.values()):
-            if not future.done():
-                future.set_result("drained")
-        deadline = time.monotonic() + self.cfg.drain_grace_s
-        while len(self.service.registry) > 0 and time.monotonic() < deadline:
+        """Wake every parked begin (the service answers it DRAINING), then
+        give running periods the grace budget to pp_end naturally."""
+        self.service.draining = True
+        for future in self._parked.values():
+            _resolve(future)
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(self._settled(), self.cfg.drain_grace_s)
+
+    async def _settled(self) -> None:
+        while len(self.service.registry) > 0:
             await asyncio.sleep(0.02)
 
     async def _stopped(self) -> None:
@@ -685,9 +1184,6 @@ class AdmissionServer(Listener):
         for task in self._background:
             task.cancel()
         await asyncio.gather(*self._background, return_exceptions=True)
-        for future in list(self._parked.values()):
-            if not future.done():
-                future.cancel()
         for session in list(self.sessions):
             session.close(abort=True)
         for server in self._servers:
@@ -696,561 +1192,58 @@ class AdmissionServer(Listener):
         if self._unix_path and os.path.exists(self._unix_path):
             os.unlink(self._unix_path)
 
-    # ------------------------------------------------------------------
-    # background tasks
-    # ------------------------------------------------------------------
-    async def _guard_loop(self) -> None:
-        """Periodic starvation-guard sweep (safety net for the inline one)."""
-        while True:
-            await asyncio.sleep(self.cfg.starvation_check_s)
-            self._wake(self.service.rescue_starved())
-
     async def _lease_loop(self) -> None:
-        """Reap the admitted demand of clients whose lease lapsed."""
+        """The lease reaper's timer."""
         while True:
             await asyncio.sleep(self.cfg.lease_check_s)
-            self._reap_expired()
+            self._carry(self.service.reap())
 
-    def _reap_expired(self) -> None:
-        """One reaper sweep over every expired lease.
-
-        A dead client (no live connection) is fully reclaimed: all of its
-        periods are cancelled and the record forgotten.  A *live* but
-        silent client — a wedged proxy can hold a TCP session open long
-        after the process died — loses its RUNNING periods (parked ones
-        are already bounded by the park timeout) but keeps its record, so
-        a late frame still speaks for a known identity.
-        """
-        service = self.service
-        admitted: List[ProgressPeriod] = []
-        reclaimed_any = False
-        for record in service.leases.expired():
-            dead = record.session is None or record.session.closed
-            reclaimed = 0
-            for pp_id in list(record.api.open_ids()):
-                period = record.api.period(pp_id)
-                if dead or period.state is PeriodState.RUNNING:
-                    self._parked.pop(pp_id, None)
-                    admitted.extend(self._cancel_period(record, pp_id))
-                    reclaimed += 1
-            if reclaimed:
-                service.c_leases_reclaimed.inc()
-                service.c_lease_periods.inc(reclaimed)
-                reclaimed_any = True
-            if dead:
-                service.leases.forget(record)
-            else:
-                service.leases.renew(record)  # one reclaim per lapse, not per sweep
-        if reclaimed_any:
-            admitted.extend(service.rescue_starved())
-        self._wake(admitted)
-
-    # ------------------------------------------------------------------
-    # verbs
-    # ------------------------------------------------------------------
-    async def _op_pp_begin(
+    async def _decide(
         self, session: ShardSession, request: protocol.Request
     ) -> Optional[Dict[str, Any]]:
-        service = self.service
-        service.c_begin.inc()
-        record = session.record
-        # Idempotent re-issue: a token that already names an open admitted
-        # period returns that period instead of charging twice — the
-        # resilient client re-sends pp_begin after a lost reply.
-        if request.token is not None:
-            known = record.tokens.get(request.token)
-            if known is not None:
-                try:
-                    period = record.api.period(known)
-                except ProgressPeriodError:
-                    record.drop_token(known)
-                    period = None
-                if period is not None and period.state is PeriodState.RUNNING:
-                    service.c_idempotent.inc()
-                    return self._admitted_reply(request.id, period, deduped=True)
-                if period is not None and period.state is PeriodState.WAITING:
-                    # A stale parked period from a taken-over connection:
-                    # supersede it rather than park the same token twice.
-                    self._parked.pop(known, None)
-                    self._wake(self._cancel_period(record, known))
-        if self.draining:
-            service.c_draining_rejects.inc()
-            return protocol.error_reply(
-                request.id, ErrorCode.DRAINING, "server is draining"
-            )
-        if not service.resources.known(request.resource):
-            self.c_protocol_errors.inc()
-            return protocol.error_reply(
-                request.id, ErrorCode.BAD_REQUEST,
-                f"resource {request.resource} is not managed by this server",
-            )
-        service.demand_peak_bytes = max(
-            service.demand_peak_bytes, request.demand_bytes
-        )
-        # Overload backpressure: the pending-admission queue is bounded,
-        # and per client too, so one storm client cannot occupy all of it.
-        cfg = self.cfg
-        waiting = 0
-        if cfg.max_pending_per_client is not None:
-            waiting = sum(
-                1
-                for pp_id in record.api.open_ids()
-                if record.api.period(pp_id).state is PeriodState.WAITING
-            )
-        refusal = quota_refusal(
-            len(service.waitlist), waiting, cfg.max_pending,
-            cfg.max_pending_per_client,
-        )
-        if refusal is not None:
-            service.c_retry_after.inc()
-            if refusal == "max_pending":
-                message = (
-                    f"pending-admission queue is full "
-                    f"({cfg.max_pending} waiter(s))"
-                )
-            else:
-                service.c_quota_rejects.inc()
-                message = (
-                    f"client has {waiting} parked admission(s), at the "
-                    f"per-client quota of {cfg.max_pending_per_client}"
-                )
-            return protocol.error_reply(
-                request.id, ErrorCode.RETRY_AFTER, message,
-                retry_after_s=self._retry_hint_s(),
-            )
-        sharing_key = (
-            ("serve", request.sharing_key) if request.sharing_key is not None else None
-        )
-        # With --predict, a confident learned estimate replaces the
-        # declared demand: admit on max(predicted, floor).
-        admit_bytes, used_prediction = service.predicted_demand(record, request)
-        if used_prediction:
-            service.c_predicted_admits.inc()
-        pp_id = record.api.pp_begin(
-            request.resource,
-            admit_bytes,
-            request.reuse,
-            label=request.label,
-            sharing_key=sharing_key,
-        )
-        service.track_open(pp_id, record, request, admit_bytes)
-        period = record.api.period(pp_id)
-        # Bind the token *before* any admission so _wake-time journaling
-        # of after-park admissions can read it off the owner record.
-        record.bind_token(request.token, pp_id)
-        service.force_if_idle(period)
-        if period.state is PeriodState.RUNNING:
-            service.c_immediate.inc()
-            service.note_usage()
-            service.journal_admit(period)
-            return self._admitted_reply(request.id, period)
-        return await self._park(session, request, period)
+        """Every verb: the service decides, the server carries it out."""
+        decision = self.service.decide(session, request)
+        reply = self._carry(decision)
+        if decision.park is not None:
+            reply = self._carry(await self._park(session, request, decision.park))
+        return reply
 
-    def _retry_hint_s(self) -> float:
-        """The retry hint carried by shed replies: live queue occupancy
-        and the observed median admission latency, clamped to the
-        configured bounds (:func:`adaptive_retry_hint_s`)."""
-        cfg = self.cfg
-        service = self.service
-        occupancy = (
-            len(service.waitlist) / cfg.max_pending if cfg.max_pending else 1.0
-        )
-        p50 = (
-            service.h_admission.percentile(50.0)
-            if service.h_admission.count
-            else 0.0
-        )
-        return adaptive_retry_hint_s(
-            occupancy, p50, cfg.retry_hint_floor_s, cfg.retry_hint_cap_s
-        )
+    def _carry(self, decision: Decision) -> Optional[Dict[str, Any]]:
+        """Wake the parked begins the decision names; return its reply."""
+        for period in decision.woken:
+            future = self._parked.get(period.pp_id)
+            if future is not None:
+                _resolve(future)
+        return decision.reply
 
     async def _park(
         self,
         session: ShardSession,
         request: protocol.Request,
         period: ProgressPeriod,
-    ) -> Optional[Dict[str, Any]]:
-        """Defer the reply until admission, timeout, drain, or disconnect.
-
-        The park also waits on the session's framer, so a client that dies
-        mid-park is noticed at once (its period cancelled, its demand
-        released).  Frames it pipelines stay queued in the framer, up to
-        its bound, and are served after the deferred reply.
-        """
-        service = self.service
-        service.note_usage()
+    ) -> Decision:
+        """Hold the begin until it is woken, its park timeout fires or its
+        client disconnects, then ask the service for the verdict.  Frames
+        the client pipelines meanwhile stay queued in the framer, renew the
+        lease as they arrive, and are served after the deferred reply."""
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        future: "asyncio.Future[None]" = loop.create_future()
         self._parked[period.pp_id] = future
-        parked_at = loop.time()
-        park_timeout_s = self.cfg.park_timeout_s
-        deadline = None if park_timeout_s is None else parked_at + park_timeout_s
+        timeout = self.cfg.park_timeout_s
+        timer = None if timeout is None else loop.call_later(
+            timeout, _resolve, future
+        )
         framer = session.framer
         try:
-            while True:
-                if framer.ended:
-                    # Client vanished while parked (or sent a frame the
-                    # stream cannot be re-synchronized after).  Anonymous
-                    # periods are cancelled outright; a lease-bound client
-                    # may be reconnecting, so its parked period is
-                    # cancelled (the reply target is gone) but re-issue by
-                    # token is safe.
-                    session.closed = True
-                    service.c_disconnect_cancel.inc()
-                    self._wake(self._cancel_period(session.record, period.pp_id))
-                    self._wake(service.rescue_starved())
-                    return None  # no one left to reply to
-                if future.done():
-                    break
+            while not (framer.ended or future.done()):
                 arrival = framer.arrival()
-                timeout = (
-                    None if deadline is None else max(0.0, deadline - loop.time())
+                await asyncio.wait(
+                    {future, arrival}, return_when=asyncio.FIRST_COMPLETED
                 )
-                done, _ = await asyncio.wait(
-                    {future, arrival},
-                    timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not done:
-                    # Pure timeout: the wait is shed, not failed — cancel
-                    # the period and answer with a retry hint.
-                    self._wake(self._cancel_period(session.record, period.pp_id))
-                    self._wake(service.rescue_starved())
-                    service.c_park_timeout.inc()
-                    return protocol.error_reply(
-                        request.id, ErrorCode.PARK_TIMEOUT,
-                        f"parked past the {park_timeout_s} s park timeout; "
-                        "period cancelled",
-                        waited_s=park_timeout_s,
-                        retry_after_s=self._retry_hint_s(),
-                    )
                 if arrival.done() and not framer.ended:
-                    # A pipelined frame (heartbeat included) proves the
-                    # parked client alive even before it is parsed.
-                    service.leases.renew(session.record)
+                    self.service.alive(session)
         finally:
-            self._parked.pop(period.pp_id, None)
-            service.h_sojourn.observe(max(0.0, loop.time() - parked_at))
-        outcome = future.result()
-        if outcome == "drained":
-            self._wake(self._cancel_period(session.record, period.pp_id))
-            return protocol.error_reply(
-                request.id, ErrorCode.DRAINING,
-                "server drained while the period was parked; period cancelled",
-            )
-        if isinstance(outcome, dict):
-            # migrated: _op_migrate already cancelled the period
-            return protocol.error_reply(
-                request.id, ErrorCode.REDIRECT,
-                f"moved to shard {outcome.get('name')}; re-issue the begin",
-                shard=outcome,
-            )
-        service.c_after_park.inc()
-        service.h_park.observe(period.waited_s)
-        service.note_usage()
-        return self._admitted_reply(request.id, period)
-
-    def _admitted_reply(
-        self,
-        request_id: Optional[int],
-        period: ProgressPeriod,
-        deduped: bool = False,
-    ) -> Dict[str, Any]:
-        if not deduped:
-            self.service.h_admission.observe(
-                max(0.0, time.monotonic() - period.begin_time)
-            )
-        reply = protocol.ok_reply(
-            request_id,
-            pp_id=period.pp_id,
-            admitted=True,
-            waited_s=period.waited_s,
-            forced=period.forced,
-        )
-        if deduped:
-            reply["deduped"] = True
-        return reply
-
-    async def _op_hello(
-        self, session: ShardSession, request: protocol.Request
-    ) -> Dict[str, Any]:
-        """Bind this connection to a durable, lease-holding client identity."""
-        service = self.service
-        record = session.record
-        for flag in ("binary", "redirect"):
-            if not isinstance(request.raw.get(flag, False), bool):
-                return protocol.error_reply(
-                    request.id, ErrorCode.BAD_REQUEST,
-                    f"{flag!r} must be a boolean when present",
-                )
-        if not record.anonymous and record.client_id != request.client:
-            return protocol.error_reply(
-                request.id, ErrorCode.BAD_REQUEST,
-                f"connection is already bound to client "
-                f"{record.client_id!r}; open a new connection to speak for "
-                f"{request.client!r}",
-            )
-        resumed = True  # a re-hello is a plain renewal
-        if record.anonymous:
-            if record.api.open_count:
-                return protocol.error_reply(
-                    request.id, ErrorCode.BAD_REQUEST,
-                    "'hello' must precede pp_begin on a connection "
-                    "(anonymous periods cannot be adopted by an identity)",
-                )
-            record, resumed = service.leases.get_or_create(
-                request.client, service.make_record
-            )
-            old = record.session
-            if old is not None and old is not session and not old.closed:
-                # Connection takeover: the newest socket speaks for the
-                # client (the old one is typically a zombie behind a dead
-                # NAT/proxy).
-                old.close()
-            record.session = session
-            session.record = record
-            service.c_hello.inc()
-        session.movable = request.raw.get("redirect", False)
-        service.leases.renew(record)
-        open_periods = []
-        for pp_id in record.api.open_ids():
-            period = record.api.period(pp_id)
-            if period.state is PeriodState.RUNNING:
-                open_periods.append({
-                    "pp_id": pp_id,
-                    "token": record.token_of(pp_id),
-                    "demand_bytes": period.demand_bytes,
-                    "label": period.request.label,
-                    "forced": period.forced,
-                })
-        reply = protocol.ok_reply(
-            request.id,
-            client=record.client_id,
-            resumed=resumed,
-            lease_ttl_s=service.leases.ttl_s,
-            open=open_periods,
-        )
-        if request.raw.get("binary"):
-            reply["binary"] = True  # the listener switches the framing
-        # Learned peak demand doubles as a cluster placement hint: the
-        # client forwards it as `hello demand_bytes` on its next connect.
-        hint = service.predicted_for_client(record.client_id)
-        if hint is not None:
-            reply["predicted_demand_bytes"] = hint
-        return reply
-
-    async def _op_heartbeat(
-        self, session: ShardSession, request: protocol.Request
-    ) -> Dict[str, Any]:
-        record = session.record
-        if record.anonymous:
-            return protocol.error_reply(
-                request.id, ErrorCode.NOT_BOUND,
-                "heartbeat requires a client identity; send 'hello' first",
-            )
-        self.service.leases.renew(record)  # explicit on top of the per-frame renewal
-        self.service.c_heartbeats.inc()
-        return protocol.ok_reply(
-            request.id,
-            client=record.client_id,
-            lease_remaining_s=self.service.leases.remaining_s(record),
-            open_periods=record.api.open_count,
-        )
-
-    async def _op_pp_end(
-        self, session: ShardSession, request: protocol.Request
-    ) -> Dict[str, Any]:
-        service = self.service
-        record = session.record
-        try:
-            period = record.api.period(request.pp_id)
-        except ProgressPeriodError:
-            self.c_protocol_errors.inc()
-            return protocol.error_reply(
-                request.id, ErrorCode.UNKNOWN_PERIOD,
-                f"pp_id {request.pp_id} is not an open period of this "
-                "connection (already ended, cancelled, or never begun)",
-            )
-        # WAL discipline: the release hits the log before the ledger, so a
-        # crash in between replays a *closed* period as closed (the client
-        # saw no reply and will retry pp_end, which is tolerated).
-        record.drop_token(request.pp_id)
-        charged = period.request.demand_bytes
-        service.journal_close(request.pp_id)
-        admitted = record.api.pp_end(request.pp_id)
-        service.c_end.inc()
-        if period.admit_time is not None and period.end_time is not None:
-            service.h_service.observe(period.end_time - period.admit_time)
-        self._wake(admitted)
-        # Demand prediction: ingest the client's observed working set,
-        # detect mispredictions and elastically resize the key's peers.
-        self._wake(
-            service.observe_close(request.pp_id, charged, request.observed_bytes)
-        )
-        self._wake(service.rescue_starved())
-        return protocol.ok_reply(
-            request.id, pp_id=request.pp_id, released=True,
-            admitted_waiters=len(admitted),
-        )
-
-    async def _op_query(
-        self, session: ShardSession, request: protocol.Request
-    ) -> Dict[str, Any]:
-        snapshot = self.service.snapshot()
-        snapshot["draining"] = self.draining
-        snapshot["parked"] = self._movable_parked()
-        if request.pp_id is not None:
-            try:
-                period = session.record.api.period(request.pp_id)
-            except ProgressPeriodError:
-                return protocol.error_reply(
-                    request.id, ErrorCode.UNKNOWN_PERIOD,
-                    f"pp_id {request.pp_id} is not an open period of this "
-                    "connection",
-                )
-            snapshot["period"] = {
-                "pp_id": period.pp_id,
-                "state": period.state.value,
-                "demand_bytes": period.demand_bytes,
-                "queue_position": self.service.waitlist.position(period),
-                "waited_s": (
-                    period.waited_s
-                    if period.admit_time is not None
-                    else time.monotonic() - period.begin_time
-                ),
-                "forced": period.forced,
-            }
-        return protocol.ok_reply(request.id, **snapshot)
-
-    def _movable(self, period: Optional[ProgressPeriod]) -> bool:
-        """Is ``period`` a parked begin a front-end may move?  Its client
-        follows REDIRECT and has no other open period."""
-        if period is None or period.owner.session is None:
-            return False
-        future, session = self._parked.get(period.pp_id), period.owner.session
-        return (
-            future is not None and not future.done()
-            and session.movable and not session.closed
-            and period.owner.api.open_count == 1
-        )
-
-    def _movable_parked(self) -> List[Dict[str, Any]]:
-        """Movable parked begins, longest-parked first, at most
-        :data:`MAX_PARKED_LISTED`."""
-        now = time.monotonic()
-        find = self.service.registry.find
-        parked = sorted(
-            filter(self._movable, map(find, self._parked)),
-            key=lambda p: p.begin_time,
-        )
-        return [
-            {
-                "client": p.owner.client_id,
-                "resource": p.resource.value,
-                "demand_bytes": p.demand_bytes,
-                "parked_s": now - p.begin_time,
-            }
-            for p in parked[:MAX_PARKED_LISTED]
-        ]
-
-    async def _op_migrate(
-        self, session: ShardSession, request: protocol.Request
-    ) -> Dict[str, Any]:
-        """Move a client's parked begin to the shard the request names:
-        ``moved`` is 1 when the begin will be answered with REDIRECT."""
-        record = self.service.leases.get(request.client)
-        open_ids = record.api.open_ids() if record is not None else []
-        period = record.api.period(open_ids[0]) if len(open_ids) == 1 else None
-        if not self._movable(period):
-            return protocol.ok_reply(request.id, moved=0)
-        # Cancel now, before this handler returns, so no admission can
-        # land on the period before the parked handler sends the REDIRECT.
-        self._wake(self._cancel_period(record, period.pp_id))
-        self._parked[period.pp_id].set_result(request.raw["shard"])
-        return protocol.ok_reply(request.id, moved=1)
-
-    async def _op_stats(
-        self, session: ShardSession, request: protocol.Request
-    ) -> Dict[str, Any]:
-        stats = self.service.metrics.snapshot()
-        sanitizer = self.service.sanitizer
-        stats["sanitizer"] = (
-            None
-            if sanitizer is None
-            else {"ok": sanitizer.ok, "violations": len(sanitizer.violations)}
-        )
-        return protocol.ok_reply(request.id, stats=stats)
-
-    async def _op_drain(
-        self, session: ShardSession, request: protocol.Request
-    ) -> Dict[str, Any]:
-        # The listener starts the drain once this reply is written, so the
-        # caller always hears back.
-        return protocol.ok_reply(
-            request.id,
-            draining=True,
-            open_periods=len(self.service.registry),
-            waiting=len(self.service.waitlist),
-        )
-
-    # ------------------------------------------------------------------
-    # wakeups and cleanup
-    # ------------------------------------------------------------------
-    def _cancel_period(
-        self, record: ClientRecord, pp_id: int
-    ) -> List[ProgressPeriod]:
-        """Cancel one period with full bookkeeping: token, journal, charge.
-
-        Tolerates a period that is already gone (e.g. a takeover cancelled
-        it just before the old connection's EOF path runs) — cancellation
-        paths race by design and the loser must be a no-op.
-        """
-        record.drop_token(pp_id)
-        self.service.forget_prediction(pp_id)
-        try:
-            record.api.period(pp_id)
-        except ProgressPeriodError:
-            return []
-        self.service.journal_close(pp_id)
-        return record.api.pp_cancel(pp_id)
-
-    def _wake(self, admitted: List[ProgressPeriod]) -> None:
-        """Resolve the parked futures of newly admitted periods.
-
-        Every waitlist admission — after a release, a rescue, or a reaper
-        reclaim — funnels through here, so this is also where after-park
-        admissions hit the journal: the write-ahead record lands before
-        the parked handler wakes to send its reply.
-        """
-        for period in admitted:
-            self.service.journal_admit(period)
-            future = self._parked.get(period.pp_id)
-            if future is not None and not future.done():
-                future.set_result("admitted")
-
-    def _end_session(self, session: ShardSession) -> None:
-        """Connection gone: settle what dies with it, keep what is leased.
-
-        Anonymous records keep the original semantics — every period is
-        cancelled, demand released, waiters admitted (the kernel's
-        thread-exit path, `abandon_owner`).  A lease-bound record keeps
-        its RUNNING periods alive under the lease (the client may be
-        reconnecting); only parked periods are cancelled, because their
-        deferred reply has no destination any more.
-        """
-        record = session.record
-        if record.session is session:
-            record.session = None
-        cancelled = False
-        admitted: List[ProgressPeriod] = []
-        for pp_id in record.api.open_ids():
-            period = record.api.period(pp_id)
-            if record.anonymous or period.state is PeriodState.WAITING:
-                self._parked.pop(pp_id, None)  # its future dies with the task
-                admitted.extend(self._cancel_period(record, pp_id))
-                self.service.c_disconnect_cancel.inc()
-                cancelled = True
-        if cancelled:
-            admitted.extend(self.service.rescue_starved())
-            self._wake(admitted)
-
+            if timer is not None:
+                timer.cancel()
+            del self._parked[period.pp_id]
+        return self.service.park_ended(session, request, period, framer.ended)

@@ -328,11 +328,11 @@ def test_frame_split_across_the_end_of_a_park_is_read_whole(tmp_path, framing):
 
 
 def test_frames_pipelined_behind_a_parked_begin_are_bounded(tmp_path):
-    """A client pipelining ~1,000 queries behind its parked begin makes
+    """A client pipelining ~3,000 queries behind its parked begin makes
     the session hold at most the framer's bound of frames; every frame
     read renews the lease, and once the deferred admission reply is sent
     every query is answered, in order."""
-    queries = 1000
+    queries = 3000
 
     async def scenario():
         server = AdmissionServer(shard_config(lease_ttl_s=30.0))
@@ -386,3 +386,84 @@ def test_frames_pipelined_behind_a_parked_begin_are_bounded(tmp_path):
         await asyncio.wait_for(server.run_until_drained(), 10.0)
 
     asyncio.run(scenario())
+
+
+def test_a_disconnect_behind_pipelined_frames_cancels_the_parked_begin(
+    tmp_path,
+):
+    """A parked client that pipelines 1,000 queries (past the framer's
+    bound of queued frames, but not of unframed bytes) and hangs up has its
+    parked begin cancelled at once, not at the park timeout."""
+
+    async def scenario():
+        server = AdmissionServer(shard_config(park_timeout_s=30.0))
+        sock = str(tmp_path / "serve.sock")
+        await server.start(unix_path=sock)
+        service = server.service
+        holder, held, _, writer = await park_a_begin(server, sock, False)
+        writer.write(b"".join(
+            protocol.encode_frame({**QUERY, "id": 2 + i}) for i in range(1000)
+        ))
+        await writer.drain()
+        writer.close()
+        for _ in range(300):
+            if service.c_disconnect_cancel.value:
+                break
+            await asyncio.sleep(0.01)
+        assert service.c_disconnect_cancel.value == 1
+        assert len(service.waitlist) == 0
+        assert service.c_park_timeout.value == 0
+        await holder.pp_end(held["pp_id"])
+        await holder.close()
+        server.request_drain()
+        await asyncio.wait_for(server.run_until_drained(), 10.0)
+
+    asyncio.run(scenario())
+
+
+class _Transport:
+    """The reading switch of a transport, for a framer fed by hand."""
+
+    def __init__(self):
+        self.reading = True
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def is_reading(self):
+        return self.reading
+
+
+def test_framer_reads_on_behind_a_full_queue_up_to_max_bytes():
+    """Behind the bound of queued frames the framer keeps reading until
+    ``max_bytes`` of unframed bytes wait, then pauses; each frame taken
+    refills the queue from those bytes, and reading resumes once fewer
+    than ``max_bytes`` wait."""
+    max_bytes = 1000
+    line = b'{"x": 1}\n'  # 9 bytes
+    bound = framer.MAX_BUFFERED_FRAMES
+    f = framer.Framer(max_bytes)
+    f.transport = _Transport()
+    f.data_received(line * bound)
+    f.data_received(line * 100)
+    assert len(f.frames) == bound and f.transport.is_reading()
+    f.data_received(line * 20)
+    assert len(f.frames) == bound and not f.transport.is_reading()
+    assert len(f._buf) - f._pos == 120 * len(line)
+
+    reads = []
+
+    async def read_and_watch():
+        for _ in range(bound + 120):
+            reads.append((await f.read(), f.transport.is_reading()))
+
+    asyncio.run(read_and_watch())
+    assert [frame for frame, _ in reads] == [line] * (bound + 120)
+    # each read frames one more 9-byte line out of the 1,080 unframed
+    # bytes; the ninth leaves 999, under max_bytes, and reading resumes
+    resumed = [i for i, (_, reading) in enumerate(reads) if reading]
+    assert resumed == list(range(8, bound + 120))
+    assert not f.frames and f._pos == len(f._buf)

@@ -36,7 +36,6 @@ async def start_server(tmp_path, **overrides):
         sanitize=True,
         park_timeout_s=10.0,
         drain_grace_s=1.0,
-        starvation_check_s=0.05,
     )
     defaults.update(overrides)
     cfg = ServeConfig(**defaults)

@@ -261,7 +261,7 @@ def test_every_flag_keeps_its_name_dest_and_default():
 def test_each_config_keeps_its_fields():
     counts = {cls: len(fields(cls)) for cls in COMMANDS}
     assert counts == {
-        ServeConfig: 28, ClusterConfig: 22, LoadgenConfig: 22, ChaosConfig: 36,
+        ServeConfig: 27, ClusterConfig: 22, LoadgenConfig: 22, ChaosConfig: 36,
     }
 
 
