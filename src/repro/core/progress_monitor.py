@@ -44,8 +44,6 @@ class ProgressMonitor:
         self.clock = clock
         self.registry = registry if registry is not None else PeriodRegistry()
         self.waitlist = waitlist if waitlist is not None else Waitlist()
-        #: completed periods kept for post-run analysis
-        self.history: list[ProgressPeriod] = []
 
     # ------------------------------------------------------------------
     # figure 5: application begins a progress period
@@ -90,7 +88,6 @@ class ProgressMonitor:
         now = self.clock()
         period.state = PeriodState.COMPLETED
         period.end_time = now
-        self.history.append(period)
         admitted = self._retry_waiters(period)
         return period, admitted
 
@@ -164,18 +161,24 @@ class ProgressMonitor:
         Used when the period's owner gives up — a parked client timing out,
         or an online caller disconnecting.  A RUNNING period releases its
         demand (and the freed capacity retries the waitlist); a WAITING one
-        simply leaves the queue.  Returns ``(cancelled, admitted)``.
+        simply leaves the queue.  Under strict FIFO a waiting head held
+        back every waiter behind it, so its leaving retries the waitlist
+        too.  Returns ``(cancelled, admitted)``.
         """
         period = self.registry.remove(pp_id)
         admitted: list[ProgressPeriod] = []
+        unblocks = False
         if period.state is PeriodState.RUNNING:
             self.resources.release_load(period.request)
         elif period.state is PeriodState.WAITING:
+            unblocks = (
+                self.waitlist.strict_fifo
+                and self.waitlist.peek(period.resource) is period
+            )
             self.waitlist.remove(period)
         period.state = PeriodState.COMPLETED
         period.end_time = self.clock()
-        self.history.append(period)
-        if period.admit_time is not None:
+        if period.admit_time is not None or unblocks:
             admitted = self._retry_waiters(period)
         return period, admitted
 
@@ -227,7 +230,6 @@ class ProgressMonitor:
                 self.waitlist.remove(period)
             period.state = PeriodState.COMPLETED
             period.end_time = self.clock()
-            self.history.append(period)
         return admitted
 
     # ------------------------------------------------------------------

@@ -43,7 +43,7 @@ import random
 import signal
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ReproError, ServeError
@@ -216,17 +216,20 @@ class ServerProcess:
     """
 
     def __init__(
-        self, socket_path: str, journal_path: str, cfg: ChaosConfig
+        self, socket_path: str, journal_path: str, cfg: ChaosConfig,
+        flags: Tuple[str, ...] = (),
     ) -> None:
         self.socket_path = socket_path
         self.journal_path = journal_path
         self.cfg = cfg
+        #: ``serve`` flags after the common ones (the overload defenses)
+        self.flags = flags
         self.proc: Optional[asyncio.subprocess.Process] = None
         self.output: List[str] = []
         self._drain_task: Optional[asyncio.Task] = None
 
     def _argv(self) -> List[str]:
-        argv = [
+        return [
             sys.executable, "-m", "repro", "serve",
             "--socket", self.socket_path,
             "--policy", self.cfg.policy,
@@ -238,20 +241,8 @@ class ServerProcess:
             "--park-timeout", str(self.cfg.park_timeout_s),
             "--drain-grace", "3.0",
             "--sanitize",
+            *self.flags,
         ]
-        # Overload knobs ride along only when a campaign sets them, so the
-        # classic campaigns keep their exact historical command line.
-        optional = (
-            ("--max-pending", self.cfg.max_pending),
-            ("--retry-hint-floor", self.cfg.retry_hint_floor_s),
-            ("--retry-hint-cap", self.cfg.retry_hint_cap_s),
-            ("--max-pending-per-client", self.cfg.max_pending_per_client),
-            ("--write-timeout", self.cfg.write_timeout_s),
-        )
-        for flag, value in optional:
-            if value is not None:
-                argv += [flag, str(value)]
-        return argv
 
     async def start(self) -> None:
         env = dict(os.environ)
@@ -411,38 +402,15 @@ class ChaosReport:
         return verdict
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "wall_s": self.wall_s,
-            "kills": self.kills,
-            "faults": dict(self.faults),
-            "faults_total": self.faults_total,
-            "proxy_connections": self.proxy_connections,
-            "load": self.load.to_dict(),
-            "replayed_periods_last_boot": self.replayed_periods_last_boot,
-            "settled": self.settled,
-            "settle_s": self.settle_s,
-            "final_open_periods": self.final_open_periods,
-            "final_usage_bytes": self.final_usage_bytes,
-            "final_waiting": self.final_waiting,
-            "sanitizer_ok": self.sanitizer_ok,
-            "server_exit_code": self.server_exit_code,
-            "shards": self.shards,
-            "cluster_counters": dict(self.cluster_counters),
-            "supervised": self.supervised,
-            "shard_restarts": self.shard_restarts,
-            "shards_alive_final": self.shards_alive_final,
-            "shards_quarantined": self.shards_quarantined,
-            "rolling": self.rolling,
-            "rolled_shards": self.rolled_shards,
-            "overload": self.overload,
-            "p99_bound_s": self.p99_bound_s,
-            "p99_observed_s": self.p99_observed_s,
-            "slowloris_clients": self.slowloris_clients,
-            "slowloris_disconnects": self.slowloris_disconnects,
-            "final_clients": self.final_clients,
-            "ok": self.ok,
+        """Every field in declaration order but the server output, the
+        load as its own payload, then the verdict."""
+        payload = {
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name != "server_output"
         }
+        payload["load"] = self.load.to_dict()
+        payload["ok"] = self.ok
+        return payload
 
     def describe(self) -> str:
         fault_bits = ", ".join(
@@ -601,15 +569,15 @@ async def _slowloris(
     return disconnects
 
 
-#: tight defaults for the overload knobs an overload campaign's caller
-#: left unset, so a short storm trips every defense
-_OVERLOAD_KNOBS = {
-    "max_pending": 16,
-    "retry_hint_floor_s": 0.05,
-    "retry_hint_cap_s": 2.0,
-    "max_pending_per_client": 2,
-    "write_timeout_s": 1.0,
-}
+#: the overload campaign's server defenses, tight enough that a short
+#: storm trips every one
+_OVERLOAD_FLAGS = (
+    "--max-pending", "16",
+    "--retry-hint-floor", "0.05",
+    "--retry-hint-cap", "2.0",
+    "--max-pending-per-client", "2",
+    "--write-timeout", "1.0",
+)
 
 #: (report name, front-end attribute) of the counters a cluster reports
 _CLUSTER_COUNTERS = (
@@ -689,10 +657,6 @@ class _Campaign:
                 cfg,
                 hold_s=max(cfg.hold_s, 0.15),
                 park_timeout_s=min(cfg.park_timeout_s, 1.0),
-                **{
-                    knob: value for knob, value in _OVERLOAD_KNOBS.items()
-                    if getattr(cfg, knob) is None
-                },
             )
         self.cfg = cfg
         self.rolling = kind == "rolling"
@@ -729,7 +693,7 @@ class _Campaign:
             server = ServerProcess(
                 os.path.join(workdir, f"{name}-server.sock"),
                 os.path.join(workdir, f"{name}-journal.ndjson"),
-                cfg,
+                cfg, _OVERLOAD_FLAGS if self.storm else (),
             )
             self.servers = [server]
             self.entry = server.socket_path

@@ -20,18 +20,19 @@ resilient client falls back to the front-end and is re-placed.
 reply the clients whose only open period is a *parked* ``pp_begin`` and
 whose hello carried ``"redirect": true``.  When such a begin has waited
 ``migrate_after_s`` and its shard is saturated while another shard has
-headroom, the balance loop sends the source shard ``migrate``: the shard
+headroom, the health sweep sends the source shard ``migrate``: the shard
 cancels the parked period (it holds no capacity) and answers the begin
 with ``REDIRECT`` to the target, where the client re-issues it with the
 same idempotency token.
 
 ``query`` and ``stats`` are aggregated across every live shard, so one
 probe sees cluster-wide utilization; ``drain`` fans out to all shards and
-then drains the front-end itself.  A health loop probes each shard and
-feeds the placer's liveness/usage model; per-shard gauges,
-``placements_total``, ``redirects_total``, ``migrations_total`` and the
-``fragmentation`` gauge are exported through the standard metrics
-registry.
+then drains the front-end itself.  The front-end's only loop is a health
+sweep: it probes each shard into the placer's liveness/usage model, then
+restarts dead shards and moves parked begins on what the probes saw.
+Per-shard gauges, ``placements_total``, ``redirects_total``,
+``migrations_total`` and the ``fragmentation`` gauge are exported
+through the standard metrics registry.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Awaitable, Dict, List, Optional, Tuple, Union
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from . import protocol
 from .client import ServeClient
@@ -71,10 +72,14 @@ def _connect_kwargs(address: ShardAddress) -> Dict[str, Any]:
 class ClusterFrontend(Listener):
     """The placer process: accepts clients, assigns shards, redirects."""
 
-    def __init__(self, cfg: ClusterConfig) -> None:
+    def __init__(
+        self, cfg: ClusterConfig, clock: Callable[[], float] = time.monotonic
+    ) -> None:
         if not cfg.shards:
             raise ClusterError("ClusterConfig needs at least one shard")
         super().__init__(cfg, MetricsRegistry())
+        #: the one clock of every deadline, age and reservation
+        self.clock = clock
         self.placer = DemandAwarePlacer(
             [ShardState(address=a) for a in cfg.shards], seed=cfg.seed
         )
@@ -103,7 +108,7 @@ class ClusterFrontend(Listener):
             "rebalance_migrations_total",
             "migrations triggered by the fragmentation threshold",
         )
-        #: brownout state: set/cleared by the health loop
+        #: brownout state: set/cleared by the health sweep
         self._brownout = False
         self._brownout_streak = 0
         #: per-resource high-water mark of declared demand, the yardstick
@@ -194,9 +199,7 @@ class ClusterFrontend(Listener):
         await self._health_sweep()
 
     def _background_loops(self) -> List[Awaitable[None]]:
-        return [
-            self._health_loop(), self._balance_loop(), self._supervise_loop(),
-        ]
+        return [self._health_loop()]
 
     async def _stopped(self) -> None:
         """Cancel the supervised restarts still in flight."""
@@ -206,7 +209,7 @@ class ClusterFrontend(Listener):
         await asyncio.gather(*tasks, return_exceptions=True)
 
     # ------------------------------------------------------------------
-    # background loops
+    # the health sweep
     # ------------------------------------------------------------------
     async def _shard_call(
         self,
@@ -244,6 +247,8 @@ class ClusterFrontend(Listener):
         )
 
     async def _health_sweep(self) -> None:
+        """Probe and fold every shard, then act on what the probes saw:
+        restart the dead shards and move the parked begins that may move."""
         # Draining and mid-restart shards are skipped entirely: a planned
         # restart must not be mistaken for a death (that would skew
         # shards_alive and could flip brownout on), and only the
@@ -267,6 +272,30 @@ class ClusterFrontend(Listener):
         self._release_expired()
         self._frag_peak = max(self._frag_peak, self.placer.fragmentation())
         self._update_brownout()
+        # restarts first: starting one awaits nothing
+        for shard in self.placer.shards.values():
+            name = shard.name
+            if (
+                shard.alive or shard.draining
+                or name in self._restarting
+                or name in self._quarantined
+                or name not in self._restarters
+            ):
+                continue
+            self._restarting.add(name)
+            task = asyncio.ensure_future(self._supervised_restart(shard))
+            self._restart_tasks.add(task)
+            task.add_done_callback(self._restart_tasks.discard)
+        if self.cfg.migration:
+            threshold = self.cfg.rebalance_fragmentation
+            fragmented = (
+                threshold is not None
+                and self.placer.fragmentation() >= threshold
+            )
+            # fragmented capacity: don't wait for parked begins to age —
+            # move them now, before the slivers deadlock each other
+            min_age = 0.0 if fragmented else self.cfg.migrate_after_s
+            await self._migrate_parked(min_age, rebalance=fragmented)
 
     def _fold_probe(self, shard: ShardState, reply: Dict[str, Any]) -> None:
         """Fold one successful query reply into the placer's shard model."""
@@ -295,7 +324,7 @@ class ClusterFrontend(Listener):
 
     def _note_parked(self, shard: ShardState, reply: Dict[str, Any]) -> None:
         """Keep a probe's list of the shard's movable parked begins."""
-        now = time.monotonic()
+        now = self.clock()
         self._parked[shard.name] = [
             (
                 entry["client"],
@@ -310,11 +339,11 @@ class ClusterFrontend(Listener):
         its lease TTLs: by then the shard's observed usage carries the
         client's charge, or its lease has lapsed."""
         self._release_at[client_id] = (
-            time.monotonic() + self._lease_ttl_s.get(shard.name, 0.0)
+            self.clock() + self._lease_ttl_s.get(shard.name, 0.0)
         )
 
     def _release_expired(self) -> None:
-        now = time.monotonic()
+        now = self.clock()
         for client_id, at in list(self._release_at.items()):
             if at <= now:
                 del self._release_at[client_id]
@@ -363,21 +392,6 @@ class ClusterFrontend(Listener):
             await asyncio.sleep(self.cfg.health_interval_s)
             await self._health_sweep()
 
-    async def _balance_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.cfg.balance_interval_s)
-            if not self.cfg.migration:
-                continue
-            threshold = self.cfg.rebalance_fragmentation
-            fragmented = (
-                threshold is not None
-                and self.placer.fragmentation() >= threshold
-            )
-            # fragmented capacity: don't wait for parked begins to age —
-            # move them now, before the slivers deadlock each other
-            min_age = 0.0 if fragmented else self.cfg.migrate_after_s
-            await self._migrate_parked(min_age, rebalance=fragmented)
-
     async def _migrate_parked(
         self,
         min_age_s: float,
@@ -388,7 +402,9 @@ class ClusterFrontend(Listener):
 
         A parked begin at least ``min_age_s`` old whose shard is saturated
         while another has headroom is moved with ``migrate``: its shard
-        answers the begin with REDIRECT to the target.
+        answers the begin with REDIRECT to the target.  A source whose
+        ``migrate`` call fails is asked nothing more in this sweep, so a
+        hung shard costs one call, not one per listed begin.
         """
         moved = 0
         for name, parked in list(self._parked.items()):
@@ -397,7 +413,7 @@ class ClusterFrontend(Listener):
                 continue
             for entry in list(parked):
                 client_id, demand, since = entry
-                if time.monotonic() - since < min_age_s:
+                if self.clock() - since < min_age_s:
                     continue
                 target = self.placer.migration_target(client_id, demand)
                 if target is None or target is source:
@@ -410,7 +426,7 @@ class ClusterFrontend(Listener):
                 )
                 if reply is None:
                     self.c_migration_failures.inc()
-                    continue
+                    break
                 if not reply.get("moved"):
                     continue  # admitted (or gone) in the meantime
                 self.placer.migrate(client_id, target)
@@ -430,7 +446,7 @@ class ClusterFrontend(Listener):
         ``restarter`` is an async callable that brings the (dead or
         drained) shard process back up on its original address, where it
         recovers by replaying its own journal.  Once at least one
-        restarter is registered the supervise loop restarts dead shards
+        restarter is registered the health sweep restarts dead shards
         automatically; :meth:`drain_shard`/:meth:`rolling_restart` use
         the same hooks for planned cycles.
         """
@@ -455,47 +471,34 @@ class ClusterFrontend(Listener):
                 *list(self._restart_tasks), return_exceptions=True
             )
 
-    async def _supervise_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.cfg.supervise_interval_s)
-            for shard in self.placer.shards.values():
-                name = shard.name
-                if (
-                    shard.alive or shard.draining
-                    or name in self._restarting
-                    or name in self._quarantined
-                    or name not in self._restarters
-                ):
-                    continue
-                self._restarting.add(name)
-                task = asyncio.ensure_future(self._supervised_restart(shard))
-                self._restart_tasks.add(task)
-                task.add_done_callback(self._restart_tasks.discard)
+    def _restart_backoff(self, name: str) -> Optional[float]:
+        """The crash-loop verdict on dead shard ``name``: the backoff before
+        its restart, doubled (up to the cap) per re-death within
+        ``crash_loop_window_s`` of its last restart, or None once
+        ``quarantine_after`` such re-deaths in a row quarantine it."""
+        last = self._last_restart.get(name)
+        window = self.cfg.crash_loop_window_s
+        streak = 0
+        if last is not None and self.clock() - last < window:
+            streak = self._restart_streak.get(name, 0) + 1
+        self._restart_streak[name] = streak
+        if streak >= self.cfg.quarantine_after:
+            self._quarantined.add(name)
+            return None
+        return min(
+            self.cfg.restart_backoff_s * (2 ** streak),
+            self.cfg.restart_backoff_cap_s,
+        )
 
     async def _supervised_restart(self, shard: ShardState) -> bool:
-        """One supervised restart of a dead shard: backoff, flap guard,
-        restarter, probe-until-ready, revive.  Crash-looping shards (a
-        re-death inside ``crash_loop_window_s`` of the last restart)
-        escalate the backoff and are quarantined after
-        ``quarantine_after`` strikes instead of flapping forever."""
+        """One supervised restart of a dead shard: the crash-loop verdict,
+        its backoff, flap guard, restarter, probe-until-ready, revive."""
         name = shard.name
         try:
-            now = time.monotonic()
-            last = self._last_restart.get(name)
-            if last is not None and now - last < self.cfg.crash_loop_window_s:
-                self._restart_streak[name] = (
-                    self._restart_streak.get(name, 0) + 1
-                )
-            else:
-                self._restart_streak[name] = 0
-            streak = self._restart_streak[name]
-            if streak >= self.cfg.quarantine_after:
-                self._quarantined.add(name)
+            backoff = self._restart_backoff(name)
+            if backoff is None:
                 return False
-            await asyncio.sleep(min(
-                self.cfg.restart_backoff_s * (2 ** streak),
-                self.cfg.restart_backoff_cap_s,
-            ))
+            await asyncio.sleep(backoff)
             # flap guard: a probe that answers means the "death" was a
             # transient (connection hiccup, mid-compaction stall) — the
             # process never left, so re-register it instead of restarting
@@ -504,7 +507,7 @@ class ClusterFrontend(Listener):
                 self._fold_probe(shard, reply)
                 self.placer.revive(name)
                 return True
-            self._last_restart[name] = time.monotonic()
+            self._last_restart[name] = self.clock()
             return await self._restart(shard)
         finally:
             self._restarting.discard(name)
@@ -520,8 +523,8 @@ class ClusterFrontend(Listener):
             await restarter()
         except Exception:
             return False
-        deadline = time.monotonic() + self.cfg.restart_ready_timeout_s
-        while time.monotonic() < deadline:
+        deadline = self.clock() + self.cfg.restart_ready_timeout_s
+        while self.clock() < deadline:
             reply = await self._probe(shard)
             if reply is not None:
                 self._fold_probe(shard, reply)
@@ -552,8 +555,8 @@ class ClusterFrontend(Listener):
         grace = self.cfg.shard_drain_grace_s if grace_s is None else grace_s
         self.placer.mark_draining(name)
         self.c_shard_drains.inc()
-        deadline = time.monotonic() + grace
-        while time.monotonic() < deadline:
+        deadline = self.clock() + grace
+        while self.clock() < deadline:
             reply = await self._probe(shard)
             if reply is None:
                 break  # already down (crashed mid-drain)
@@ -941,6 +944,7 @@ async def start_local_cluster(
             shards=tuple(addresses),
             seed=seed,
             metrics_json=cfg.metrics_json,
+            metrics_interval_s=cfg.metrics_interval_s,
             **(cluster_overrides or {}),
         )
     frontend = ClusterFrontend(cluster_cfg)

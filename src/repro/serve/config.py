@@ -202,13 +202,12 @@ class ClusterConfig:
         help="tie-break seed of the placer: placement is deterministic "
         "given (seed, demands, capacities)",
     )
-    #: period of the shard health/usage probe loop
+    #: period of the health sweep, the front-end's only loop: it probes
+    #: every shard, then restarts the dead and migrates parked begins
     health_interval_s: float = option(0.25, bound=positive_float)
     #: per-probe connect+query budget
     probe_timeout_s: float = option(1.0, bound=positive_float)
-    #: period of the parked-client migration sweep
-    balance_interval_s: float = option(0.1, bound=positive_float)
-    #: a pp_begin must be parked this long before it may migrate
+    #: a pp_begin must be parked this long before a sweep may migrate it
     migrate_after_s: float = option(0.25, bound=non_negative_float)
     migration: bool = option(
         True, "--no-migration",
@@ -232,8 +231,6 @@ class ClusterConfig:
         "this ratio, parked clients may migrate without waiting out the "
         "age gate (default %(default)s)",
     )
-    #: supervisor poll period (only matters once restarters registered)
-    supervise_interval_s: float = option(0.1, bound=positive_float)
     #: base restart backoff; doubles per crash-loop streak entry
     restart_backoff_s: float = option(0.2, bound=positive_float)
     #: ceiling on the exponential restart backoff
@@ -419,14 +416,6 @@ class ChaosConfig:
         help="--rolling: per-shard drain grace before a forced restart "
         "(default %(default)s)",
     )
-    #: overload campaign: server-side overload knobs, passed to ``serve``
-    #: only when set — the classic campaigns add no extra flags, and the
-    #: overload campaign fills in tight defaults for unset ones
-    max_pending: Optional[int] = option(None, bound=positive_int)
-    retry_hint_floor_s: Optional[float] = option(None, bound=positive_float)
-    retry_hint_cap_s: Optional[float] = option(None, bound=positive_float)
-    max_pending_per_client: Optional[int] = option(None, bound=positive_int)
-    write_timeout_s: Optional[float] = option(None, bound=positive_float)
     storm_rate: float = option(
         150.0, "--storm-rate", positive_float, metavar="RATE",
         help="--overload: mean session arrivals per second (default "

@@ -25,6 +25,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.api import MB
@@ -44,39 +45,6 @@ __all__ = [
     "run_loadgen",
     "run_loadgen_sync",
 ]
-
-
-@dataclass
-class _Tally:
-    """Mutable counters shared by all client tasks (single event loop)."""
-
-    sessions_started: int = 0
-    sessions_completed: int = 0
-    sessions_failed: int = 0
-    calls: int = 0
-    admitted: int = 0
-    parked: int = 0
-    forced: int = 0
-    retries: int = 0
-    dropped_calls: int = 0
-    park_timeouts: int = 0
-    draining_rejects: int = 0
-    protocol_errors: int = 0
-    overload_sheds: int = 0
-    shed_calls: int = 0
-    sheds_without_hint: int = 0
-    reconnects: int = 0
-    lost_periods: int = 0
-    deduped: int = 0
-    redirects: int = 0
-    redirect_latency_s: List[float] = field(default_factory=list)
-    latency_s: List[float] = field(default_factory=list)
-    waited_s: List[float] = field(default_factory=list)
-    utilization_samples: List[float] = field(default_factory=list)
-
-
-#: the run's counters, in report order: every int field of :class:`_Tally`
-_COUNTERS = tuple(f.name for f in fields(_Tally) if f.type == "int")
 
 
 @dataclass(frozen=True)
@@ -175,6 +143,10 @@ class LoadgenReport:
         return "\n".join(lines)
 
 
+#: the run's counters, in report order: every int field of the report
+_COUNTERS = tuple(f.name for f in fields(LoadgenReport) if f.type == "int")
+
+
 def fig4_scripts(
     n: int = 8, demand_mb: float = 6.3, hold_s: float = 0.02
 ) -> List[SessionScript]:
@@ -208,7 +180,12 @@ class _Runner:
         #: exactly what the resilient client does
         self.resilient = cfg.resilient or cfg.cluster
         self.connect_kwargs = {"unix_path": unix_path, "host": host, "port": port}
-        self.tally = _Tally()
+        #: the counters, shared by all client tasks (one event loop)
+        self.tally = SimpleNamespace(**dict.fromkeys(_COUNTERS, 0))
+        self.latency_s: List[float] = []
+        self.waited_s: List[float] = []
+        self.redirect_latency_s: List[float] = []
+        self.utilization_samples: List[float] = []
         self.rng = random.Random(cfg.seed)
         self._next_script = 0
         self._next_client = 0
@@ -293,7 +270,7 @@ class _Runner:
             self.tally.reconnects += client.reconnects
             self.tally.lost_periods += client.lost_periods
             self.tally.deduped += client.deduped
-            self.tally.redirect_latency_s.extend(client.redirect_latency_s)
+            self.redirect_latency_s.extend(client.redirect_latency_s)
             client.redirect_latency_s = []
 
     # ------------------------------------------------------------------
@@ -353,10 +330,10 @@ class _Runner:
                     return False
                 tally.protocol_errors += 1
                 return False
-            tally.latency_s.append(time.monotonic() - t0)
+            self.latency_s.append(time.monotonic() - t0)
             tally.admitted += 1
             waited = float(reply.get("waited_s", 0.0))
-            tally.waited_s.append(waited)
+            self.waited_s.append(waited)
             if waited > 0.0:
                 tally.parked += 1
             if reply.get("forced"):
@@ -442,7 +419,7 @@ class _Runner:
                 await asyncio.sleep(0.02)
                 reply = await client.call("query", timeout=5.0)
                 for state in reply.get("resources", {}).values():
-                    self.tally.utilization_samples.append(
+                    self.utilization_samples.append(
                         float(state.get("utilization", 0.0))
                     )
         except (ProtocolError, ServeReplyError, ConnectionError, OSError,
@@ -471,17 +448,17 @@ class _Runner:
 
         server_stats = await self._final_stats()
         tally = self.tally
-        samples = tally.utilization_samples
+        samples = self.utilization_samples
         return LoadgenReport(
             mode=self.cfg.mode,
             wall_s=wall_s,
-            **{name: getattr(tally, name) for name in _COUNTERS},
+            **vars(tally),
             throughput_pps=tally.admitted / wall_s if wall_s > 0 else 0.0,
-            admission_latency=summarize_samples(tally.latency_s),
+            admission_latency=summarize_samples(self.latency_s),
             park_time=summarize_samples(
-                [w for w in tally.waited_s if w > 0.0]
+                [w for w in self.waited_s if w > 0.0]
             ),
-            redirect_latency=summarize_samples(tally.redirect_latency_s),
+            redirect_latency=summarize_samples(self.redirect_latency_s),
             utilization_mean=(
                 sum(samples) / len(samples) if samples else 0.0
             ),

@@ -100,11 +100,6 @@ class TestEnd:
         with pytest.raises(UnknownProgressPeriodError):
             monitor.end(424242)
 
-    def test_history_records_completions(self, monitor):
-        pp = monitor.begin("t1", req(100))
-        monitor.end(pp.pp_id)
-        assert monitor.history == [pp]
-
 
 class TestAbandon:
     def test_abandon_releases_running(self, monitor):

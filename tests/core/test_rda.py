@@ -11,8 +11,19 @@ from repro.sim.process import ThreadState
 from ..conftest import make_phase, make_workload
 
 
-def run_kernel(workload, policy=StrictPolicy(), config=None):
+def run_kernel(workload, policy=StrictPolicy(), config=None, ended=None):
+    """Run ``workload`` to the end; each period the scheduler's monitor
+    ends is appended to ``ended`` when a list is given."""
     scheduler = RdaScheduler(policy=policy, config=config)
+    if ended is not None:
+        end = scheduler.monitor.end
+
+        def spy(pp_id):
+            period, admitted = end(pp_id)
+            ended.append(period)
+            return period, admitted
+
+        scheduler.monitor.end = spy
     kernel = Kernel(config=config, extension=scheduler)
     kernel.launch(workload)
     kernel.run(max_events=2_000_000)
@@ -54,19 +65,23 @@ class TestAdmissionThroughKernel:
         assert max_seen > paper_machine.llc_capacity  # it did oversubscribe
 
     def test_all_waiters_eventually_admitted(self):
+        ended = []
         kernel, sched = run_kernel(
-            make_workload(n_processes=30, phases=[make_phase(wss_mb=5.0)])
+            make_workload(n_processes=30, phases=[make_phase(wss_mb=5.0)]),
+            ended=ended,
         )
         assert kernel.all_exited
         # every period completed exactly once
-        assert len(sched.monitor.history) == 30
-        assert all(p.state is PeriodState.COMPLETED for p in sched.monitor.history)
+        assert len(ended) == 30
+        assert all(p.state is PeriodState.COMPLETED for p in ended)
 
     def test_denials_recorded_in_waits(self):
+        ended = []
         kernel, sched = run_kernel(
-            make_workload(n_processes=10, phases=[make_phase(wss_mb=8.0)])
+            make_workload(n_processes=10, phases=[make_phase(wss_mb=8.0)]),
+            ended=ended,
         )
-        waited = [p for p in sched.monitor.history if p.waited_s > 0]
+        waited = [p for p in ended if p.waited_s > 0]
         assert len(waited) >= 8  # only one runs at a time; the rest waited
 
 
@@ -95,10 +110,12 @@ class TestStarvationGuard:
     def test_forced_periods_carry_the_forced_flag(self, paper_machine):
         """Guard admissions are marked so the sanitizer can exempt them."""
         huge = make_phase(wss_mb=100.0)
+        ended = []
         kernel, sched = run_kernel(
-            make_workload(n_processes=2, phases=[huge]), config=paper_machine
+            make_workload(n_processes=2, phases=[huge]), config=paper_machine,
+            ended=ended,
         )
-        forced = [p for p in sched.monitor.history if p.forced]
+        forced = [p for p in ended if p.forced]
         assert len(forced) == sched.forced_admissions >= 1
         assert all(p.state is PeriodState.COMPLETED for p in forced)
 
@@ -126,10 +143,11 @@ class TestStarvationGuard:
                 ProcessSpec(name="huge", program=[make_phase(wss_mb=100.0)]),
             ],
         )
-        kernel, sched = run_kernel(wl, config=paper_machine)
+        ended = []
+        kernel, sched = run_kernel(wl, config=paper_machine, ended=ended)
         assert kernel.all_exited
         assert sched.forced_admissions >= 1
-        huge = next(p for p in sched.monitor.history if p.demand_bytes > 50e6)
+        huge = next(p for p in ended if p.demand_bytes > 50e6)
         assert huge.forced and huge.waited_s > 0  # denied first, rescued later
 
 
@@ -150,9 +168,10 @@ class TestUninstrumentedProcesses:
                 ProcessSpec(name="plain", program=[make_phase(declare_pp=False)]),
             ],
         )
-        kernel, sched = run_kernel(wl)
+        ended = []
+        kernel, sched = run_kernel(wl, ended=ended)
         assert kernel.all_exited
-        assert len(sched.monitor.history) == 1
+        assert len(ended) == 1
 
 
 class TestDescribe:

@@ -6,11 +6,14 @@ then one per contract input flipped — so the contract of every campaign
 is checked in milliseconds, independent of how the campaign is driven.
 """
 
+import sys
+
 import pytest
 
 from repro.cli import main
 from repro.experiments.metrics import summarize_samples
-from repro.serve.chaos import FAULT_KINDS, ChaosReport
+from repro.serve.chaos import FAULT_KINDS, ChaosReport, _Campaign
+from repro.serve.config import CAMPAIGN_KINDS, ChaosConfig
 from repro.serve.loadgen import LoadgenReport
 
 #: what makes a clean report of each campaign, beyond the shared fields
@@ -178,6 +181,60 @@ class TestReportShape:
             "p99_observed_s", "slowloris_clients", "slowloris_disconnects",
             "final_clients", "ok",
         }
+
+
+def test_to_dict_keeps_the_field_order_with_ok_last():
+    report = make_report("overload")
+    payload = report.to_dict()
+    assert list(payload) == [
+        "seed", "wall_s", "kills", "faults", "faults_total",
+        "proxy_connections", "load", "replayed_periods_last_boot",
+        "settled", "settle_s", "final_open_periods", "final_usage_bytes",
+        "final_waiting", "sanitizer_ok", "server_exit_code", "shards",
+        "cluster_counters", "supervised", "shard_restarts",
+        "shards_alive_final", "shards_quarantined", "rolling",
+        "rolled_shards", "overload", "p99_bound_s", "p99_observed_s",
+        "slowloris_clients", "slowloris_disconnects", "final_clients", "ok",
+    ]
+    assert payload["load"] == report.load.to_dict()
+    assert payload["ok"] is True
+
+
+def serve_argv(socket, journal, park_timeout="2.0", *flags):
+    """A campaign's ``serve`` command line in workdir ``/w``."""
+    return [
+        sys.executable, "-m", "repro", "serve", "--socket", f"/w/{socket}",
+        "--policy", "strict", "--capacity-mb", "8.0",
+        "--journal", f"/w/{journal}", "--journal-fsync", "0.0",
+        "--lease-ttl", "1.5", "--lease-check", "0.1",
+        "--park-timeout", park_timeout, "--drain-grace", "3.0", "--sanitize",
+        *flags,
+    ]
+
+
+SHARD_ARGV = [
+    serve_argv(f"shard{i}.sock", f"shard{i}-journal.ndjson") for i in range(2)
+]
+
+#: each campaign's server command lines, as every campaign has run them
+SERVER_ARGV = {
+    "server": [serve_argv("chaos-server.sock", "chaos-journal.ndjson")],
+    "cluster": SHARD_ARGV,
+    "supervised": SHARD_ARGV,
+    "rolling": SHARD_ARGV,
+    "overload": [serve_argv(
+        "overload-server.sock", "overload-journal.ndjson", "1.0",
+        "--max-pending", "16", "--retry-hint-floor", "0.05",
+        "--retry-hint-cap", "2.0", "--max-pending-per-client", "2",
+        "--write-timeout", "1.0",
+    )],
+}
+
+
+@pytest.mark.parametrize("kind", CAMPAIGN_KINDS)
+def test_each_campaign_starts_its_servers_with_the_same_argv(kind):
+    campaign = _Campaign(ChaosConfig(kind=kind, shards=2), "/w")
+    assert [server._argv() for server in campaign.servers] == SERVER_ARGV[kind]
 
 
 class TestCampaignFlags:

@@ -29,7 +29,7 @@ def tiny_machine(capacity_mb: float = CAPACITY_MB):
 async def start_cluster(tmp_path, n=2, capacity_mb=CAPACITY_MB, seed=0,
                         supervise=False, journal=False, serve_overrides=None,
                         **frontend_overrides):
-    """A local cluster with test-speed health/balance loops.
+    """A local cluster with a test-speed health sweep.
 
     Supervision is off by default so fault-path tests control shard
     lifetime themselves; supervision tests opt in (usually together with
@@ -45,9 +45,7 @@ async def start_cluster(tmp_path, n=2, capacity_mb=CAPACITY_MB, seed=0,
     cluster = await start_local_cluster(
         cfg, n, sock, seed=seed, supervise=supervise
     )
-    overrides = dict(
-        health_interval_s=0.05, balance_interval_s=0.05, migrate_after_s=0.1
-    )
+    overrides = dict(health_interval_s=0.05, migrate_after_s=0.1)
     overrides.update(frontend_overrides)
     cluster.frontend.cfg = dataclasses.replace(
         cluster.frontend.cfg, **overrides
@@ -362,9 +360,8 @@ async def _wait_for(predicate, timeout_s=10.0, interval_s=0.05):
 
 class TestSupervision:
     OVERRIDES = dict(
-        supervise_interval_s=0.05, restart_backoff_s=0.05,
-        restart_backoff_cap_s=0.2, crash_loop_window_s=0.0,
-        restart_ready_timeout_s=10.0,
+        restart_backoff_s=0.05, restart_backoff_cap_s=0.2,
+        crash_loop_window_s=0.0, restart_ready_timeout_s=10.0,
     )
 
     def test_supervisor_restarts_dead_shard_from_journal(self, tmp_path):
@@ -447,8 +444,7 @@ class TestSupervision:
     def test_crash_looping_shard_is_quarantined(self, tmp_path):
         async def scenario():
             cluster, sock = await start_cluster(
-                tmp_path, n=2, supervise=True,
-                supervise_interval_s=0.05, restart_backoff_s=0.01,
+                tmp_path, n=2, supervise=True, restart_backoff_s=0.01,
                 restart_backoff_cap_s=0.05, crash_loop_window_s=60.0,
                 quarantine_after=2, restart_ready_timeout_s=0.2,
             )
@@ -491,9 +487,9 @@ class TestSupervision:
 
 class TestRollingRestart:
     OVERRIDES = dict(
-        supervise_interval_s=0.05, restart_backoff_s=0.05,
-        restart_backoff_cap_s=0.2, crash_loop_window_s=0.0,
-        restart_ready_timeout_s=10.0, shard_drain_grace_s=2.0,
+        restart_backoff_s=0.05, restart_backoff_cap_s=0.2,
+        crash_loop_window_s=0.0, restart_ready_timeout_s=10.0,
+        shard_drain_grace_s=2.0,
     )
 
     def test_rolling_restart_cycles_every_shard(self, tmp_path):
@@ -586,7 +582,7 @@ class TestRollingRestart:
 
     def test_drain_shard_moves_a_parked_resilient_client(self, tmp_path):
         async def scenario():
-            # the balance loop stays off: only drain_shard may move it
+            # migration stays off: only drain_shard may move it
             cluster, sock = await start_cluster(
                 tmp_path, n=2, supervise=True, journal=True,
                 migration=False, **self.OVERRIDES
@@ -712,7 +708,7 @@ class TestMigration:
             home = fe.placer.assignments["parker"]
 
             # free the *other* shard: parker's home stays saturated, so the
-            # balance loop must migrate the parked begin across
+            # health sweep must migrate the parked begin across
             other = next(
                 i for i in range(2)
                 if fe.placer.assignments[f"filler-{i}"] != home
@@ -731,6 +727,25 @@ class TestMigration:
             for c, _ in fillers:
                 await c.close()
             await parker.close()
+            assert await drain(cluster) == 0
+
+        asyncio.run(scenario())
+
+
+class TestMetricsDump:
+    def test_the_frontend_dumps_at_the_serve_metrics_interval(self, tmp_path):
+        """Under ``serve --shards`` the front-end owns the metrics file,
+        so it takes ``--metrics-interval`` along with ``--metrics-json``."""
+        async def scenario():
+            path = tmp_path / "metrics.json"
+            cluster, sock = await start_cluster(tmp_path, serve_overrides=dict(
+                metrics_json=str(path), metrics_interval_s=0.3,
+            ))
+            assert cluster.frontend.cfg.metrics_interval_s == 0.3
+            assert all(s.cfg.metrics_json is None for s in cluster.servers)
+            # the first dump comes one interval after the start, long
+            # before the default 2 s
+            assert await _wait_for(path.exists, timeout_s=1.5)
             assert await drain(cluster) == 0
 
         asyncio.run(scenario())

@@ -85,9 +85,7 @@ async def start_cluster(tmp_path, n=2, seed=0, serve_overrides=None,
     serve_kw.update(serve_overrides or {})
     cfg = ServeConfig(**serve_kw)
     cluster = await start_local_cluster(cfg, n, sock, seed=seed)
-    overrides = dict(
-        health_interval_s=0.05, balance_interval_s=0.05, migrate_after_s=0.1
-    )
+    overrides = dict(health_interval_s=0.05, migrate_after_s=0.1)
     overrides.update(frontend_overrides)
     cluster.frontend.cfg = dataclasses.replace(
         cluster.frontend.cfg, **overrides

@@ -242,6 +242,26 @@ class TestParkEnds:
         assert service.c_disconnect_cancel.value == 1
         assert period.pp_id not in service.registry
 
+    def test_a_strict_fifo_head_that_times_out_admits_the_waiter_behind(self):
+        """Under ``--fifo`` the head holds back every waiter behind it, so
+        the head's leaving admits a waiter that fits."""
+        clock = Clock()
+        service = make_service(clock, strict_fifo=True)
+        holder = connect(service)
+        begin(service, holder, 2)
+        _, _, short = begin(service, holder, 1.5)
+        head_conn = connect(service, "head")
+        head_request, head = parked(service, head_conn, 3)
+        _, behind = parked(service, connect(service, "behind"), 1)
+        _, ended = call(service, holder, "pp_end", pp_id=short.pp_id)
+        assert not ended.woken  # the 3 MB head does not fit in 2 MB
+        clock.now += 5.0  # the head's park timer fired
+        verdict = service.park_ended(head_conn, head_request, head, False)
+        assert error(verdict)["code"] == ErrorCode.PARK_TIMEOUT
+        assert list(verdict.woken) == [behind]
+        assert behind.state is PeriodState.RUNNING
+        assert service.llc.usage_bytes == MB(3)
+
 
 class TestMigrate:
     SHARD = {"name": "s1", "unix_path": "/nonexistent/s1.sock"}
