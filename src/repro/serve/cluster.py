@@ -412,6 +412,8 @@ class ClusterFrontend(Listener):
             if not source.alive or only_shard not in (None, name):
                 continue
             for entry in list(parked):
+                if entry not in parked:
+                    continue  # a drain's or the sweep's pass took it meanwhile
                 client_id, demand, since = entry
                 if self.clock() - since < min_age_s:
                     continue

@@ -694,6 +694,7 @@ class AdmissionService(AdmissionCore):
     def pp_begin(self, session: Any, request: protocol.Request) -> Decision:
         self.c_begin.inc()
         record = session.record
+        superseded: List[ProgressPeriod] = []
         # Idempotent re-issue: a token that already names an open admitted
         # period returns that period instead of charging twice — the
         # resilient client re-sends pp_begin after a lost reply.
@@ -713,19 +714,21 @@ class AdmissionService(AdmissionCore):
                 if period is not None and period.state is PeriodState.WAITING:
                     # A stale parked period from a taken-over connection:
                     # supersede it rather than park the same token twice.
-                    # It holds no charge, so cancelling it admits nobody.
-                    self._cancel(record, known)
+                    # It holds no charge, but as a strict-FIFO head it held
+                    # back the waiters behind it: those its leaving admits
+                    # are woken with whatever this begin decides.
+                    superseded = self._cancel(record, known)
         if self.draining:
             self.c_draining_rejects.inc()
             return Decision(protocol.error_reply(
                 request.id, ErrorCode.DRAINING, "server is draining"
-            ))
+            ), woken=superseded)
         if not self.resources.known(request.resource):
             self.c_protocol_errors.inc()
             return Decision(protocol.error_reply(
                 request.id, ErrorCode.BAD_REQUEST,
                 f"resource {request.resource} is not managed by this server",
-            ))
+            ), woken=superseded)
         self.demand_peak_bytes = max(self.demand_peak_bytes, request.demand_bytes)
         # Overload backpressure: the pending-admission queue is bounded,
         # and per client too, so one storm client cannot occupy all of it.
@@ -757,7 +760,7 @@ class AdmissionService(AdmissionCore):
             return Decision(protocol.error_reply(
                 request.id, ErrorCode.RETRY_AFTER, message,
                 retry_after_s=self._retry_hint_s(),
-            ))
+            ), woken=superseded)
         sharing_key = (
             ("serve", request.sharing_key) if request.sharing_key is not None else None
         )
@@ -785,10 +788,12 @@ class AdmissionService(AdmissionCore):
         self.force_if_idle(period)
         self.note_usage()
         if period.state is PeriodState.WAITING:
-            return Decision(None, park=period)
+            return Decision(None, park=period, woken=superseded)
         self.c_immediate.inc()
         self.journal_admit(period)
-        return Decision(self._admitted_reply(request.id, period))
+        return Decision(
+            self._admitted_reply(request.id, period), woken=superseded
+        )
 
     def _retry_hint_s(self) -> float:
         """The retry hint carried by shed replies: live queue occupancy

@@ -6,7 +6,8 @@ shard, then restart the dead shards and move the parked begins that may
 move.  Here :class:`FakeShards` stands in for the shards: it answers the
 front-end's ``_shard_call`` from a model the test sets, so reservations,
 brownout, migration and supervision are driven by plain sweeps on a clock
-the test moves.  No socket opens and nothing sleeps.
+the test moves.  No socket opens, and nothing sleeps but a drain's one
+50 ms pause between its probes.
 """
 
 import asyncio
@@ -36,9 +37,10 @@ class FakeShards:
     """The shards behind the front-end, as its ``_shard_call`` sees them.
 
     A live shard answers ``query`` from its model (usage, parked begins
-    with the time each parked) and ``migrate`` by dropping the begin; a
-    dead one does not answer, and a shard in ``migrate_fails`` fails its
-    ``migrate`` calls.  Every call is recorded.
+    with the time each parked), ``migrate`` by dropping the begin and
+    ``drain`` at once; a dead one does not answer, and a shard in
+    ``migrate_fails`` fails its ``migrate`` calls.  A ``migrate`` of a
+    client in ``held`` waits for that event.  Every call is recorded.
     """
 
     def __init__(self, clock, names):
@@ -49,6 +51,8 @@ class FakeShards:
         self.peak = 0
         self.dead = set()
         self.migrate_fails = set()
+        #: client -> asyncio.Event its ``migrate`` call waits for
+        self.held = {}
         self.calls = []
 
     async def call(self, state, op, timeout=None, unreachable=None, **fields):
@@ -57,6 +61,8 @@ class FakeShards:
         if name in self.dead:
             return unreachable
         if op == "migrate":
+            if fields["client"] in self.held:
+                await self.held[fields["client"]].wait()
             if name in self.migrate_fails:
                 return None
             self.parked[name] = [
@@ -64,6 +70,8 @@ class FakeShards:
                 if entry[0] != fields["client"]
             ]
             return {"moved": 1}
+        if op == "drain":
+            return {}
         assert op == "query"
         return {
             "open_periods": len(self.parked[name]),
@@ -242,6 +250,41 @@ class TestMigration:
         shards.migrate_fails.clear()
         sweep(frontend)  # the next probe lists both again
         assert shards.migrations()[2:] == [("s0", "p", "s2"), ("s0", "q", "s2")]
+
+    def test_a_drain_and_a_sweep_on_one_parked_list_move_each_begin_once(self):
+        """The sweep does not probe a draining shard, so it moves begins
+        off the list the drain's own probe left.  While one pass awaits a
+        ``migrate``, the other takes the next begin from the same list;
+        each must skip what the other took, and neither may fail."""
+        clock = Clock()
+        frontend, shards = make_frontend(clock, migrate_after_s=0.0)
+        sweep(frontend)  # capacities folded
+        shards.usage["s0"] = MB(3.5)
+        for client in "abc":
+            shards.park("s0", client, MB(1))
+
+        async def until(done):
+            for _ in range(100):
+                if done():
+                    return
+                await asyncio.sleep(0)
+            raise AssertionError("the front-end never got there")
+
+        async def a_sweep_during_a_drain():
+            shards.held = {"a": asyncio.Event(), "b": asyncio.Event()}
+            drain = asyncio.ensure_future(frontend.drain_shard("s0"))
+            await until(lambda: len(shards.migrations()) == 1)  # a, by drain
+            health = asyncio.ensure_future(frontend._health_sweep())
+            await until(lambda: len(shards.migrations()) == 2)  # b, by sweep
+            shards.held["a"].set()  # the drain goes on past b to c
+            await until(lambda: len(shards.migrations()) == 3 or drain.done())
+            shards.held["b"].set()  # the sweep goes on past c
+            await health
+            return await drain
+
+        assert asyncio.run(a_sweep_during_a_drain()) is True
+        assert shards.migrations() == [("s0", c, "s1") for c in "abc"]
+        assert frontend.c_migrations.value == 3
 
 
 class TestSupervision:

@@ -322,6 +322,28 @@ def test_a_token_reissue_is_deduped_and_charged_once():
     assert service.c_idempotent.value == 1
 
 
+def test_a_reissue_that_supersedes_a_strict_fifo_head_wakes_the_waiter_behind():
+    """A resilient client re-issues its parked begin by token on a new
+    connection.  The stale head it supersedes held back a waiter that
+    fits, and the new begin's decision wakes that waiter."""
+    service = make_service(Clock(), strict_fifo=True)
+    holder = connect(service)
+    begin(service, holder, 2)
+    _, _, short = begin(service, holder, 1.5)
+    old = connect(service, "head")
+    _, _, stale = begin(service, old, 3, token="t1")
+    _, behind = parked(service, connect(service, "behind"), 1)
+    _, ended = call(service, holder, "pp_end", pp_id=short.pp_id)
+    assert not ended.woken and stale.state is PeriodState.WAITING
+    new = connect(service, "head")  # the client's takeover
+    assert old.closed
+    _, reissue, fresh = begin(service, new, 3, token="t1")
+    assert list(reissue.woken) == [behind]
+    assert behind.state is PeriodState.RUNNING
+    assert reissue.park is fresh and stale.pp_id not in service.registry
+    assert service.llc.usage_bytes == MB(3)
+
+
 @pytest.mark.parametrize("bound", ["max_pending", "max_pending_per_client"])
 def test_each_pending_bound_refuses_with_its_own_message(bound):
     if bound == "max_pending":
