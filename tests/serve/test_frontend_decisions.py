@@ -279,8 +279,8 @@ class TestMigration:
             shards.held["a"].set()  # the drain goes on past b to c
             await until(lambda: len(shards.migrations()) == 3 or drain.done())
             shards.held["b"].set()  # the sweep goes on past c
-            await health
-            return await drain
+            await asyncio.wait_for(health, 5.0)
+            return await asyncio.wait_for(drain, 5.0)
 
         assert asyncio.run(a_sweep_during_a_drain()) is True
         assert shards.migrations() == [("s0", c, "s1") for c in "abc"]
